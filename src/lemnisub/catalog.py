@@ -210,6 +210,11 @@ def validation_errors(lemma: LemmaId, params: LemmaParams,
     if errs:
         return errs
 
+    for name in sorted(need):
+        if not math.isfinite(getattr(params, name)):
+            errs.append(f"{lemma.value} needs a finite {name}, "
+                        f"got {name}={getattr(params, name)}")
+
     A, B, D, E, k, beta = (params.A, params.B, params.D, params.E,
                            params.k, params.beta)
     if "A" in row.uses:
@@ -565,18 +570,24 @@ def margin_on_circle(lemma: LemmaId, params: LemmaParams,
         return np.abs(hm1) / np.abs((X - Y) - Y * hm1)
 
 
-def singular_angles(lemma: LemmaId, params: LemmaParams) -> tuple:
-    """Angles t where h has a pole or branch point on the unit circle."""
+def singular_points(lemma: LemmaId, params: LemmaParams) -> tuple:
+    """Finite points where h or Q has a pole or branch point."""
     out = []
     if lemma in (LemmaId.L1, LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        out.append(math.pi)     # branch point of (1+z)^a at z = -1
+        out.append(-1.0)        # branch point of (1+z)^a
     if lemma in (LemmaId.L3, LemmaId.L4, LemmaId.L8, LemmaId.L10, LemmaId.L11):
-        if params.A == 1.0:
-            out.append(math.pi)
+        if params.A != 0.0:
+            out.append(-1.0 / params.A)
     if lemma in (LemmaId.L2, LemmaId.L3, LemmaId.L8, LemmaId.L9, LemmaId.L10):
-        if params.B == -1.0:
-            out.append(0.0)
-    return tuple(sorted(set(out)))
+        if params.B != 0.0:
+            out.append(-1.0 / params.B)
+    return tuple(out)
+
+
+def singular_angles(lemma: LemmaId, params: LemmaParams) -> tuple:
+    """Angles t where h has a pole or branch point on the unit circle."""
+    return tuple(sorted({math.atan2(0.0, s) for s in singular_points(lemma, params)
+                         if abs(s) == 1.0}))
 
 
 # --- admissibility quantities ---------------------------------------------

@@ -9,9 +9,7 @@ Subcommands:
 
 Exit codes: 0 on success (``verify``: verdict Verified), 1 when a
 verification verdict is negative, 2 on invalid configuration.  Identical
-configuration and seed give byte-identical data sections; the worker
-pool size is read from the LEMNISUB_WORKERS environment variable and
-never affects output order.
+configuration and seed give byte-identical data sections.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import report as report_mod
@@ -35,7 +33,7 @@ from .catalog import (
     premise_region,
     validation_errors,
 )
-from .config import DEFAULTS, worker_count
+from .config import DEFAULTS
 from .errors import LemnisubError, NoThresholdInBracket, NonMonotoneMargin
 from .generate import monomial, random_schwarz, solve_premise
 from .regions import boundary_curve
@@ -127,6 +125,10 @@ def _parse_radii(raw: str, errors: list) -> tuple:
     return radii
 
 
+def _grid_errors(grid: int) -> list:
+    return [] if grid >= 64 else [f"--grid must be at least 64, got {grid}"]
+
+
 def _reject(errors: list) -> int:
     print("invalid configuration:", file=sys.stderr)
     for msg in errors:
@@ -157,6 +159,7 @@ def cmd_verify(args) -> int:
     errors: list = []
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
+    errors.extend(_grid_errors(args.grid))
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
     if errors:
@@ -221,35 +224,26 @@ def _threshold_row(lemma: LemmaId, combo: dict, grid: int) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    errors: list = []
+    errors: list = _grid_errors(args.grid)
     lemma = _parse_lemma(args.lemma, errors)
+    names = ["A", "B", "D", "E", "k"]
     axes = {name: _parse_float_list(name, getattr(args, name), errors)
-            for name in ("A", "B", "D", "E", "k")}
+            for name in names}
+    combos = [dict(zip(names, values))
+              for values in itertools.product(*(axes[n] for n in names))]
+    if lemma is not None:
+        needed = CATALOG[lemma].uses - {"beta"}
+        missing = [n for n in sorted(needed) if axes[n] == [None]]
+        errors.extend(f"{lemma.value} sweep requires --{n}" for n in missing)
+        if not missing:
+            errors.extend(sorted({msg for combo in combos
+                                  for msg in validation_errors(
+                                      lemma, LemmaParams(**combo),
+                                      require_beta=False)}))
     if errors:
         return _reject(errors)
 
-    needed = CATALOG[lemma].uses - {"beta"}
-    missing = [n for n in sorted(needed) if axes[n] == [None]]
-    if missing:
-        return _reject([f"{lemma.value} sweep requires --{n}" for n in missing])
-
-    names = ["A", "B", "D", "E", "k"]
-    combos = [dict(zip(names, values))
-              for values in itertools.product(*(axes[n] for n in names))]
-    bad: list = []
-    for combo in combos:
-        bad.extend(validation_errors(lemma, LemmaParams(**combo),
-                                     require_beta=False))
-    if bad:
-        return _reject(sorted(set(bad)))
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda c: _threshold_row(lemma, c, args.grid), combos))
-    else:
-        rows = [_threshold_row(lemma, c, args.grid) for c in combos]
+    rows = [_threshold_row(lemma, c, args.grid) for c in combos]
 
     text = report_mod.sweep_rows_to_csv(rows)
     if args.csv_path:
@@ -293,12 +287,7 @@ def cmd_falsify(args) -> int:
             "tail_certified": trial.tail_certified,
         }
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(run, draws))
-    else:
-        trials = [run(w) for w in draws]
+    trials = [run(w) for w in draws]
 
     results = {
         "lemma": lemma.value,

@@ -6,7 +6,6 @@ record so that tests, the verifier and the CLI agree on a single source.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -24,7 +23,9 @@ class Defaults:
     feasibility_slack: float = 1e-12
     angle_xtol: float = 1e-8      # golden-section angular resolution
     puncture_radius: float = 1e-6  # excluded neighbourhood of singular angles
-    bisect_tol: float = 1e-6      # absolute tolerance of threshold bisection
+    # reported as metadata.tolerances.bisect only; no solver uses it, and
+    # it goes with the next report schema version
+    bisect_tol: float = 1e-6
     tail_tol: float = 1e-9        # series tail certificate |c_N| r^N / (1-r)
 
     # grids
@@ -44,14 +45,3 @@ class Defaults:
 
 
 DEFAULTS = Defaults()
-
-WORKERS_ENV = "LEMNISUB_WORKERS"
-
-
-def worker_count() -> int:
-    """Worker-pool size taken from the environment, at least 1."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -8,9 +8,16 @@ uniform boundary criterion
 where ``inverse`` is the premise region's global inverse map.  This
 module measures that margin on a dense angular grid with golden-section
 refinement, measures the Miller-Mocanu admissibility minima from the
-closed-form derivative quantities, locates empirical beta thresholds by
-monotone bisection above a coarse scan, and semi-decides subordination
-of concrete power series by sampling an exhaustion of the disk.
+closed-form derivative quantities, and semi-decides subordination of
+concrete power series by sampling an exhaustion of the disk.
+
+Empirical beta thresholds are solved exactly per angle.  For every
+margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
+the criterion is a polynomial inequality in beta: a quadratic for the
+Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
+The threshold is the largest crossing over all angles inside the
+bracket that a coarse beta scan confirms, sharpened over the angle by
+golden-section refinement.
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -29,6 +36,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .catalog import (
     ADMISSIBILITY_EVALUATORS,
@@ -42,8 +50,10 @@ from .catalog import (
     dominant_Q_on_circle,
     feasibility_check,
     h_minus_one_at,
+    h_minus_one_on_circle,
     margin_on_circle,
     singular_angles,
+    singular_points,
     validate,
     zhprime_over_q_circle,
 )
@@ -64,6 +74,8 @@ from .series import PowerSeries
 _TWO_PI = 2.0 * math.pi
 _INSET_RADIUS = 1.0 - 1e-6      # winding diagnostic circle
 _REFINE_SEEDS = 8               # brackets refined around the smallest samples
+_ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
+_NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
 
 
 # --- small numerics ---------------------------------------------------------
@@ -117,8 +129,13 @@ def _punctured_grid(grid_size: int, sing: tuple,
 
 
 def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
+                    *aligned: np.ndarray,
                     puncture: float = DEFAULTS.puncture_radius):
-    """Push refinement brackets out of the punctured neighbourhoods."""
+    """Push refinement brackets out of the punctured neighbourhoods.
+
+    Brackets left empty are dropped, together with the matching entries
+    of each array in ``aligned``.
+    """
     for s in sing:
         for image in (s - _TWO_PI, s, s + _TWO_PI):
             lo = np.where((lo > image - puncture) & (lo < image + puncture),
@@ -126,7 +143,7 @@ def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
             hi = np.where((hi > image - puncture) & (hi < image + puncture),
                           image - puncture, hi)
     good = lo < hi
-    return lo[good], hi[good]
+    return (lo[good], hi[good]) + tuple(a[good] for a in aligned)
 
 
 # --- margin profiles ---------------------------------------------------------
@@ -252,7 +269,8 @@ def admissibility_min(lemma: LemmaId, params: LemmaParams,
 
     The quantities come from closed-form derivatives of the catalog's Q
     and h; a central finite difference along the circle cross-checks the
-    derivative quantities at a subsample (tolerance 1e-5, step 1e-6).
+    derivative quantities at a subsample (relative tolerance 1e-5, step
+    at most 1e-6, see ``_derivative_cross_check``).
     """
     validate(lemma, params)
     if not (0.0 < radius <= 1.0):
@@ -283,7 +301,13 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
                             quantity: AdmissibilityQuantity, radius: float,
                             t: np.ndarray, step: float = 1e-6,
                             tol: float = 1e-5) -> None:
-    """Verify z f'(z)/Q(z) against a central difference along the circle."""
+    """Verify z f'(z)/Q(z) against a central difference along the circle.
+
+    The step shrinks to 1e-3 of each sample's distance to the nearest
+    pole or branch point of h and Q, which keeps the truncation error of
+    the difference near 1e-6 relative however close a pole sits to the
+    circle; deviations are measured relative to max(1, |closed form|).
+    """
     sub = t[:: max(1, t.size // 64)]
     # keep clear of punctures where derivatives blow up
     sing = singular_angles(lemma, params)
@@ -292,22 +316,28 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
             else sub
     if sub.size == 0:
         return
+    z = radius * np.exp(1j * sub)
+    dist = np.full(sub.shape, np.inf)
+    for s in singular_points(lemma, params):
+        dist = np.minimum(dist, np.abs(z - s))
+    h = np.minimum(step, 1e-3 * dist)
     Q = dominant_Q_on_circle(lemma, params, sub, radius)
     if quantity is AdmissibilityQuantity.RE_ZQP_OVER_Q:
-        fplus = dominant_Q_on_circle(lemma, params, sub + step, radius)
-        fminus = dominant_Q_on_circle(lemma, params, sub - step, radius)
+        fplus = dominant_Q_on_circle(lemma, params, sub + h, radius)
+        fminus = dominant_Q_on_circle(lemma, params, sub - h, radius)
         closed = ADMISSIBILITY_EVALUATORS[quantity](lemma, params, sub, radius)
     else:
-        fplus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub + step)))
-        fminus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub - step)))
+        fplus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub + h)))
+        fminus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub - h)))
         closed = zhprime_over_q_circle(lemma, params, sub, radius)
     # d/dt f(r e^{it}) = i z f'(z), so z f'/Q = -i (df/dt)/Q
-    fd = -1j * (fplus - fminus) / (2.0 * step) / Q
-    dev = float(np.max(np.abs(fd.real - closed.real)))
+    fd = -1j * (fplus - fminus) / (2.0 * h) / Q
+    dev = float(np.max(np.abs(fd.real - closed.real)
+                       / np.maximum(1.0, np.abs(closed))))
     if dev > tol:
         raise LemnisubError(
             f"{lemma.value}/{quantity.value}: derivative cross-check deviates "
-            f"by {dev:.3e} (tolerance {tol})")
+            f"by {dev:.3e} relative (tolerance {tol})")
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -403,44 +433,155 @@ def _analyze_scan(margins: np.ndarray, level: float = 1.0) -> int:
     return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
 
 
+def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
+    return np.array([p.real * p.real + p.imag * p.imag,
+                     2.0 * (p.real * q.real + p.imag * q.imag),
+                     q.real * q.real + q.imag * q.imag])
+
+
+def _crossing_polynomial(lemma: LemmaId, params: LemmaParams):
+    """Per-angle polynomial whose sign decides the boundary criterion.
+
+    Returns a function of the angles t giving coefficients c, shape
+    (deg+1, t.size), of F(beta) = sum_k c[k] beta^k with F >= 0 exactly
+    where the margin at angle t is >= 1.  For every margin rule
+    h - 1 = a + beta*b is affine in beta, so with w = h - 1 the Mobius
+    condition |w|^2 >= |(X-Y) - Y w|^2 is a quadratic in beta (linear
+    when |Y| = 1) and the lemniscate condition |w|^2 |2 + w|^2 >= 1 a
+    quartic.
+    """
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
+    kind = CATALOG[lemma].premise_kind
+    X, Y = ((params.A, params.B) if kind == "janowski_AB"
+            else (params.D, params.E))
+
+    def coefficients(t: np.ndarray) -> np.ndarray:
+        a = h_minus_one_on_circle(lemma, at0, t)
+        b = h_minus_one_on_circle(lemma, at1, t) - a
+        w2 = _abs2_coeffs(a, b)
+        if kind != "sqrt":
+            return w2 - _abs2_coeffs((X - Y) - Y * a, -Y * b)
+        c = np.zeros((5, t.size))
+        for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
+            c[i:i + 3] += factor * w2
+        c[0] -= 1.0
+        return c
+
+    return coefficients
+
+
+def _poly_value(c: np.ndarray, x):
+    """Value and derivative of sum_k c[k] x^k (degree >= 1) by Horner's rule."""
+    f, d = c[-1], 0.0
+    for ck in c[-2::-1]:
+        d = d * x + f
+        f = f * x + ck
+    return f, d
+
+
+def _newton_in_bracket(c: np.ndarray, left, right,
+                       x: np.ndarray) -> np.ndarray:
+    """Crossing of F = 0 inside each column's [left, right].
+
+    Newton steps from x; a step that leaves the shrinking bracket is
+    replaced by its midpoint, so each column converges.  Columns where
+    F < 0 holds at both ends or at neither come back NaN.
+    """
+    neg_left = _poly_value(c, left)[0] < 0.0
+    dead = neg_left == (_poly_value(c, right)[0] < 0.0)
+    for _ in range(_NEWTON_STEPS):
+        f, d = _poly_value(c, x)
+        same = (f < 0.0) == neg_left
+        left = np.where(same, x, left)
+        right = np.where(same, right, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - f / d
+        nxt = np.where((nxt >= left) & (nxt <= right), nxt, 0.5 * (left + right))
+        settled = np.abs(nxt - x) <= _ROOT_RTOL * np.abs(nxt)
+        x = nxt
+        if (settled | dead).all():
+            break
+    return np.where(dead, np.nan, x)
+
+
+def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Betas in [lo, hi] where each column's F changes between < 0 and >= 0.
+
+    Returns shape (deg, n), ascending per column and NaN-padded.  The
+    crossings of F' cut [lo, hi] into pieces on which F is monotone, so
+    a piece whose ends differ in sign holds exactly one crossing.
+    """
+    deg, n = c.shape[0] - 1, c.shape[1]
+    if deg == 0:
+        return np.empty((0, n))
+    crit = _crossings(c[1:] * np.arange(1.0, deg + 1.0)[:, None], lo, hi)
+    cuts = np.concatenate([np.full((1, n), lo),
+                           np.where(np.isnan(crit), hi, crit),
+                           np.full((1, n), hi)])
+    left, right = cuts[:-1], cuts[1:]
+    return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
+                   axis=0)
+
+
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
-                      bisect_tol: float = DEFAULTS.bisect_tol,
                       scan_points: int = DEFAULTS.scan_points,
                       grid_size: int = 2048) -> float:
     """Smallest beta above which the boundary margin stays >= 1.
 
-    A coarse scan over [1e-6, 10 beta*] brackets the last upcrossing of
-    the level 1 and confirms the margin does not fall back below it;
-    bisection then resolves the crossing to ``bisect_tol`` (tightened
-    proportionally below unit scale, so the conservatism guarantee holds
-    in relative terms for small thresholds too).  Profiles touching the
-    level from below at isolated smaller beta (which happens for several
-    catalog families) do not register on the scan, so the reported
+    At each angle t of the punctured grid the condition margin >= 1 is
+    F_t(beta) >= 0 for a polynomial F_t of degree 2 (Mobius premise) or
+    4 (lemniscate premise), see ``_crossing_polynomial``.  A scan of
+    F_t over ``scan_points`` betas in [1e-6, 10 beta*] brackets the last
+    upcrossing of the level and confirms it is not lost again; the
+    threshold is then the largest crossing of any F_t inside that
+    bracket, found exactly per angle and sharpened over t by
+    golden-section refinement around the best grid angles.  Crossings
+    at isolated smaller beta, where the margin touches 1 from below
+    between scan points, do not register on the scan, so the reported
     threshold is the stable one.
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
         raise ValueError(f"{lemma.value} has no margin criterion")
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
     base = closed_form_threshold(lemma, params)
     if base.status is ThresholdStatus.INFEASIBLE:
         raise InfeasibleParameters(
             f"{lemma.value}: {base.binding_constraint}")
+    sing = singular_angles(lemma, params)
+    t = _punctured_grid(grid_size, sing)
+    polynomial = _crossing_polynomial(lemma, params)
+    coeffs = polynomial(t)
+
     betas = np.linspace(1e-6, 10.0 * base.beta_star, scan_points)
-    margins = np.array([_min_margin(lemma, params.with_beta(float(b)), grid_size)
-                        for b in betas])
-    i0 = _analyze_scan(margins)
+    i0 = _analyze_scan(np.array([polyval(b, coeffs, tensor=False).min()
+                                 for b in betas]), level=0.0)
     if i0 < 0:
         lo, hi = 1e-12, float(betas[0])
     else:
         lo, hi = float(betas[i0]), float(betas[i0 + 1])
-    tol = bisect_tol * min(1.0, base.beta_star)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _min_margin(lemma, params.with_beta(mid), grid_size) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    last = np.fmax.reduce(_crossings(coeffs, lo, hi), axis=0,
+                          initial=-np.inf)
+    best = max(lo, float(np.max(last)))
+
+    # sharpen over t around the best grid angles; each probe follows its
+    # seed's crossing by Newton steps from the seed's value
+    step = _TWO_PI / grid_size
+    order = np.argsort(-last)[:_REFINE_SEEDS]
+    order = order[np.isfinite(last[order])]
+    left, right, guess = _clamp_brackets(t[order] - step, t[order] + step,
+                                         sing, last[order])
+    if left.size:
+        def negated_crossing(x):
+            root = _newton_in_bracket(polynomial(x), lo, hi, guess)
+            return np.where(np.isnan(root), np.inf, -root)
+
+        _, fb = _golden_refine_vec(negated_crossing, left, right,
+                                   DEFAULTS.angle_xtol)
+        best = max(best, float(-np.min(fb)))
+    return best
 
 
 # --- subordination of concrete series ---------------------------------------

@@ -56,6 +56,27 @@ def test_invalid_config_exit_two_aggregated(capsys):
                 "--beta", "1"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_parameters(capsys, value):
+    assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
+                f"--beta={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "needs a finite beta" in err and "Traceback" not in err
+
+
+def test_small_grid_rejected_with_every_problem_listed(capsys):
+    assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
+                "--beta", "nan", "--grid", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid must be at least 64" in err and "finite beta" in err
+    assert run(["threshold", "--lemma", "L2", "--A", "1,nan", "--B", "0",
+                "--grid", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "--grid must be at least 64" in err and "finite A" in err
+    assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
+                "--beta", "3", "--grid", "64"]) == 0
+
+
 # --- threshold sweeps -------------------------------------------------------------
 
 def test_threshold_k_sweep_csv(tmp_path):
@@ -163,16 +184,6 @@ def test_falsify_determinism(tmp_path):
                     "--json", str(path)]) == 0
     da, db = json.loads(a.read_text()), json.loads(b.read_text())
     assert data_section_bytes(da) == data_section_bytes(db)
-
-
-def test_worker_pool_is_order_stable(tmp_path, monkeypatch):
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    assert run(["threshold", "--lemma", "L2", "--A", "1,0.8,0.6", "--B",
-                "0,-0.5", "--csv", str(serial)]) == 0
-    monkeypatch.setenv("LEMNISUB_WORKERS", "4")
-    assert run(["threshold", "--lemma", "L2", "--A", "1,0.8,0.6", "--B",
-                "0,-0.5", "--csv", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_threshold_and_plot_byte_determinism(tmp_path):

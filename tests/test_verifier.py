@@ -25,6 +25,7 @@ from lemnisub.catalog import lower_bound_g
 from lemnisub.errors import (
     ConstantTermMismatch,
     InfeasibleParameters,
+    LemnisubError,
     NoThresholdInBracket,
     NonMonotoneMargin,
     PremiseMapPoleInsideDisk,
@@ -214,6 +215,40 @@ def test_admissibility_l8_uses_true_h_derivative():
     zqp = (1.0 - params.A * params.B * z * z) / ((1.0 + params.A * z) * (1.0 + params.B * z))
     direct = (q / params.beta + zqp).real
     assert m == pytest.approx(float(direct.min()), abs=1e-6)
+
+
+# a pole of Q = (A-B) z/(1+Bz)^2 sits 1.3e-4 outside the circle at t = 0,
+# where |zQ'/Q| = |(1-Bz)/(1+Bz)| is about 1.5e4
+NEAR_POLE_L9 = LemmaParams(A=-0.19149202174029467, B=-0.9998703276536798,
+                           D=-0.019169261523765302, E=-0.4934766796486485,
+                           beta=1.571268828773606)
+
+
+def test_cross_check_accepts_pole_near_circle():
+    m = admissibility_min(LemmaId.L9, NEAR_POLE_L9,
+                          AdmissibilityQuantity.RE_ZQP_OVER_Q,
+                          radius=1.0 - 1e-6, grid_size=2048)
+    assert m > 0.0
+    assert check_superordination(LemmaId.L9, NEAR_POLE_L9).verdict is Verdict.VERIFIED
+
+
+@pytest.mark.parametrize("lemma,params,quantity", [
+    (LemmaId.L9, NEAR_POLE_L9, AdmissibilityQuantity.RE_ZQP_OVER_Q),
+    (LemmaId.L2, LemmaParams(A=0.7, B=-0.4, beta=3.0),
+     AdmissibilityQuantity.RE_ZQP_OVER_Q),
+    (LemmaId.L8, LemmaParams(A=0.5, B=0.0, beta=3.0),
+     AdmissibilityQuantity.RE_ZHP_OVER_Q),
+])
+def test_cross_check_rejects_closed_form_off_by_1e3(monkeypatch, lemma, params,
+                                                     quantity):
+    from lemnisub import catalog, verify
+    evaluator = catalog.ADMISSIBILITY_EVALUATORS[quantity]
+    skewed = lambda *args: (1.0 + 1e-3) * evaluator(*args)
+    monkeypatch.setitem(verify.ADMISSIBILITY_EVALUATORS, quantity, skewed)
+    monkeypatch.setattr(verify, "zhprime_over_q_circle", skewed)
+    with pytest.raises(LemnisubError, match="cross-check deviates"):
+        admissibility_min(lemma, params, quantity, radius=1.0 - 1e-6,
+                          grid_size=2048)
 
 
 # --- verdicts -------------------------------------------------------------------
