@@ -23,9 +23,6 @@ class Defaults:
     feasibility_slack: float = 1e-12
     angle_xtol: float = 1e-8      # golden-section angular resolution
     puncture_radius: float = 1e-6  # excluded neighbourhood of singular angles
-    # reported as metadata.tolerances.bisect only; no solver uses it, and
-    # it goes with the next report schema version
-    bisect_tol: float = 1e-6
     tail_tol: float = 1e-9        # series tail certificate |c_N| r^N / (1-r)
 
     # grids

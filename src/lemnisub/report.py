@@ -61,7 +61,6 @@ def build_document(command: str, config: dict, results: dict,
             # tolerance annotations for every numeric field downstream
             "tolerances": {
                 "margin": DEFAULTS.margin_tol,
-                "bisect": DEFAULTS.bisect_tol,
                 "residual": DEFAULTS.residual_tol,
                 "coefficient": DEFAULTS.coeff_tol,
                 "evaluation": DEFAULTS.eval_tol,

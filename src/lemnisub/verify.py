@@ -16,8 +16,8 @@ margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
 the criterion is a polynomial inequality in beta: a quadratic for the
 Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
-bracket that a coarse beta scan confirms, sharpened over the angle by
-golden-section refinement.
+bracket that a coarse beta scan of the refined minimum margin confirms,
+sharpened over the angle by golden-section refinement.
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -36,7 +36,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .catalog import (
     ADMISSIBILITY_EVALUATORS,
@@ -440,39 +439,45 @@ def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                      q.real * q.real + q.imag * q.imag])
 
 
-def _crossing_polynomial(lemma: LemmaId, params: LemmaParams):
-    """Per-angle polynomial whose sign decides the boundary criterion.
+def _margin_polynomials(lemma: LemmaId, params: LemmaParams):
+    """Per-angle polynomials in beta whose ratio is the squared margin.
 
-    Returns a function of the angles t giving coefficients c, shape
-    (deg+1, t.size), of F(beta) = sum_k c[k] beta^k with F >= 0 exactly
-    where the margin at angle t is >= 1.  For every margin rule
-    h - 1 = a + beta*b is affine in beta, so with w = h - 1 the Mobius
-    condition |w|^2 >= |(X-Y) - Y w|^2 is a quadratic in beta (linear
-    when |Y| = 1) and the lemniscate condition |w|^2 |2 + w|^2 >= 1 a
-    quartic.
+    Returns a function of the angles t giving coefficient arrays
+    ``(num, den)``, each of shape (deg+1, t.size) in ascending powers of
+    beta, with margin^2 = num(beta) / den(beta) at every angle.  For
+    every margin rule h - 1 = a + beta*b is affine in beta, so with
+    w = h - 1 the Mobius inverse gives num = |w|^2 and
+    den = |(X-Y) - Y w|^2 (quadratics; den is linear when |Y| = 1), and
+    the lemniscate inverse num = |w|^2 |2 + w|^2 (a quartic) over den = 1.
     """
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
     kind = CATALOG[lemma].premise_kind
     X, Y = ((params.A, params.B) if kind == "janowski_AB"
             else (params.D, params.E))
 
-    def coefficients(t: np.ndarray) -> np.ndarray:
+    def coefficients(t: np.ndarray) -> tuple:
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
         w2 = _abs2_coeffs(a, b)
         if kind != "sqrt":
-            return w2 - _abs2_coeffs((X - Y) - Y * a, -Y * b)
-        c = np.zeros((5, t.size))
+            return w2, _abs2_coeffs((X - Y) - Y * a, -Y * b)
+        num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
-            c[i:i + 3] += factor * w2
-        c[0] -= 1.0
-        return c
+            num[i:i + 3] += factor * w2
+        return num, np.ones((1, t.size))
 
     return coefficients
 
 
+def _crossing_coeffs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Coefficients of F = num - den, which is >= 0 exactly where margin >= 1."""
+    c = num.copy()
+    c[:den.shape[0]] -= den
+    return c
+
+
 def _poly_value(c: np.ndarray, x):
-    """Value and derivative of sum_k c[k] x^k (degree >= 1) by Horner's rule."""
+    """Value and derivative of sum_k c[k] x^k by Horner's rule."""
     f, d = c[-1], 0.0
     for ck in c[-2::-1]:
         d = d * x + f
@@ -524,15 +529,59 @@ def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
                    axis=0)
 
 
+def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
+                 betas: np.ndarray, grid_size: int) -> tuple:
+    """Minimum squared margin over the circle at each scan beta.
+
+    As in ``boundary_margin_profile``, the minimum over the grid is
+    sharpened by golden-section refinement around the smallest samples,
+    so a dip between grid points counts.  Refinement can only lower a
+    minimum, so it runs only at the betas whose grid minimum reaches 1,
+    all of them in one batch.  Returns the minima, the refined angles
+    and the index of the scan beta each angle belongs to.
+    """
+    num, den = coeffs
+    minima = np.empty(betas.size)
+    seeds, owner = [], []
+    no_probes = np.empty(0), np.empty(0, dtype=int)
+    with np.errstate(divide="ignore"):
+        for j, beta in enumerate(betas):
+            m2 = _poly_value(num, beta)[0] / _poly_value(den, beta)[0]
+            minima[j] = m2.min()
+            if minima[j] >= 1.0:
+                seeds.append(t[np.argpartition(m2, _REFINE_SEEDS)[:_REFINE_SEEDS]])
+                owner.append(np.full(_REFINE_SEEDS, j))
+    if not seeds:
+        return (minima,) + no_probes
+    step = _TWO_PI / grid_size
+    seeds = np.concatenate(seeds)
+    lo, hi, owner = _clamp_brackets(seeds - step, seeds + step, sing,
+                                    np.concatenate(owner))
+    if not lo.size:
+        return (minima,) + no_probes
+
+    def margin2(x):
+        n, d = polynomial(x)
+        with np.errstate(divide="ignore"):
+            return (_poly_value(n, betas[owner])[0]
+                    / _poly_value(d, betas[owner])[0])
+
+    xb, fb = _golden_refine_vec(margin2, lo, hi, DEFAULTS.angle_xtol)
+    np.minimum.at(minima, owner, fb)
+    return minima, xb, owner
+
+
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
                       scan_points: int = DEFAULTS.scan_points,
                       grid_size: int = 2048) -> float:
     """Smallest beta above which the boundary margin stays >= 1.
 
-    At each angle t of the punctured grid the condition margin >= 1 is
-    F_t(beta) >= 0 for a polynomial F_t of degree 2 (Mobius premise) or
-    4 (lemniscate premise), see ``_crossing_polynomial``.  A scan of
-    F_t over ``scan_points`` betas in [1e-6, 10 beta*] brackets the last
+    At each angle t of the punctured grid the squared margin is a ratio
+    of polynomials in beta, see ``_margin_polynomials``, and margin >= 1
+    is F_t(beta) >= 0 for a polynomial F_t of degree 2 (Mobius premise)
+    or 4 (lemniscate premise).  The minimum margin over the circle,
+    refined between grid points as in ``boundary_margin_profile``, at
+    ``scan_points`` betas in [1e-6, 10 beta*] brackets the last
     upcrossing of the level and confirms it is not lost again; the
     threshold is then the largest crossing of any F_t inside that
     bracket, found exactly per angle and sharpened over t by
@@ -552,22 +601,28 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
             f"{lemma.value}: {base.binding_constraint}")
     sing = singular_angles(lemma, params)
     t = _punctured_grid(grid_size, sing)
-    polynomial = _crossing_polynomial(lemma, params)
-    coeffs = polynomial(t)
+    polynomial = _margin_polynomials(lemma, params)
+    num, den = polynomial(t)
 
     betas = np.linspace(1e-6, 10.0 * base.beta_star, scan_points)
-    i0 = _analyze_scan(np.array([polyval(b, coeffs, tensor=False).min()
-                                 for b in betas]), level=0.0)
+    minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,
+                                         betas, grid_size)
+    i0 = _analyze_scan(minima)
     if i0 < 0:
         lo, hi = 1e-12, float(betas[0])
     else:
         lo, hi = float(betas[i0]), float(betas[i0 + 1])
-    last = np.fmax.reduce(_crossings(coeffs, lo, hi), axis=0,
-                          initial=-np.inf)
+    # candidate angles: the grid, and the scan's refined angles at the
+    # bracket's lower end, where a dip between grid points may bind
+    probes = probes[owner == i0]
+    t = np.concatenate([t, probes])
+    coeffs = np.concatenate([_crossing_coeffs(num, den),
+                             _crossing_coeffs(*polynomial(probes))], axis=1)
+    last = np.fmax.reduce(_crossings(coeffs, lo, hi), axis=0, initial=-np.inf)
     best = max(lo, float(np.max(last)))
 
-    # sharpen over t around the best grid angles; each probe follows its
-    # seed's crossing by Newton steps from the seed's value
+    # sharpen over t around the best candidate angles; each probe follows
+    # its seed's crossing by Newton steps from the seed's value
     step = _TWO_PI / grid_size
     order = np.argsort(-last)[:_REFINE_SEEDS]
     order = order[np.isfinite(last[order])]
@@ -575,7 +630,8 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
                                          sing, last[order])
     if left.size:
         def negated_crossing(x):
-            root = _newton_in_bracket(polynomial(x), lo, hi, guess)
+            root = _newton_in_bracket(_crossing_coeffs(*polynomial(x)),
+                                      lo, hi, guess)
             return np.where(np.isnan(root), np.inf, -root)
 
         _, fb = _golden_refine_vec(negated_crossing, left, right,

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from lemnisub import CATALOG, LemmaId, LemmaParams, closed_form_threshold, numeric_threshold
+from lemnisub import (CATALOG, LemmaId, LemmaParams, catalog, closed_form_threshold,
+                      numeric_threshold, verify)
 from lemnisub.catalog import ThresholdStatus
 from lemnisub.errors import LemnisubError
 from lemnisub.verify import _analyze_scan, _min_margin
@@ -82,3 +83,53 @@ def test_exact_solve_agrees_with_bisection_oracle(lemma):
 ])
 def test_exact_solve_hits_anchors(lemma, params, exact):
     assert numeric_threshold(lemma, params) == pytest.approx(exact, rel=1e-12)
+
+
+# Synthetic curves h - 1 = beta*b(t), put in place of L2's curve for both
+# solvers at A = 1, B = 0 (beta* = 1 + sqrt 2, scan bracket up to 24.1, no
+# singular angles), reach the scan outcomes that no catalog rule reached
+# on seeded draws.  On the lemniscate premise the margin at an angle where
+# b points along the negative axis is s|2 - s| with s = beta|b|: it
+# touches 1 at s = 1, dips to 0 at s = 2 and stays >= 1 from s = 1 + sqrt 2.
+_ROOT = 1.0 + math.sqrt(2.0)
+_SYNTHETIC = {
+    # the margin stays below 1 on the whole scan bracket
+    "never reaches 1": (lambda t: 0.01 * np.exp(1j * t), None),
+    # b points 0.14-0.34 rad off the negative axis: the margin passes 1
+    # at s ~ 0.9, falls back below 1 around s = 2 and recovers
+    "reached, then lost": (
+        lambda t: 0.3 * np.exp(1j * (math.pi - 0.14 - 0.1 * (1.0 + np.cos(t)))),
+        None),
+    # b points along the negative axis only at t = pi/64 and pi + pi/64,
+    # halfway between points of the 64-grid: the grid alone sees the
+    # margin reached at s ~ 1 and lost at s ~ 2; refinement finds the dip
+    "dip between grid points": (
+        lambda t: 0.25 * np.exp(1j * (math.pi + 5.0 * np.sin(t - math.pi / 64))),
+        _ROOT / 0.25),
+    # the margin is already >= 1 at the first scan beta, 1e-6
+    "reached at the scan start": (lambda t: 1e7 * np.exp(1j * t), _ROOT / 1e7),
+}
+
+
+@pytest.mark.parametrize("grid_size", [64, 512])
+@pytest.mark.parametrize("name", list(_SYNTHETIC))
+def test_scan_outcomes_agree_with_oracle_on_synthetic_curves(monkeypatch, name,
+                                                             grid_size):
+    b, exact = _SYNTHETIC[name]
+
+    def curve(lemma, params, t):
+        return params.beta * b(np.asarray(t, dtype=float))
+
+    monkeypatch.setattr(catalog, "h_minus_one_on_circle", curve)
+    monkeypatch.setattr(verify, "h_minus_one_on_circle", curve)
+    lemma, params = LemmaId.L2, LemmaParams(A=1.0, B=0.0)
+    status, value = _outcome(numeric_threshold, lemma, params, grid_size)
+    oracle_status, oracle = _outcome(bisection_threshold, lemma, params, grid_size)
+    assert status == oracle_status
+    if exact is None:
+        assert status != "Feasible"
+        return
+    assert status == "Feasible"
+    assert value == pytest.approx(exact, rel=1e-12)
+    star = closed_form_threshold(lemma, params).beta_star
+    assert -1e-12 * value <= oracle - value <= BISECT_TOL * min(1.0, star)
