@@ -52,6 +52,18 @@ The implicit inequalities (L1 through |B b|, L9-L11 through the
 |c - E x| term, L8 through its cap) are resolved exactly by
 piecewise-linear analysis; a monotone bisection oracle cross-checks the
 solve in the test suite.
+
+The code derives the table of h and Q from each row's style, exponent m
+and targets: every rule reads theta(p) + b z p'/p^m < premise target
+=> p < q with theta(p) = 1 (affine) or p (convective), so h = theta(q) + Q
+with Q = z q' phi(q), phi(q) = b q^{-m} (Miller & Mocanu, Differential
+Subordinations, 2000, section 3.4), and q, Q are products of (1 + c z)^e:
+
+    sqrt(1+z):      q = (1+z)^{1/2}         Q = b (1/2) z (1+z)^{-(m+1)/2}
+    (1+Az)/(1+Bz):  q = (1+Az) (1+Bz)^{-1}  Q = b (A-B) z (1+Az)^{-m} (1+Bz)^{m-2}
+
+Hence z Q'/Q = 1 + sum e c z/(1 + c z), z h'/Q = z Q'/Q (+ q^m/b if h = q + Q),
+and h or Q is singular at -1/c for each factor of negative or fractional e.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,6 +83,7 @@ SQRT2 = math.sqrt(2.0)
 
 _OPEN_BOUND_TOL = 1e-9   # open interval ends are enforced with this slack
 _SING_TOL = 1e-13
+_BETA_MAX = 1e100        # larger beta overflows the squared margins
 
 
 class LemmaId(str, Enum):
@@ -234,14 +247,14 @@ def validation_errors(lemma: LemmaId, params: LemmaParams,
         if not (-1.0 + _OPEN_BOUND_TOL < k <= 3.0):
             errs.append(f"L1 needs -1 < k <= 3, got k={k}")
     if require_beta and beta is not None:
-        if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7, LemmaId.L8):
+        if row.ode_style == "convective":
             if not beta > 0.0:
                 errs.append(f"{lemma.value} needs beta > 0, got beta={beta}")
-        elif lemma in (LemmaId.L9, LemmaId.L10, LemmaId.L11):
-            if beta == 0.0:
-                errs.append(f"{lemma.value} needs beta != 0")
         elif beta == 0.0:
             errs.append(f"{lemma.value} needs beta != 0")
+        if math.isfinite(beta) and abs(beta) > _BETA_MAX:
+            errs.append(f"{lemma.value} needs |beta| <= {_BETA_MAX:g}, "
+                        f"got beta={beta}")
     return errs
 
 
@@ -402,10 +415,87 @@ def feasibility_check(lemma: LemmaId, params: LemmaParams) -> bool:
     return ge(x, P + abs(c - E * beta * (A - B)))
 
 
-# --- dominant curves: h, Q and friends ---
+# --- dominant curves: h, Q and friends (derivation in the module docstring) ---
 
-def _kappa(params: LemmaParams) -> float:
-    return (params.k + 1.0) / 2.0
+class _Curve(NamedTuple):
+    convective: bool    # h = q + Q, else h = 1 + Q
+    sqrt: bool          # q = sqrt(1+z), else q = (1+Az)/(1+Bz)
+    m: float
+    q: tuple            # factors (c, e) of q
+    scale: float        # Q = beta * scale * z * prod over `factors`
+    factors: tuple      # factors (c, e) of Q; zero ones are skipped
+
+
+def _curve(lemma: LemmaId, params: LemmaParams) -> _Curve:
+    row = CATALOG[lemma]
+    m = row.ode_exponent(params)
+    convective = row.ode_style == "convective"
+    if row.conclusion_kind == "sqrt":
+        return _Curve(convective, True, m, ((1.0, 0.5),), 0.5,
+                      ((1.0, -(m + 1.0) / 2.0),))
+    A, B = params.A, params.B
+    return _Curve(convective, False, m, ((A, 1.0), (B, -1.0)), A - B,
+                  ((A, -m), (B, m - 2.0)))
+
+
+def _on_circle(t: np.ndarray, r: float) -> tuple:
+    """Points z = r e^{it}, and t itself when r = 1 (for the half-angle forms)."""
+    return (np.exp(1j * t), t) if r == 1.0 else (r * np.exp(1j * t), None)
+
+
+def _power(c: float, e: float, z, t):
+    """(1 + c z)^e: a plain product for integer e > 0, else the principal power.
+
+    On the unit circle (t given) 1 +- z come from half-angle products, so
+    real parts constant along the circle are exact to rounding.
+    """
+    if t is not None and c == 1.0 and not e.is_integer():
+        return (2.0 * np.cos(t / 2.0)) ** e * np.exp(1j * e * t / 2.0)
+    if t is not None and abs(c) == 1.0:
+        chord = 2.0 * np.cos(t / 2.0) if c == 1.0 else -2.0j * np.sin(t / 2.0)
+        f = chord * np.exp(0.5j * t)
+    else:
+        f = 1.0 + c * z
+    if not e.is_integer():
+        return np.exp(e * np.log(f))
+    return f if e == 1.0 else f ** int(e)
+
+
+def _product(scale, factors, z, t):
+    """scale * prod (1 + c z)^e; negative integer powers form one quotient."""
+    den = None
+    for c, e in factors:
+        if c == 0.0 or e == 0.0:
+            continue
+        if e > 0.0 or not e.is_integer():
+            scale = scale * _power(c, e, z, t)
+        else:
+            f = _power(c, -e, z, t)
+            den = f if den is None else den * f
+    return scale if den is None else scale / den
+
+
+def _dominant_Q(curve: _Curve, beta: float, z, t):
+    return _product(beta * curve.scale * z, curve.factors, z, t)
+
+
+def _h_minus_one(lemma: LemmaId, params: LemmaParams, z, t):
+    curve = _curve(lemma, params)
+    Q = _dominant_Q(curve, params.beta, z, t)
+    if not curve.convective:
+        return Q
+    if curve.sqrt:
+        return (_power(1.0, 0.5, z, t) - 1.0) + Q
+    return curve.scale * z / _power(params.B, 1.0, z, t) + Q   # q - 1 = (A-B)z/(1+Bz)
+
+
+def _regular_points(lemma: LemmaId, params: LemmaParams, z) -> np.ndarray:
+    """z as a complex array; raises when it meets a pole or branch point."""
+    z = np.asarray(z, dtype=complex)
+    for s in singular_points(lemma, params):
+        if np.any(np.abs(z - s) < _SING_TOL * abs(s)):   # |1 + c z| < tol
+            raise SingularPoint(f"pole or branch point at z = {s!r} on the evaluation set")
+    return z
 
 
 def premise_h_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
@@ -414,63 +504,15 @@ def premise_h_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
     return complex(1.0 + h_minus_one_at(lemma, params, complex(z)))
 
 
-def _checked_sqrt_1p(z):
-    z = np.asarray(z, dtype=complex)
-    v = 1.0 + z
-    if np.any(np.abs(v) < _SING_TOL):
-        raise SingularPoint("branch point of sqrt(1+z) at z = -1")
-    return np.sqrt(v)
-
-
-def _checked_factor(c: float, z):
-    v = 1.0 + c * np.asarray(z, dtype=complex)
-    if np.any(np.abs(v) < _SING_TOL):
-        raise SingularPoint(f"pole of 1 + {c}*z on the evaluation set")
-    return v
-
-
-def _sqrt_Q(lemma: LemmaId, params: LemmaParams, z, s):
-    beta = params.beta
-    if lemma is LemmaId.L5:
-        return beta * z / (2.0 * s)
-    if lemma is LemmaId.L6:
-        return beta * z / (2.0 * (1.0 + z))
-    return beta * z / (2.0 * (1.0 + z) * s)   # L7
-
-
 def h_minus_one_at(lemma: LemmaId, params: LemmaParams, z):
     """h(z) - 1, vectorised over arbitrary points of the closed disk."""
-    z = np.asarray(z, dtype=complex)
-    A, B, beta = params.A, params.B, params.beta
-    if lemma is LemmaId.L1:
-        v = 1.0 + z
-        if np.any(np.abs(v) < _SING_TOL):
-            raise SingularPoint("branch point at z = -1")
-        return 0.5 * beta * z * np.exp(-_kappa(params) * np.log(v))
-    if lemma in (LemmaId.L2, LemmaId.L9):
-        return beta * (A - B) * z / _checked_factor(B, z) ** 2
-    if lemma in (LemmaId.L3, LemmaId.L10):
-        return beta * (A - B) * z / (_checked_factor(A, z) * _checked_factor(B, z))
-    if lemma in (LemmaId.L4, LemmaId.L11):
-        return beta * (A - B) * z / _checked_factor(A, z) ** 2
-    if lemma is LemmaId.L8:
-        return (A - B) * z * (1.0 + beta + A * z) / (
-            _checked_factor(A, z) * _checked_factor(B, z))
-    # L5-L7
-    s = _checked_sqrt_1p(z)
-    return (s - 1.0) + _sqrt_Q(lemma, params, z, s)
+    return _h_minus_one(lemma, params, _regular_points(lemma, params, z), None)
 
 
 def dominant_Q_at(lemma: LemmaId, params: LemmaParams, z):
     """Q(z) = z q'(z) phi(q(z)), vectorised; Q = h - 1 except for L5-L8."""
-    z = np.asarray(z, dtype=complex)
-    if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        return _sqrt_Q(lemma, params, z, _checked_sqrt_1p(z))
-    if lemma is LemmaId.L8:
-        A, B = params.A, params.B
-        return params.beta * (A - B) * z / (
-            _checked_factor(A, z) * _checked_factor(B, z))
-    return h_minus_one_at(lemma, params, z)
+    z = _regular_points(lemma, params, z)
+    return _dominant_Q(_curve(lemma, params), params.beta, z, None)
 
 
 def dominant_Q_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
@@ -479,79 +521,16 @@ def dominant_Q_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
     return complex(dominant_Q_at(lemma, params, complex(z)))
 
 
-# --- stable boundary evaluation -------------------------------------------
-#
-# On |z| = 1 the factors 1 + z and 1 - z are formed through half-angle
-# products (never by adding nearly-opposite numbers), so real parts that
-# are exactly constant along the circle come out exact to rounding.
-
-def _one_plus_z_circle(t: np.ndarray) -> np.ndarray:
-    return 2.0 * np.cos(t / 2.0) * np.exp(0.5j * t)
-
-
-def _one_minus_z_circle(t: np.ndarray) -> np.ndarray:
-    return -2.0j * np.sin(t / 2.0) * np.exp(0.5j * t)
-
-
-def _factor_circle(c: float, t: np.ndarray, r: float = 1.0) -> np.ndarray:
-    """1 + c*z on |z| = r, in the stable form when |c| = r = 1."""
-    if r == 1.0 and c == 1.0:
-        return _one_plus_z_circle(t)
-    if r == 1.0 and c == -1.0:
-        return _one_minus_z_circle(t)
-    return 1.0 + c * r * np.exp(1j * t)
-
-
-def _pow_one_plus_z_circle(t: np.ndarray, a: float) -> np.ndarray:
-    """(1+z)^a on the unit circle, principal branch, stable at all |t| < pi."""
-    return (2.0 * np.cos(t / 2.0)) ** a * np.exp(1j * a * t / 2.0)
-
-
-def _sqrt_one_plus_z_circle(t: np.ndarray) -> np.ndarray:
-    return np.sqrt(2.0 * np.cos(t / 2.0)) * np.exp(0.25j * t)
-
-
 def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,
                           t: np.ndarray) -> np.ndarray:
     """h(e^{it}) - 1, vectorised and numerically stable near singular angles."""
-    A, B, beta = params.A, params.B, params.beta
-    z = np.exp(1j * t)
-    if lemma is LemmaId.L1:
-        return 0.5 * beta * z * _pow_one_plus_z_circle(t, -_kappa(params))
-    if lemma in (LemmaId.L2, LemmaId.L9):
-        return beta * (A - B) * z / _factor_circle(B, t) ** 2
-    if lemma in (LemmaId.L3, LemmaId.L10):
-        return beta * (A - B) * z / (_factor_circle(A, t) * _factor_circle(B, t))
-    if lemma in (LemmaId.L4, LemmaId.L11):
-        return beta * (A - B) * z / _factor_circle(A, t) ** 2
-    if lemma is LemmaId.L8:
-        return (A - B) * z * (1.0 + beta + A * z) / (
-            _factor_circle(A, t) * _factor_circle(B, t))
-    s = _sqrt_one_plus_z_circle(t)
-    if lemma is LemmaId.L5:
-        return (s - 1.0) + beta * z / (2.0 * s)
-    if lemma is LemmaId.L6:
-        return (s - 1.0) + beta * z / (2.0 * _one_plus_z_circle(t))
-    return (s - 1.0) + beta * z / (2.0 * _one_plus_z_circle(t) * s)  # L7
+    return _h_minus_one(lemma, params, np.exp(1j * t), t)
 
 
 def dominant_Q_on_circle(lemma: LemmaId, params: LemmaParams,
                          t: np.ndarray, r: float = 1.0) -> np.ndarray:
     """Q on |z| = r, through the stable circle forms when r = 1."""
-    if r != 1.0:
-        return dominant_Q_at(lemma, params, r * np.exp(1j * t))
-    z = np.exp(1j * t)
-    beta = params.beta
-    if lemma is LemmaId.L5:
-        return beta * z / (2.0 * _sqrt_one_plus_z_circle(t))
-    if lemma is LemmaId.L6:
-        return beta * z / (2.0 * _one_plus_z_circle(t))
-    if lemma is LemmaId.L7:
-        return beta * z / (2.0 * _one_plus_z_circle(t) * _sqrt_one_plus_z_circle(t))
-    if lemma is LemmaId.L8:
-        A, B = params.A, params.B
-        return beta * (A - B) * z / (_factor_circle(A, t) * _factor_circle(B, t))
-    return h_minus_one_on_circle(lemma, params, t)
+    return _dominant_Q(_curve(lemma, params), params.beta, *_on_circle(t, r))
 
 
 def margin_on_circle(lemma: LemmaId, params: LemmaParams,
@@ -562,25 +541,22 @@ def margin_on_circle(lemma: LemmaId, params: LemmaParams,
     if kind == "sqrt":
         # |h^2 - 1| = |h - 1| * |h + 1|
         return np.abs(hm1) * np.abs(2.0 + hm1)
-    if kind == "janowski_AB":
-        X, Y = params.A, params.B
-    else:
-        X, Y = params.D, params.E
+    X, Y = (params.A, params.B) if kind == "janowski_AB" else (params.D, params.E)
     with np.errstate(divide="ignore"):
         return np.abs(hm1) / np.abs((X - Y) - Y * hm1)
 
 
 def singular_points(lemma: LemmaId, params: LemmaParams) -> tuple:
-    """Finite points where h or Q has a pole or branch point."""
+    """Finite points where h or Q has a pole or branch point.
+
+    These are the points -1/c of the factors of Q, and of q when h = q + Q,
+    whose exponent is negative or fractional.
+    """
+    curve = _curve(lemma, params)
     out = []
-    if lemma in (LemmaId.L1, LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        out.append(-1.0)        # branch point of (1+z)^a
-    if lemma in (LemmaId.L3, LemmaId.L4, LemmaId.L8, LemmaId.L10, LemmaId.L11):
-        if params.A != 0.0:
-            out.append(-1.0 / params.A)
-    if lemma in (LemmaId.L2, LemmaId.L3, LemmaId.L8, LemmaId.L9, LemmaId.L10):
-        if params.B != 0.0:
-            out.append(-1.0 / params.B)
+    for c, e in curve.factors + (curve.q if curve.convective else ()):
+        if c != 0.0 and (e < 0.0 or not e.is_integer()) and -1.0 / c not in out:
+            out.append(-1.0 / c)
     return tuple(out)
 
 
@@ -592,90 +568,54 @@ def singular_angles(lemma: LemmaId, params: LemmaParams) -> tuple:
 
 # --- admissibility quantities ---------------------------------------------
 
-def _w1_circle(t: np.ndarray, r: float) -> np.ndarray:
-    """z/(1+z) on |z| = r; exactly Re = 1/2 on the unit circle."""
-    if r == 1.0:
-        return 0.5 + 0.5j * np.tan(t / 2.0)
-    z = r * np.exp(1j * t)
-    return z / (1.0 + z)
+def _zq_over_q(curve: _Curve, z, t):
+    """z Q'/Q = 1 + sum_i e_i c_i z/(1 + c_i z), t given on the unit circle.
 
-
-def _mobius_ratio_circle(c: float, t: np.ndarray, r: float) -> np.ndarray:
-    """(1 - c*z)/(1 + c*z) on |z| = r, stable at c = -1, r = 1."""
-    if r == 1.0 and c == -1.0:
-        return 1.0j / np.tan(t / 2.0)         # (1+z)/(1-z) = i cot(t/2)
-    if r == 1.0 and c == 1.0:
-        return -1.0j * np.tan(t / 2.0)        # (1-z)/(1+z) = -i tan(t/2)
-    z = r * np.exp(1j * t)
-    return (1.0 - c * z) / (1.0 + c * z)
+    There one factor with |c| = 1 has c z/(1 + c z) = (1 + i tan(t/2))/2
+    or (1 - i cot(t/2))/2, real part exactly 1/2.  Otherwise the sum is
+    (1 + a1 z + a2 z^2)/prod(1 + c_i z), a1 = sum c_i (1 + e_i),
+    a2 = c1 c2 (1 + e1 + e2), which does not cancel near |c_i| = 1.
+    """
+    factors = [(c, e) for c, e in curve.factors if c != 0.0 and e != 0.0]
+    if not factors:
+        return np.ones_like(z)
+    c1, e1 = factors[0]
+    if t is not None and len(factors) == 1 and abs(c1) == 1.0:
+        half = 0.5j * np.tan(t / 2.0) if c1 == 1.0 else -0.5j / np.tan(t / 2.0)
+        return 1.0 + e1 * (0.5 + half)
+    num = c1 * (1.0 + e1)
+    den = _power(c1, 1.0, z, t)
+    if len(factors) == 2:
+        c2, e2 = factors[1]
+        num = num + c2 * (1.0 + e2) + c1 * c2 * (1.0 + e1 + e2) * z
+        den = den * _power(c2, 1.0, z, t)
+    return (1.0 + num * z) / den
 
 
 def zqprime_over_q_circle(lemma: LemmaId, params: LemmaParams,
                           t: np.ndarray, r: float) -> np.ndarray:
-    """z Q'(z)/Q(z) on |z| = r from the closed forms of the catalog."""
-    if lemma is LemmaId.L1:
-        return 1.0 - _kappa(params) * _w1_circle(t, r)
-    if lemma is LemmaId.L5:
-        return 1.0 - 0.5 * _w1_circle(t, r)
-    if lemma is LemmaId.L6:
-        return 1.0 - _w1_circle(t, r)
-    if lemma is LemmaId.L7:
-        return 1.0 - 1.5 * _w1_circle(t, r)
-    A, B = params.A, params.B
-    if lemma in (LemmaId.L2, LemmaId.L9):
-        return _mobius_ratio_circle(B, t, r)
-    if lemma in (LemmaId.L4, LemmaId.L11):
-        return _mobius_ratio_circle(A, t, r)
-    # L3, L10, L8: (1 - A*B*z^2)/((1+Az)(1+Bz))
-    z = r * np.exp(1j * t)
-    return (1.0 - A * B * z * z) / (_factor_circle(A, t, r) * _factor_circle(B, t, r))
+    """z Q'(z)/Q(z) on |z| = r."""
+    return _zq_over_q(_curve(lemma, params), *_on_circle(t, r))
 
 
 def zhprime_over_q_circle(lemma: LemmaId, params: LemmaParams,
                           t: np.ndarray, r: float) -> np.ndarray:
-    """z h'(z)/Q(z); equals z Q'/Q plus z q'/Q = 1/phi(q) when h = q + Q."""
-    base = zqprime_over_q_circle(lemma, params, t, r)
-    beta = params.beta
-    if lemma is LemmaId.L5:
-        return 1.0 / beta + base
-    if lemma is LemmaId.L6:
-        return _sqrt_q_circle(t, r) / beta + base
-    if lemma is LemmaId.L7:
-        return _one_plus_z_r(t, r) / beta + base
-    if lemma is LemmaId.L8:
-        q = _factor_circle(params.A, t, r) / _factor_circle(params.B, t, r)
-        return q / beta + base
-    return base   # h = 1 + Q
+    """z h'(z)/Q(z); equals z Q'/Q plus z q'/Q = q^m/beta when h = q + Q."""
+    curve = _curve(lemma, params)
+    z, tc = _on_circle(t, r)
+    base = _zq_over_q(curve, z, tc)
+    if not curve.convective:
+        return base   # h = 1 + Q
+    qm = [(c, curve.m * e) for c, e in curve.q]
+    return _product(1.0, qm, z, tc) / params.beta + base
 
 
 def phi_of_q_circle(lemma: LemmaId, params: LemmaParams,
                     t: np.ndarray, r: float) -> np.ndarray:
-    """phi(q(z)) on |z| = r, where phi is the lemma's multiplier function."""
-    beta = params.beta
-    if lemma in (LemmaId.L2, LemmaId.L5, LemmaId.L9):
-        return np.full_like(t, beta, dtype=complex)
-    if lemma is LemmaId.L1:
-        return beta * _pow_one_plus_z_circle(t, -params.k / 2.0) if r == 1.0 \
-            else beta * np.exp(-params.k / 2.0 * np.log(_one_plus_z_r(t, r)))
-    if lemma is LemmaId.L6:
-        return beta / _sqrt_q_circle(t, r)
-    if lemma is LemmaId.L7:
-        return beta / _one_plus_z_r(t, r)
-    A, B = params.A, params.B
-    ratio = _factor_circle(B, t, r) / _factor_circle(A, t, r)
-    if lemma in (LemmaId.L3, LemmaId.L8, LemmaId.L10):
-        return beta * ratio
-    return beta * ratio * ratio   # L4, L11
-
-
-def _one_plus_z_r(t: np.ndarray, r: float) -> np.ndarray:
-    return _one_plus_z_circle(t) if r == 1.0 else 1.0 + r * np.exp(1j * t)
-
-
-def _sqrt_q_circle(t: np.ndarray, r: float) -> np.ndarray:
-    if r == 1.0:
-        return _sqrt_one_plus_z_circle(t)
-    return np.sqrt(1.0 + r * np.exp(1j * t))
+    """phi(q(z)) = beta q(z)^{-m} on |z| = r."""
+    curve = _curve(lemma, params)
+    return _product(np.full(t.shape, params.beta, dtype=complex),
+                    [(c, -curve.m * e) for c, e in curve.q], *_on_circle(t, r))
 
 
 ADMISSIBILITY_EVALUATORS = {
@@ -694,5 +634,5 @@ def lower_bound_g(lemma: LemmaId, params: LemmaParams, t: np.ndarray) -> np.ndar
     if lemma is not LemmaId.L1:
         raise ValueError("the closed-form lower bound is catalogued for L1 only")
     A, B, beta = params.A, params.B, params.beta
-    c = (2.0 * np.cos(t / 2.0)) ** _kappa(params)
+    c = (2.0 * np.cos(t / 2.0)) ** ((params.k + 1.0) / 2.0)
     return abs(beta) / (2.0 * (A - B) * c + abs(B * beta))

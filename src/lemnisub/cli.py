@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -127,6 +128,12 @@ def _parse_radii(raw: str, errors: list) -> tuple:
 
 def _grid_errors(grid: int) -> list:
     return [] if grid >= 64 else [f"--grid must be at least 64, got {grid}"]
+
+
+def _order_errors(order: int | None) -> list:
+    if order is None or order >= 0:
+        return []
+    return [f"--order must be non-negative, got {order}"]
 
 
 def _reject(errors: list) -> int:
@@ -260,6 +267,7 @@ def cmd_falsify(args) -> int:
     errors: list = []
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
+    errors.extend(_order_errors(args.order))
     if args.trials < 1:
         errors.append("--trials must be at least 1")
     if lemma is not None:
@@ -320,6 +328,7 @@ def cmd_plot(args) -> int:
     params = _params_from_args(args, errors)
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
+    errors.extend(_order_errors(args.order))
     if args.svg_path is None:
         errors.append("plot requires --svg <path>")
     if errors:
@@ -347,8 +356,25 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# a value such as -0.5,0 or -inf that argparse would take for an option
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_negative_values(argv: list) -> list:
+    """Write `--B -0.5,0` as `--B=-0.5,0` so the value is not read as an option."""
+    out = []
+    for token in argv:
+        if (out and _NEGATIVE_VALUE.match(token) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_values(argv))
     handlers = {"verify": cmd_verify, "threshold": cmd_threshold,
                 "falsify": cmd_falsify, "plot": cmd_plot}
     try:

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS
-from .catalog import CATALOG, LemmaId, LemmaParams, validate
+from .catalog import CATALOG, LemmaId, LemmaParams, premise_region, validate
 from .errors import NotAContraction, RecursionBreakdown, TruncationInsufficient
+from .regions import SqrtLemniscate, TargetRegion
 from .series import PowerSeries
 
 _SUP_SAMPLES = 4096
@@ -128,7 +129,14 @@ def random_schwarz(rng: np.random.Generator,
     return SchwarzFunction(f"poly(deg={degree})", w.series, w.boundary_sup)
 
 
-def compose_target(region, w: SchwarzFunction,
+def _target_series(region: TargetRegion, w: PowerSeries) -> PowerSeries:
+    """Series of q(w) for the region's target function q."""
+    if isinstance(region, SqrtLemniscate):
+        return (1.0 + w).sqrt()
+    return (1.0 + region.A * w) / (1.0 + region.B * w)
+
+
+def compose_target(region: TargetRegion, w: SchwarzFunction,
                    order: int | None = None,
                    max_order: int = 16384,
                    tail_radius: float = max(DEFAULTS.radii),
@@ -142,13 +150,8 @@ def compose_target(region, w: SchwarzFunction,
     close to 1) pushes the branch point of sqrt(1+w) toward the circle,
     which is why the cap sits well above the generator default.
     """
-    from .regions import SqrtLemniscate  # local to avoid cycle
-
     def build(n: int) -> PowerSeries:
-        ws = w.series.pad_to(n)
-        if isinstance(region, SqrtLemniscate):
-            return (1.0 + ws).sqrt()
-        return (1.0 + region.A * ws) / (1.0 + region.B * ws)
+        return _target_series(region, w.series.pad_to(n))
 
     if order is not None:
         return build(order)
@@ -172,16 +175,6 @@ class PremiseSolution:
     tail_certified: bool
 
 
-def _premise_rhs(lemma: LemmaId, params: LemmaParams, w: PowerSeries) -> PowerSeries:
-    """Series of the premise target composed with w."""
-    kind = CATALOG[lemma].premise_kind
-    if kind == "sqrt":
-        return (1.0 + w).sqrt()
-    if kind == "janowski_AB":
-        return (1.0 + params.A * w) / (1.0 + params.B * w)
-    return (1.0 + params.D * w) / (1.0 + params.E * w)
-
-
 def _power_update(m: float, c: np.ndarray, u: np.ndarray, n: int) -> complex:
     """u_n of u = p^m given c_1..c_n and u_0..u_{n-1} (Euler's recursion)."""
     j = np.arange(1, n + 1)
@@ -197,7 +190,7 @@ def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     beta = params.beta
     m = row.ode_exponent(params)
     ws = w.series.truncate(order) if w.series.order >= order else w.series.pad_to(order)
-    F = _premise_rhs(lemma, params, ws).coeffs
+    F = _target_series(premise_region(lemma, params), ws).coeffs
 
     c = np.zeros(order + 1, dtype=complex)
     u = np.zeros(order + 1, dtype=complex)

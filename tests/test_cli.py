@@ -77,6 +77,58 @@ def test_small_grid_rejected_with_every_problem_listed(capsys):
                 "--beta", "3", "--grid", "64"]) == 0
 
 
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+def test_spaced_value_starting_with_minus_is_a_value(capsys, value):
+    assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
+                "--beta", value]) == 2
+    err = capsys.readouterr().err
+    assert "needs a finite beta" in err and "expected one argument" not in err
+
+
+def test_spaced_negative_sweep_list(capsys):
+    assert run(["threshold", "--lemma", "L1", "--A", "1", "--B", "-0.5,0",
+                "--k", "1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["B"] for r in rows] == ["-0.5", "0"]
+    assert float(rows[0]["beta_star_closed"]) == pytest.approx(12.0)
+    assert float(rows[1]["beta_star_closed"]) == pytest.approx(4.0)
+
+
+def test_option_after_option_still_needs_its_value():
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--lemma", "L2", "--A", "1", "--B", "--beta", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("beta", ["1e308", "-1e101"])
+def test_huge_beta_rejected(capsys, beta):
+    assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
+                f"--beta={beta}", "--grid", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "needs |beta| <= 1e+100" in err and "--grid must be at least 64" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lemma,params", [
+    ("L2", ["--A", "1", "--B", "-1"]),          # pole of h on the circle
+    ("L8", ["--A", "1", "--B", "-1"]),
+    ("L1", ["--A", "1", "--B", "0", "--k", "3"]),
+    ("L5", []),
+])
+def test_largest_allowed_beta_runs(lemma, params):
+    assert run(["verify", "--lemma", lemma, *params, "--beta", "1e100"]) in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["falsify", "plot"])
+def test_negative_order_rejected_with_every_problem_listed(tmp_path, capsys,
+                                                           command):
+    assert run([command, "--lemma", "L5", "--beta", "-1", "--order", "-3",
+                "--svg", str(tmp_path / "p.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "--order must be non-negative, got -3" in err
+    assert "needs beta > 0" in err and "Traceback" not in err
+
+
 # --- threshold sweeps -------------------------------------------------------------
 
 def test_threshold_k_sweep_csv(tmp_path):

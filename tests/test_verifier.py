@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_profile_punctures_exclude_singular_angles():
 
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_profile_even_symmetry(lemma):
-    rng = np.random.default_rng(abs(hash(lemma.value + "even")) % 2**32)
+    rng = np.random.default_rng(zlib.crc32((lemma.value + "even").encode()))
     for _ in range(5):
         params = draw_valid_params(lemma, rng)
         thr = closed_form_threshold(lemma, params)
@@ -305,7 +306,7 @@ def test_numeric_threshold_rejects_infeasible():
                                    LemmaId.L10, LemmaId.L11])
 def test_conservative_sufficiency_sample(lemma):
     # small sample here; the acceptance suite runs the full sweep
-    rng = np.random.default_rng(abs(hash(lemma.value + "cons")) % 2**32)
+    rng = np.random.default_rng(zlib.crc32((lemma.value + "cons").encode()))
     for _ in range(8):
         params = draw_valid_params(lemma, rng)
         thr = closed_form_threshold(lemma, params)
