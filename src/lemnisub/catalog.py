@@ -34,8 +34,7 @@ Q its derivative piece:
     L7   h = sqrt(1+z) + b z / (2 (1+z)^{3/2})         Q = h - q
     L8   h = (1+Az)/(1+Bz) + b (A-B) z / ((1+Az)(1+Bz))  Q = h - q
 
-Closed-form beta thresholds (minimal beta > 0 satisfying the stated
-hypothesis inequality, transcribed verbatim):
+Hypothesis inequalities, as stated:
 
     L1   |b| >= 2^{(k+3)/2} (A-B) + |B b|
     L2   (A-B) b >= sqrt(2) (1+|B|)^2 + (1-B)^2
@@ -48,10 +47,15 @@ hypothesis inequality, transcribed verbatim):
     L10  b(A-B) >= (D-E)(1+|AB|) + |(A+B)(D-E) - E b (A-B)|
     L11  |b|(A-B) >= (D-E)(1+A^2) + |2A(D-E) - E b (A-B)|
 
-The implicit inequalities (L1 through |B b|, L9-L11 through the
-|c - E x| term, L8 through its cap) are resolved exactly by
-piecewise-linear analysis; a monotone bisection oracle cross-checks the
-solve in the test suite.
+Each is written once, in ``closed_form_threshold``, which solves it for
+b into the feasible set: closed b-intervals of either sign.  The
+implicit forms (L1 through |B b|, L9-L11 through the |c - E x| term, L8
+through its cap) resolve exactly by piecewise-linear analysis.  L1 and
+L11 are stated through |b| and so also hold at negative b; for L11,
+E b keeps its sign, so the negative side has its own end.  The minimal
+b > 0 in the set is the threshold beta*, and ``feasibility_check`` is
+membership in the set.  The test suite cross-checks the solve against a
+bisection oracle and against the inequalities evaluated as written.
 
 The code derives the table of h and Q from each row's style, exponent m
 and targets: every rule reads theta(p) + b z p'/p^m < premise target
@@ -141,6 +145,7 @@ class ThresholdResult:
     status: ThresholdStatus
     beta_star: Optional[float]
     binding_constraint: str
+    feasible: tuple     # closed intervals (lo, hi) of beta, ends may be +-inf
 
 
 class AdmissibilityQuantity(str, Enum):
@@ -308,63 +313,79 @@ def _solve_linear_abs(P: float, c: float, E: float) -> Optional[float]:
 
 
 def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResult:
-    """Minimal beta > 0 satisfying the lemma's hypothesis inequality.
+    """The lemma's hypothesis inequality, solved for beta.
 
-    Entries stated through |beta| (L1, L11) are symmetric in the sign of
-    beta; thresholds are reported for beta > 0 throughout.
+    ``feasible`` is the whole set of beta, of either sign, on which the
+    inequality holds.  ``status``, ``beta_star`` (its minimal beta > 0)
+    and ``binding_constraint`` describe beta > 0 only; L1 and L11 are
+    stated through |beta| and also hold at negative beta.
     """
     validate(lemma, params, require_beta=False)
     A, B, D, E, k = params.A, params.B, params.D, params.E, params.k
+    inf = math.inf
 
     if lemma is LemmaId.L1:
-        # beta (1 - |B|) >= 2^{(k+3)/2} (A - B); -1 < B < 1 on the valid domain
-        rhs = 2.0 ** ((k + 3.0) / 2.0) * (A - B)
-        denom = 1.0 - abs(B)
-        if denom <= _OPEN_BOUND_TOL:
-            return ThresholdResult(ThresholdStatus.INFEASIBLE, None,
-                                   "|B| = 1 leaves no room for the |B*beta| term")
-        return ThresholdResult(ThresholdStatus.FEASIBLE, rhs / denom,
-                               "beta*(1-|B|) = 2^((k+3)/2)*(A-B)")
+        # |beta| (1 - |B|) >= 2^{(k+3)/2} (A - B); -1 < B < 1 on the valid domain
+        beta = 2.0 ** ((k + 3.0) / 2.0) * (A - B) / (1.0 - abs(B))
+        return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
+                               "beta*(1-|B|) = 2^((k+3)/2)*(A-B)",
+                               ((-inf, -beta), (beta, inf)))
 
     if lemma is LemmaId.L2:
         beta = (SQRT2 * (1.0 + abs(B)) ** 2 + (1.0 - B) ** 2) / (A - B)
         return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = sqrt(2)*(1+|B|)^2 + (1-B)^2")
+                               "(A-B)*beta = sqrt(2)*(1+|B|)^2 + (1-B)^2",
+                               ((beta, inf),))
 
     if lemma is LemmaId.L3:
         beta = (SQRT2 - 1.0) * (1.0 + abs(A)) * (1.0 + abs(B)) / (A - B)
         return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)*(1+|B|)")
+                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)*(1+|B|)",
+                               ((beta, inf),))
 
     if lemma is LemmaId.L4:
         beta = ((SQRT2 - 1.0) * (1.0 + abs(A)) ** 2 + (1.0 - A) ** 2) / (A - B)
         return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)^2 + (1-A)^2")
+                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)^2 + (1-A)^2",
+                               ((beta, inf),))
 
     if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        return ThresholdResult(ThresholdStatus.ALWAYS_FEASIBLE, None, "any beta > 0")
+        return ThresholdResult(ThresholdStatus.ALWAYS_FEASIBLE, None,
+                               "any beta > 0", ((0.0, inf),))
 
     if lemma is LemmaId.L8:
+        # (A-B) beta >= (A-B) c1, and 1/beta >= cap_rate
         c1 = (SQRT2 * (1.0 + abs(A)) * (1.0 + abs(B)) + abs(A) ** 2 - 1.0) / (A - B)
         cap_rate = max(0.0, (A - B) / ((1.0 + abs(A)) * (1.0 + abs(B)))
                        - (1.0 - abs(B)) / (1.0 + abs(B)))
-        if cap_rate > 0.0 and c1 > 1.0 / cap_rate:
+        cap = 1.0 / cap_rate if cap_rate > 0.0 else inf
+        if c1 > cap:
             return ThresholdResult(
                 ThresholdStatus.INFEASIBLE, None,
                 f"condition 1 needs beta >= {c1:.6g} but condition 2 caps "
-                f"beta <= {1.0 / cap_rate:.6g}")
+                f"beta <= {cap:.6g}", ())
         return ThresholdResult(ThresholdStatus.FEASIBLE, c1,
-                               "(A-B)*beta = sqrt(2)*(1+|A|)*(1+|B|) + |A|^2 - 1")
+                               "(A-B)*beta = sqrt(2)*(1+|A|)*(1+|B|) + |A|^2 - 1",
+                               ((c1, cap),))
 
-    # L9-L11: x - |c - E*x| >= P with x = beta*(A-B)
+    # L9-L11: x - |c - E*x| >= P with x = beta*(A-B); L11 reads |x| - |c - E*x|,
+    # so x = -y < 0 qualifies when y - |-c - E*y| >= P
     P, c = _affine_bound_terms(lemma, params)
+    feasible = []
+    if lemma is LemmaId.L11:
+        y = _solve_linear_abs(P, -c, E)
+        if y is not None:
+            feasible.append((-inf, -y / (A - B)))
     x = _solve_linear_abs(P, c, E)
     if x is None:
         return ThresholdResult(ThresholdStatus.INFEASIBLE, None,
-                               f"x - |{c:.6g} - E*x| >= {P:.6g} has no solution")
+                               f"x - |{c:.6g} - E*x| >= {P:.6g} has no solution",
+                               tuple(feasible))
+    beta = x / (A - B)
+    feasible.append((beta, inf))
     return ThresholdResult(
-        ThresholdStatus.FEASIBLE, x / (A - B),
-        f"beta*(A-B) - |{c:.6g} - E*beta*(A-B)| = {P:.6g}")
+        ThresholdStatus.FEASIBLE, beta,
+        f"beta*(A-B) - |{c:.6g} - E*beta*(A-B)| = {P:.6g}", tuple(feasible))
 
 
 def _affine_bound_terms(lemma: LemmaId, params: LemmaParams):
@@ -380,39 +401,16 @@ def _affine_bound_terms(lemma: LemmaId, params: LemmaParams):
 
 
 def feasibility_check(lemma: LemmaId, params: LemmaParams) -> bool:
-    """Verbatim evaluation of the lemma's hypothesis inequality at the given beta.
+    """Whether beta lies in the feasible set of ``closed_form_threshold``.
 
-    Comparisons carry a small relative slack so that beta exactly at the
-    closed-form threshold tests as feasible despite rounding.
+    Each interval end carries a small relative slack so that beta exactly
+    at the closed-form threshold tests as feasible despite rounding.
     """
     validate(lemma, params)
-    A, B, D, E, k, beta = (params.A, params.B, params.D, params.E,
-                           params.k, params.beta)
     slack = DEFAULTS.feasibility_slack
-
-    def ge(lhs: float, rhs: float) -> bool:
-        return lhs >= rhs - slack * max(1.0, abs(rhs))
-
-    if lemma is LemmaId.L1:
-        return ge(abs(beta), 2.0 ** ((k + 3.0) / 2.0) * (A - B) + abs(B * beta))
-    if lemma is LemmaId.L2:
-        return ge((A - B) * beta, SQRT2 * (1.0 + abs(B)) ** 2 + (1.0 - B) ** 2)
-    if lemma is LemmaId.L3:
-        return ge((A - B) * beta, (SQRT2 - 1.0) * (1.0 + abs(A)) * (1.0 + abs(B)))
-    if lemma is LemmaId.L4:
-        return ge((A - B) * beta, (SQRT2 - 1.0) * (1.0 + abs(A)) ** 2 + (1.0 - A) ** 2)
-    if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        return beta > 0.0
-    if lemma is LemmaId.L8:
-        cond1 = ge((A - B) * beta,
-                   SQRT2 * (1.0 + abs(A)) * (1.0 + abs(B)) + abs(A) ** 2 - 1.0)
-        cap = max(0.0, (A - B) / ((1.0 + abs(A)) * (1.0 + abs(B)))
-                  - (1.0 - abs(B)) / (1.0 + abs(B)))
-        cond2 = ge(1.0 / beta, cap)
-        return cond1 and cond2
-    P, c = _affine_bound_terms(lemma, params)
-    x = (abs(beta) if lemma is LemmaId.L11 else beta) * (A - B)
-    return ge(x, P + abs(c - E * beta * (A - B)))
+    return any(lo - slack * max(1.0, abs(lo)) <= params.beta
+               <= hi + slack * max(1.0, abs(hi))
+               for lo, hi in closed_form_threshold(lemma, params).feasible)
 
 
 # --- dominant curves: h, Q and friends (derivation in the module docstring) ---
@@ -537,11 +535,11 @@ def margin_on_circle(lemma: LemmaId, params: LemmaParams,
                      t: np.ndarray) -> np.ndarray:
     """|inverse(h(e^{it}))| through the premise region's inverse map."""
     hm1 = h_minus_one_on_circle(lemma, params, t)
-    kind = CATALOG[lemma].premise_kind
-    if kind == "sqrt":
+    region = premise_region(lemma, params)
+    if isinstance(region, SqrtLemniscate):
         # |h^2 - 1| = |h - 1| * |h + 1|
         return np.abs(hm1) * np.abs(2.0 + hm1)
-    X, Y = (params.A, params.B) if kind == "janowski_AB" else (params.D, params.E)
+    X, Y = region.A, region.B
     with np.errstate(divide="ignore"):
         return np.abs(hm1) / np.abs((X - Y) - Y * hm1)
 
@@ -624,15 +622,3 @@ ADMISSIBILITY_EVALUATORS = {
     AdmissibilityQuantity.RE_PHI_OF_Q: phi_of_q_circle,
 }
 
-
-def lower_bound_g(lemma: LemmaId, params: LemmaParams, t: np.ndarray) -> np.ndarray:
-    """The explicit lower-bound function for the L1 boundary margin.
-
-    g(t) = |beta| / (2 (A-B) (2 cos(t/2))^{(k+1)/2} + |B beta|); its
-    minimum over t sits at t = 0 for the whole parameter range.
-    """
-    if lemma is not LemmaId.L1:
-        raise ValueError("the closed-form lower bound is catalogued for L1 only")
-    A, B, beta = params.A, params.B, params.beta
-    c = (2.0 * np.cos(t / 2.0)) ** ((params.k + 1.0) / 2.0)
-    return abs(beta) / (2.0 * (A - B) * c + abs(B * beta))

@@ -23,10 +23,6 @@ class ConstantTermNotZero(SeriesError):
     """Operation requires a series with constant term 0."""
 
 
-class InnerConstantTermNotZero(SeriesError):
-    """Composition requires an inner series vanishing at the origin."""
-
-
 # --- regions ---
 
 class SingularPoint(LemnisubError):

@@ -6,10 +6,9 @@ A :class:`PowerSeries` stores complex coefficients ``c[0] .. c[N]`` of
 
 and supports the calculus needed by the verification engine: Cauchy
 products, division, real powers, ``sqrt``/``log``/``exp``, the operator
-``z d/dz``, antiderivatives, composition with a series vanishing at 0,
-and Horner evaluation.  Everything is computed by O(N^2) coefficient
-recursions, which is ample at the default order N = 64 and keeps each
-step numerically transparent.
+``z d/dz``, antiderivatives and Horner evaluation.  Everything is
+computed by O(N^2) coefficient recursions, which is ample at the default
+order N = 64 and keeps each step numerically transparent.
 
 Arithmetic between two series truncates the result at the smaller of the
 two orders.  Values are immutable once constructed; instances may be
@@ -35,7 +34,6 @@ from .errors import (
     ConstantTermNotOne,
     ConstantTermNotZero,
     DivisionByZeroConstantTerm,
-    InnerConstantTermNotZero,
 )
 
 Scalar = Union[int, float, complex]
@@ -47,6 +45,8 @@ class PowerSeries:
     """Immutable truncated power series with complex coefficients."""
 
     __slots__ = ("_c",)
+    # numpy scalars then defer to __rmul__/__radd__ instead of broadcasting
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
         c = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
@@ -215,23 +215,6 @@ class PowerSeries:
         out = np.zeros(self._c.size, dtype=complex)
         out[:-1] = self._c[1:]
         return PowerSeries(out)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """p(inner(z)) truncated at the smaller order; inner must vanish at 0."""
-        if abs(inner._c[0]) > DEFAULTS.coeff_tol:
-            raise InnerConstantTermNotZero(
-                f"inner constant term is {inner._c[0]!r}, expected 0"
-            )
-        n = min(self.order, inner.order)
-        w = inner._c[: n + 1]
-        # outer coefficients beyond order n cannot influence the truncation
-        # because inner has no constant term
-        acc = np.zeros(n + 1, dtype=complex)
-        acc[0] = self._c[n]
-        for k in range(n - 1, -1, -1):
-            acc = np.convolve(acc, w)[: n + 1]
-            acc[0] += self._c[k]
-        return PowerSeries(acc)
 
     def eval(self, z):
         """Horner evaluation at a complex point or ndarray of points."""

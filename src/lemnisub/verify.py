@@ -51,6 +51,7 @@ from .catalog import (
     h_minus_one_at,
     h_minus_one_on_circle,
     margin_on_circle,
+    premise_region,
     singular_angles,
     singular_points,
     validate,
@@ -67,7 +68,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .generate import SchwarzFunction, solve_premise
-from .regions import TargetRegion, membership_margins
+from .regions import Janowski, TargetRegion, membership_margins
 from .series import PowerSeries
 
 _TWO_PI = 2.0 * math.pi
@@ -247,9 +248,8 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
 
 def _denominator_winding(lemma: LemmaId, params: LemmaParams,
                          samples: int = 1024) -> int:
-    row = CATALOG[lemma]
-    X, Y = ((params.A, params.B) if row.premise_kind == "janowski_AB"
-            else (params.D, params.E))
+    region = premise_region(lemma, params)
+    X, Y = region.A, region.B
     t = np.linspace(-math.pi, math.pi, samples, endpoint=False)
     z = _INSET_RADIUS * np.exp(1j * t)
     den = (X - Y) - Y * h_minus_one_at(lemma, params, z)
@@ -451,15 +451,14 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams):
     the lemniscate inverse num = |w|^2 |2 + w|^2 (a quartic) over den = 1.
     """
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
-    kind = CATALOG[lemma].premise_kind
-    X, Y = ((params.A, params.B) if kind == "janowski_AB"
-            else (params.D, params.E))
+    region = premise_region(lemma, params)
 
     def coefficients(t: np.ndarray) -> tuple:
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
         w2 = _abs2_coeffs(a, b)
-        if kind != "sqrt":
+        if isinstance(region, Janowski):
+            X, Y = region.A, region.B
             return w2, _abs2_coeffs((X - Y) - Y * a, -Y * b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):

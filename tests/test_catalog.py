@@ -7,6 +7,7 @@ import pytest
 
 from lemnisub import (
     CATALOG,
+    DEFAULTS,
     LemmaId,
     LemmaParams,
     ThresholdStatus,
@@ -122,6 +123,82 @@ def test_feasibility_boundary_of_threshold(lemma):
         assert not feasibility_check(
             lemma, params.with_beta(r.beta_star * (1.0 - 1e-6)))
         tested += 1
+
+
+def reference_feasibility(lemma, params):
+    """Oracle: each rule's hypothesis inequality evaluated as written at beta.
+
+    Comparisons carry the same small relative slack as ``feasibility_check``,
+    so that beta exactly at the closed-form threshold tests as feasible.
+    """
+    validate(lemma, params)
+    A, B, D, E, k, beta = (params.A, params.B, params.D, params.E,
+                           params.k, params.beta)
+    slack = DEFAULTS.feasibility_slack
+
+    def ge(lhs: float, rhs: float) -> bool:
+        return lhs >= rhs - slack * max(1.0, abs(rhs))
+
+    if lemma is LemmaId.L1:
+        return ge(abs(beta), 2.0 ** ((k + 3.0) / 2.0) * (A - B) + abs(B * beta))
+    if lemma is LemmaId.L2:
+        return ge((A - B) * beta, SQRT2 * (1.0 + abs(B)) ** 2 + (1.0 - B) ** 2)
+    if lemma is LemmaId.L3:
+        return ge((A - B) * beta, (SQRT2 - 1.0) * (1.0 + abs(A)) * (1.0 + abs(B)))
+    if lemma is LemmaId.L4:
+        return ge((A - B) * beta, (SQRT2 - 1.0) * (1.0 + abs(A)) ** 2 + (1.0 - A) ** 2)
+    if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7):
+        return beta > 0.0
+    if lemma is LemmaId.L8:
+        cond1 = ge((A - B) * beta,
+                   SQRT2 * (1.0 + abs(A)) * (1.0 + abs(B)) + abs(A) ** 2 - 1.0)
+        cap = max(0.0, (A - B) / ((1.0 + abs(A)) * (1.0 + abs(B)))
+                  - (1.0 - abs(B)) / (1.0 + abs(B)))
+        cond2 = ge(1.0 / beta, cap)
+        return cond1 and cond2
+    P, c = _affine_bound_terms(lemma, params)
+    x = (abs(beta) if lemma is LemmaId.L11 else beta) * (A - B)
+    return ge(x, P + abs(c - E * beta * (A - B)))
+
+
+def _probe_betas(lemma, params, rng):
+    """Log-uniform betas over [e^-7, e^7], of both signs where validation
+    allows them, and each finite nonzero end of the feasible set times
+    1 +- 1e-6 and 1 +- 1e-13.
+    """
+    betas = list(np.exp(rng.uniform(-7.0, 7.0, 4)))
+    if CATALOG[lemma].ode_style == "affine":
+        betas += list(-np.exp(rng.uniform(-7.0, 7.0, 4)))
+    for interval in closed_form_threshold(lemma, params).feasible:
+        for end in interval:
+            if math.isfinite(end) and end != 0.0:
+                betas += [end * f for f in (1 - 1e-6, 1 - 1e-13, 1 + 1e-13, 1 + 1e-6)]
+    return [float(b) for b in betas]
+
+
+@pytest.mark.parametrize("lemma", ALL)
+def test_feasibility_agrees_with_inequality_as_written(lemma):
+    rng = np.random.default_rng(zlib.crc32(("fold" + lemma.value).encode()))
+    checks = 0
+    for _ in range(1000):
+        params = draw_valid_params(lemma, rng)
+        for beta in _probe_betas(lemma, params, rng):
+            p = params.with_beta(beta)
+            assert feasibility_check(lemma, p) == reference_feasibility(lemma, p), p
+            checks += 1
+    assert checks >= 4000
+
+
+def test_feasibility_l11_negative_side():
+    # E*beta keeps its sign: only beta <= -3 meets |beta| >= 3 + |3 + beta|
+    params = LemmaParams(A=1.0, B=0.0, D=0.5, E=-1.0)
+    r = closed_form_threshold(LemmaId.L11, params)
+    assert r.status is ThresholdStatus.INFEASIBLE and r.beta_star is None
+    assert r.feasible == ((-math.inf, -3.0),)
+    for beta, want in ((-5.0, True), (-3.0, True), (-2.9, False), (3.0, False)):
+        p = params.with_beta(beta)
+        assert feasibility_check(LemmaId.L11, p) is want
+        assert reference_feasibility(LemmaId.L11, p) is want
 
 
 @pytest.mark.parametrize("lemma", [LemmaId.L9, LemmaId.L10, LemmaId.L11])

@@ -164,6 +164,16 @@ def test_threshold_l9_degenerate_row(tmp_path):
     assert float(row["beta_numeric"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_threshold_l1_near_b_one_row_is_feasible(tmp_path):
+    # 1 - |B| = 5e-10, yet A - B <= 1 - B keeps beta* = 4 finite
+    out = tmp_path / "l1.csv"
+    assert run(["threshold", "--lemma", "L1", "--A", "1", "--B", "0.9999999995",
+                "--k", "1", "--csv", str(out)]) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert row["status"] == "Feasible"
+    assert float(row["beta_star_closed"]) == pytest.approx(4.0, rel=1e-6)
+
+
 def test_threshold_requires_sweep_axes():
     assert run(["threshold", "--lemma", "L1", "--A", "1"]) == 2
 

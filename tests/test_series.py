@@ -10,7 +10,6 @@ from lemnisub.errors import (
     ConstantTermNotOne,
     ConstantTermNotZero,
     DivisionByZeroConstantTerm,
-    InnerConstantTermNotZero,
 )
 
 from conftest import decaying_series_coeffs
@@ -107,27 +106,6 @@ def test_zderiv_integrate_roundtrip_on_vanishing_series(rng):
     assert np.max(np.abs(back.coeffs - s.coeffs)) <= COEFF_TOL
 
 
-def test_compose_identity_and_square():
-    p = PowerSeries([1.0, 2.0, 3.0], order=8)
-    z = PowerSeries.identity(8)
-    assert np.max(np.abs(p.compose(z).coeffs - p.coeffs)) <= COEFF_TOL
-    c = (1.0 + z).compose(z * z)
-    expect = np.zeros(9)
-    expect[0], expect[2] = 1.0, 1.0
-    assert np.max(np.abs(c.coeffs - expect)) <= COEFF_TOL
-
-
-def test_compose_sqrt_with_half_z():
-    # substitute z/2 into the binomial series and re-expand
-    s = (1.0 + PowerSeries.identity(16)).sqrt()
-    halfz = 0.5 * PowerSeries.identity(16)
-    composed = s.compose(halfz)
-    expect = binom_half(17) * 0.5 ** np.arange(17)
-    assert np.max(np.abs(composed.coeffs - expect)) <= COEFF_TOL
-    assert composed[1] == pytest.approx(0.25)
-    assert composed[2] == pytest.approx(-1.0 / 32.0)
-
-
 def test_eval_examples():
     assert PowerSeries([1.0, 1.0]).eval(0.0) == pytest.approx(1.0)
     s = (1.0 + PowerSeries.identity(64)).sqrt()
@@ -146,14 +124,6 @@ def test_convolution_identity_at_random_points(rng):
         lhs = prod.eval(z)
         rhs = a.eval(z) * b.eval(z)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
-
-
-def test_composition_associativity_on_samples(rng):
-    p = PowerSeries(decaying_series_coeffs(rng, 8), order=64)
-    w = PowerSeries(np.concatenate([[0.0], 0.3 * rng.uniform(-1, 1, 8)]), order=64)
-    comp = p.compose(w)
-    z = 0.9 * rng.uniform(0, 1, 50) * np.exp(1j * rng.uniform(-np.pi, np.pi, 50))
-    assert np.max(np.abs(comp.eval(z) - p.eval(w.eval(z)))) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -196,8 +166,6 @@ def test_error_cases():
         (0.5 + z).log()
     with pytest.raises(ConstantTermNotZero):
         (1.0 + z).exp()
-    with pytest.raises(InnerConstantTermNotZero):
-        z.compose(1.0 + z)
     with pytest.raises(ConstantTermNotZero):
         (1.0 + z).div_z()
 

@@ -22,7 +22,6 @@ from lemnisub import (
     numeric_threshold,
     subordination_check,
 )
-from lemnisub.catalog import lower_bound_g
 from lemnisub.errors import (
     ConstantTermMismatch,
     InfeasibleParameters,
@@ -158,13 +157,24 @@ def test_interior_pole_diagnostic_flag_and_raise():
     assert not clean.pole_inside
 
 
+def lower_bound_g(params, t):
+    """The explicit lower-bound function for the L1 boundary margin.
+
+    g(t) = |beta| / (2 (A-B) (2 cos(t/2))^{(k+1)/2} + |B beta|); its
+    minimum over t sits at t = 0 for the whole parameter range.
+    """
+    A, B, beta = params.A, params.B, params.beta
+    c = (2.0 * np.cos(t / 2.0)) ** ((params.k + 1.0) / 2.0)
+    return abs(beta) / (2.0 * (A - B) * c + abs(B * beta))
+
+
 def test_l1_lower_bound_g_argmin_at_zero():
     rng = np.random.default_rng(31)
     t = np.linspace(-math.pi + 1e-6, math.pi - 1e-6, 4001)
     for _ in range(20):
         params = draw_valid_params(LemmaId.L1, rng)
         thr = closed_form_threshold(LemmaId.L1, params)
-        g = lower_bound_g(LemmaId.L1, params.with_beta(thr.beta_star), t)
+        g = lower_bound_g(params.with_beta(thr.beta_star), t)
         assert abs(t[int(np.argmin(g))]) <= 2e-3
         assert np.min(g) == pytest.approx(1.0, abs=1e-9)
 
@@ -366,6 +376,19 @@ def test_trial_l9_single():
                                       beta=thr.beta_star),
                           monomial(1))
     assert t.conclusion_margin >= 0.0
+
+
+def test_trial_accepts_numpy_scalar_parameters():
+    # a numpy scalar times a series must stay a series, not become an ndarray
+    assert isinstance(np.float64(2.0) * PowerSeries([1.0, 1.0]), PowerSeries)
+    assert isinstance(np.float64(2.0) + PowerSeries([1.0, 1.0]), PowerSeries)
+    values = dict(A=1.0, B=0.0, D=1.0, E=0.0, beta=1.5)
+    plain = implication_trial(LemmaId.L9, LemmaParams(**values), monomial(1))
+    numpy = implication_trial(
+        LemmaId.L9, LemmaParams(**{k: np.float64(v) for k, v in values.items()}),
+        monomial(1))
+    assert numpy.conclusion_margin == plain.conclusion_margin
+    assert numpy.premise_residual == plain.premise_residual
 
 
 def test_trial_l1_k0_squared_schwarz_at_threshold():
