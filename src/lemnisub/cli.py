@@ -60,9 +60,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULTS.margin_tol,
                    help="margin criterion tolerance")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--json", dest="json_path", default=None, help="JSON output path")
-    p.add_argument("--csv", dest="csv_path", default=None, help="CSV output path")
-    p.add_argument("--svg", dest="svg_path", default=None, help="SVG output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,15 +67,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lemnisub",
         description="numerical verification of disk subordination implications")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("verify", "verify one lemma at one parameter point"),
-        ("threshold", "closed-form vs numeric beta thresholds (sweepable)"),
-        ("falsify", "premise-exact trial campaign at a chosen beta"),
-        ("plot", "emit an SVG figure of regions and the dominant curve"),
+    for name, helptext, output in (
+        ("verify", "verify one lemma at one parameter point", "json"),
+        ("threshold", "closed-form vs numeric beta thresholds (sweepable)", "csv"),
+        ("falsify", "premise-exact trial campaign at a chosen beta", "json"),
+        ("plot", "emit an SVG figure of regions and the dominant curve", "svg"),
     ):
         p = sub.add_parser(name, help=helptext,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         _add_common(p)
+        p.add_argument(f"--{output}", dest=f"{output}_path", default=None,
+                       help=f"{output.upper()} output path")
         if name == "falsify":
             p.add_argument("--trials", type=int, default=50,
                            help="number of Schwarz draws")

@@ -13,13 +13,19 @@ w(0) = 0 (hence |w(z)| <= |z|).  Three families are provided:
 with equality: given w it produces the coefficients of the unique p
 with p(0) = 1 satisfying
 
-    1 + beta z p'(z) / p(z)^m = F(w(z))      (affine entries), or
-    p(z) + beta z p'(z) / p(z)^m = F(w(z))   (convective entries),
+    theta(p) + beta z p'(z) / p(z)^m = F(w(z)),
 
-where F is the premise target.  Writing u = p^m and updating u by the
-logarithmic-derivative recursion keeps every step O(n), so a full solve
-is O(N^2).  The recursion is exact: the reported residual is the
-largest coefficient of (premise functional - F(w)) after the fact.
+where F is the premise target and theta(p) is 1 for the affine entries
+and p for the convective ones.  Read beta z p' = (F - theta(p)) p^m
+coefficientwise; one recursion serves both styles,
+
+    (beta n + own) c_n = F_n + sum_{j=1}^{n-1} G_j u_{n-j},
+
+with own = 1 for convective entries and 0 for affine ones, G = F - own p
+and u = p^m.  Euler's power step extends u by one coefficient in O(n),
+so a full solve is O(N^2).  The recursion is exact: the reported
+residual is the largest coefficient of (premise functional - F(w)) after
+the fact.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .config import DEFAULTS
 from .catalog import CATALOG, LemmaId, LemmaParams, premise_region, validate
 from .errors import NotAContraction, RecursionBreakdown, TruncationInsufficient
 from .regions import SqrtLemniscate, TargetRegion
-from .series import PowerSeries
+from .series import PowerSeries, euler_power_step
 
 _SUP_SAMPLES = 4096
 _SUP_TOL = 1e-12
@@ -175,13 +181,6 @@ class PremiseSolution:
     tail_certified: bool
 
 
-def _power_update(m: float, c: np.ndarray, u: np.ndarray, n: int) -> complex:
-    """u_n of u = p^m given c_1..c_n and u_0..u_{n-1} (Euler's recursion)."""
-    j = np.arange(1, n + 1)
-    w = (m * j - (n - j)) * c[1 : n + 1]
-    return np.dot(w, u[n - 1 :: -1][: n]) / n
-
-
 def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                       order: int = DEFAULTS.series_order) -> PremiseSolution:
     """Coefficient recursion for the premise-exact p at a fixed order."""
@@ -189,40 +188,22 @@ def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     row = CATALOG[lemma]
     beta = params.beta
     m = row.ode_exponent(params)
-    ws = w.series.truncate(order) if w.series.order >= order else w.series.pad_to(order)
-    F = _target_series(premise_region(lemma, params), ws).coeffs
+    own = 1.0 if row.ode_style == "convective" else 0.0
+    # the smallest pivot is |beta| for affine rules; convective ones exceed 1
+    if not own and abs(beta) < 1e-14:
+        raise RecursionBreakdown("vanishing pivot beta*n at n=1")
+    F = _target_series(premise_region(lemma, params), w.series.pad_to(order)).coeffs
 
     c = np.zeros(order + 1, dtype=complex)
-    u = np.zeros(order + 1, dtype=complex)
+    u = np.zeros(order + 1, dtype=complex)   # u = p^m
     c[0] = 1.0
     u[0] = 1.0
-
-    if row.ode_style == "affine":
-        S = F.copy()
-        S[0] -= 1.0              # zero constant term since F(0) = 1
-        for n in range(1, order + 1):
-            pivot = beta * n
-            if abs(pivot) < 1e-14:
-                raise RecursionBreakdown(f"vanishing pivot beta*n at n={n}")
-            rhs = np.dot(S[1 : n + 1], u[n - 1 :: -1][: n])
-            c[n] = rhs / pivot
-            if m != 0.0:
-                u[n] = _power_update(m, c, u, n)
-    else:
-        # p + beta z p'/p^m = F:  (beta n + 1) c_n = F_n + sum_{j=1}^{n-1} G_j u_{n-j}
-        G = np.zeros(order + 1, dtype=complex)   # G = F - p
-        G[0] = F[0] - 1.0
-        for n in range(1, order + 1):
-            pivot = beta * n + 1.0
-            if abs(pivot) < 1e-14:
-                raise RecursionBreakdown(f"vanishing pivot beta*n+1 at n={n}")
-            rhs = F[n]
-            if n > 1:
-                rhs = rhs + np.dot(G[1:n], u[n - 1 : 0 : -1][: n - 1])
-            c[n] = rhs / pivot
-            G[n] = F[n] - c[n]
-            if m != 0.0:
-                u[n] = _power_update(m, c, u, n)
+    G = F.copy()                             # G = F - own * p, filled as c grows
+    for n in range(1, order + 1):
+        c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / (beta * n + own)
+        G[n] -= own * c[n]
+        if m != 0.0:
+            u[n] = euler_power_step(m, c, u, n)
 
     p = PowerSeries(c)
     residual = _premise_residual(lemma, params, p, PowerSeries(F))
@@ -252,19 +233,13 @@ def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     within the cap for targets with circle singularities, in which case
     the solution at the cap is returned with ``tail_certified=False``.
     """
-    if order is not None:
-        sol = solve_premise_ode(lemma, params, w, order)
-        if sol.residual > DEFAULTS.residual_tol:
-            raise TruncationInsufficient(
-                f"premise residual {sol.residual} at order {order}")
-        return sol
-    n = DEFAULTS.series_order
+    n = DEFAULTS.series_order if order is None else order
     sol = solve_premise_ode(lemma, params, w, n)
-    while (sol.residual > DEFAULTS.residual_tol or not sol.tail_certified) \
-            and n < max_order:
+    # "not <=" so that a NaN residual fails too
+    while order is None and n < max_order and \
+            not (sol.residual <= DEFAULTS.residual_tol and sol.tail_certified):
         n = min(2 * n, max_order)
         sol = solve_premise_ode(lemma, params, w, n)
-    if sol.residual > DEFAULTS.residual_tol:
-        raise TruncationInsufficient(
-            f"premise residual {sol.residual} at the order cap {max_order}")
+    if not sol.residual <= DEFAULTS.residual_tol:
+        raise TruncationInsufficient(f"premise residual {sol.residual} at order {n}")
     return sol

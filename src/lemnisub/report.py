@@ -120,8 +120,3 @@ def sweep_rows_to_csv(rows: list) -> str:
             row["status"],
         ])
     return buf.getvalue()
-
-
-def write_csv(path: str, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_rows_to_csv(rows))

@@ -101,9 +101,6 @@ class PowerSeries:
         head = np.array2string(self._c[: min(4, self._c.size)], precision=6)
         return f"PowerSeries(order={self.order}, coeffs={head}...)"
 
-    def truncate(self, order: int) -> "PowerSeries":
-        return PowerSeries(self._c, order=order)
-
     def pad_to(self, order: int) -> "PowerSeries":
         return PowerSeries(self._c, order=order)
 
@@ -154,15 +151,11 @@ class PowerSeries:
     def power(self, exponent: float) -> "PowerSeries":
         """p**a for real a, by the Euler coefficient recursion; needs c0 = 1."""
         _require_constant_one(self._c)
-        n = self.order
-        p = self._c
-        u = np.zeros(n + 1, dtype=complex)
-        u[0] = 1.0
         a = float(exponent)
-        for m in range(1, n + 1):
-            j = np.arange(1, m + 1)
-            w = (a * j - (m - j)) * p[1 : m + 1]
-            u[m] = np.dot(w, u[m - 1 :: -1][: m]) / m
+        u = np.zeros(self._c.size, dtype=complex)
+        u[0] = 1.0
+        for n in range(1, u.size):
+            u[n] = euler_power_step(a, self._c, u, n)
         return PowerSeries(u)
 
     def sqrt(self) -> "PowerSeries":
@@ -230,6 +223,16 @@ class PowerSeries:
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self._c)))
+
+
+def euler_power_step(a: float, c: np.ndarray, u: np.ndarray, n: int) -> complex:
+    """u_n of u = p**a from c_1..c_n of p and u_0..u_{n-1}; needs c_0 = 1.
+
+    Euler's recursion reads p z u' = a u z p' coefficientwise:
+    n u_n = sum_{j=1}^{n} (a j - (n - j)) c_j u_{n-j}.
+    """
+    j = np.arange(1, n + 1)
+    return np.dot((a * j - (n - j)) * c[1 : n + 1], u[n - 1 :: -1]) / n
 
 
 def _require_constant_one(c: np.ndarray) -> None:

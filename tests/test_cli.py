@@ -3,6 +3,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import jsonschema
+import numpy as np
 import pytest
 
 from lemnisub.cli import main
@@ -122,8 +123,9 @@ def test_largest_allowed_beta_runs(lemma, params):
 @pytest.mark.parametrize("command", ["falsify", "plot"])
 def test_negative_order_rejected_with_every_problem_listed(tmp_path, capsys,
                                                            command):
+    output = ["--svg", str(tmp_path / "p.svg")] if command == "plot" else []
     assert run([command, "--lemma", "L5", "--beta", "-1", "--order", "-3",
-                "--svg", str(tmp_path / "p.svg")]) == 2
+                *output]) == 2
     err = capsys.readouterr().err
     assert "--order must be non-negative, got -3" in err
     assert "needs beta > 0" in err and "Traceback" not in err
@@ -200,6 +202,42 @@ def test_falsify_exploratory_below_threshold(tmp_path):
                 "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert "evidence" in doc["results"]["note"]
+
+
+@pytest.mark.parametrize("params", [
+    ["--lemma", "L4", "--A", "0.5", "--B", "0", "--beta", "0.01"],
+    ["--lemma", "L1", "--A", "1", "--B", "0", "--k", "2", "--beta", "1e-13"],
+])
+def test_falsify_non_finite_residual_exits_two(tmp_path, capsys, params):
+    # the recursion overflows; a NaN residual must not pass as success
+    out = tmp_path / "f.json"
+    with np.errstate(all="ignore"):
+        code = run(["falsify", *params, "--trials", "3", "--json", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "premise residual nan" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# --- output flags ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--lemma", "L1", "--A", "1", "--B", "0", "--k", "1", "--json"],
+    ["threshold", "--lemma", "L1", "--A", "1", "--B", "0", "--k", "1", "--svg"],
+    ["verify", "--lemma", "L5", "--beta", "1", "--csv"],
+    ["verify", "--lemma", "L5", "--beta", "1", "--svg"],
+    ["falsify", "--lemma", "L5", "--beta", "1", "--trials", "1", "--csv"],
+    ["falsify", "--lemma", "L5", "--beta", "1", "--trials", "1", "--svg"],
+    ["plot", "--lemma", "L5", "--beta", "1", "--json"],
+    ["plot", "--lemma", "L5", "--beta", "1", "--csv"],
+])
+def test_output_flag_of_another_subcommand_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- plot -------------------------------------------------------------------------

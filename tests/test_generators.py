@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -15,7 +16,11 @@ from lemnisub import (
     solve_premise,
     solve_premise_ode,
 )
-from lemnisub.errors import NotAContraction
+from lemnisub.errors import (
+    NotAContraction,
+    RecursionBreakdown,
+    TruncationInsufficient,
+)
 from lemnisub.generate import compose_target
 from lemnisub.regions import SqrtLemniscate
 
@@ -128,16 +133,39 @@ def test_l1_log_closed_form():
     lg = (1.0 + B * PowerSeries.identity(64)).log()
     closed = 1.0 / (1.0 - (A - B) / (beta * B) * lg)
     assert np.max(np.abs(sol.p.coeffs - closed.coeffs)) <= 1e-10
+    # k = 1: p = (1+Bz)^a with a = (A-B)/(beta B), so c_n = binom(a, n) B^n
+    sol = solve_premise_ode(LemmaId.L1, LemmaParams(A=A, B=B, k=1.0, beta=beta),
+                            monomial(1), 64)
+    a, b = (A - B) / (beta * B), 1.0
+    for n in range(1, 65):
+        b = b * (a - n + 1) / n * B
+        assert sol.p[n] == pytest.approx(b, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("lemma,beta,coeff", [
+    # 1 + beta z p'/p = 1 + Dz: p = exp(Dz/beta)
+    (LemmaId.L10, 2.5, lambda x, n: x ** n / math.factorial(n)),
+    # 1 + beta z p'/p^2 = 1 + Dz: p = 1/(1 - Dz/beta)
+    (LemmaId.L11, 2.5, lambda x, n: x ** n),
+    (LemmaId.L11, -2.5, lambda x, n: x ** n),
+])
+def test_janowski_premise_closed_forms_at_e_zero(lemma, beta, coeff):
+    D = 0.8
+    sol = solve_premise_ode(lemma, LemmaParams(A=1.0, B=0.0, D=D, E=0.0, beta=beta),
+                            monomial(1), 32)
+    for n in range(33):
+        assert sol.p[n] == pytest.approx(coeff(D / beta, n), rel=1e-12, abs=1e-15)
 
 
 def test_l5_resolvent_closed_form():
     # p + beta z p' = sqrt(1+z): c_n = binom(1/2,n)/(1 + beta n)
-    beta = 0.7
-    sol = solve_premise_ode(LemmaId.L5, LemmaParams(beta=beta), monomial(1), 32)
-    b = 1.0
-    for n in range(1, 33):
-        b = b * (0.5 - n + 1) / n
-        assert sol.p[n] == pytest.approx(b / (1.0 + beta * n), abs=1e-14)
+    # a tiny beta still solves: convective pivots beta n + 1 exceed 1
+    for beta in (0.7, 1e-15):
+        sol = solve_premise_ode(LemmaId.L5, LemmaParams(beta=beta), monomial(1), 32)
+        b = 1.0
+        for n in range(1, 33):
+            b = b * (0.5 - n + 1) / n
+            assert sol.p[n] == pytest.approx(b / (1.0 + beta * n), abs=1e-14)
 
 
 def test_l1_exponent_coherence():
@@ -168,6 +196,21 @@ def test_adaptive_solve_caps_and_reports():
                         monomial(1))
     assert sol.order <= 512
     assert sol.residual <= 1e-9
+
+
+@pytest.mark.parametrize("order", [None, 512])
+def test_solve_premise_rejects_non_finite_residual(order):
+    # far below threshold the coefficients overflow and the residual is NaN
+    params = LemmaParams(A=0.5, B=0.0, beta=0.01)
+    with np.errstate(all="ignore"), \
+            pytest.raises(TruncationInsufficient, match="residual nan at order 512"):
+        solve_premise(LemmaId.L4, params, monomial(1), order)
+
+
+def test_affine_vanishing_pivot_raises():
+    with pytest.raises(RecursionBreakdown, match="vanishing pivot"):
+        solve_premise_ode(LemmaId.L2, LemmaParams(A=1.0, B=0.0, beta=1e-15),
+                          monomial(1), 16)
 
 
 def test_compose_target_tail_certificate():
