@@ -349,7 +349,7 @@ def cmd_plot(args) -> int:
     else:
         sol = solve_premise(lemma, params, monomial(1, DEFAULTS.series_order),
                             order=args.order)
-        fig.add_curve("p(0.999 e^{it})", sol.p.eval(0.999 * np.exp(1j * t)))
+        fig.add_curve("p(0.999 e^{it})", sol.p.eval_on_circle(0.999, t.size))
     fig.write(args.svg_path)
     print(f"wrote {args.svg_path}")
     return 0

@@ -61,8 +61,7 @@ class SchwarzFunction:
 
 
 def _boundary_sup(series: PowerSeries, samples: int = _SUP_SAMPLES) -> float:
-    t = np.linspace(-np.pi, np.pi, samples, endpoint=False)
-    return float(np.max(np.abs(series.eval(np.exp(1j * t)))))
+    return float(np.max(np.abs(series.eval_on_circle(1.0, samples))))
 
 
 def _certify(kind: str, series: PowerSeries) -> SchwarzFunction:
@@ -199,45 +198,48 @@ def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     c[0] = 1.0
     u[0] = 1.0
     G = F.copy()                             # G = F - own * p, filled as c grows
-    for n in range(1, order + 1):
-        c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / (beta * n + own)
-        G[n] -= own * c[n]
-        if m != 0.0:
-            u[n] = euler_power_step(m, c, u, n)
-
-    p = PowerSeries(c)
-    residual = _premise_residual(lemma, params, p, PowerSeries(F))
+    # a diverging solve overflows to inf/nan; its residual reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, order + 1):
+            c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / (beta * n + own)
+            G[n] -= own * c[n]
+            if m != 0.0:
+                u[n] = euler_power_step(m, c, u, n)
+        p = PowerSeries(c)
+        residual = _premise_residual(lemma, params, p, PowerSeries(F),
+                                     PowerSeries(u) if m != 0.0 else None)
     return PremiseSolution(p, residual, order,
                            p.tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol)
 
 
-def _premise_residual(lemma: LemmaId, params: LemmaParams,
-                      p: PowerSeries, F: PowerSeries) -> float:
-    """Max coefficient of (premise functional applied to p) - F."""
-    row = CATALOG[lemma]
-    m = row.ode_exponent(params)
+def _premise_residual(lemma: LemmaId, params: LemmaParams, p: PowerSeries,
+                      F: PowerSeries, u: PowerSeries | None) -> float:
+    """Max coefficient of (premise functional applied to p) - F, given u = p^m."""
     ratio = p.zderiv()
-    if m != 0.0:
-        ratio = ratio / p.power(m)
-    lhs = params.beta * ratio + (p if row.ode_style == "convective" else 1.0)
+    if u is not None:
+        ratio = ratio / u
+    lhs = params.beta * ratio + (p if CATALOG[lemma].ode_style == "convective" else 1.0)
     return (lhs - F).max_abs_coeff()
 
 
 def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                   order: int | None = None,
                   max_order: int = DEFAULTS.max_series_order) -> PremiseSolution:
-    """Adaptive-order solve: double N until residual and tail pass, capped.
+    """Adaptive-order solve: double N while the tail fails, capped.
 
-    The residual criterion is met immediately by construction; the tail
-    certificate at the outermost sampling radius often is not attainable
-    within the cap for targets with circle singularities, in which case
-    the solution at the cap is returned with ``tail_certified=False``.
+    The tail certificate at the outermost sampling radius often is not
+    attainable within the cap for targets with circle singularities, in
+    which case the solution at the cap is returned with
+    ``tail_certified=False``.  The residual is met by construction unless
+    the recursion diverges.  A higher order repeats the first N
+    coefficients bit for bit, so its residual can only be larger: the
+    first order whose residual fails raises.
     """
     n = DEFAULTS.series_order if order is None else order
     sol = solve_premise_ode(lemma, params, w, n)
     # "not <=" so that a NaN residual fails too
     while order is None and n < max_order and \
-            not (sol.residual <= DEFAULTS.residual_tol and sol.tail_certified):
+            sol.residual <= DEFAULTS.residual_tol and not sol.tail_certified:
         n = min(2 * n, max_order)
         sol = solve_premise_ode(lemma, params, w, n)
     if not sol.residual <= DEFAULTS.residual_tol:

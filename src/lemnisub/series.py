@@ -6,9 +6,12 @@ A :class:`PowerSeries` stores complex coefficients ``c[0] .. c[N]`` of
 
 and supports the calculus needed by the verification engine: Cauchy
 products, division, real powers, ``sqrt``/``log``/``exp``, the operator
-``z d/dz``, antiderivatives and Horner evaluation.  Everything is
-computed by O(N^2) coefficient recursions, which is ample at the default
-order N = 64 and keeps each step numerically transparent.
+``z d/dz``, antiderivatives and evaluation.  The arithmetic is computed
+by O(N^2) coefficient recursions, which is ample at the default order
+N = 64 and keeps each step numerically transparent.  Arbitrary points
+are evaluated by Horner's rule, O(N) per point; the M equispaced points
+of a circle are one inverse FFT of the coefficients folded modulo M
+(``eval_on_circle``), O(N + M log M) in place of O(N M).
 
 Arithmetic between two series truncates the result at the smaller of the
 two orders.  Values are immutable once constructed; instances may be
@@ -214,6 +217,19 @@ class PowerSeries:
         return npoly.polyval(z, self._c)
 
     __call__ = eval
+
+    def eval_on_circle(self, radius: float, samples: int) -> np.ndarray:
+        """p(radius e^{i t_k}) at t_k = -pi + 2 pi k / samples, by one FFT.
+
+        The grid is that of ``np.linspace(-pi, pi, samples, endpoint=False)``.
+        With z_k = -radius e^{2 pi i k / samples}, p(z_k) is the inverse DFT
+        of the coefficients c_n (-radius)^n folded modulo ``samples``.
+        """
+        scaled = self._c * (-float(radius)) ** np.arange(self._c.size)
+        k = np.arange(self._c.size) % samples
+        folded = (np.bincount(k, weights=scaled.real, minlength=samples)
+                  + 1j * np.bincount(k, weights=scaled.imag, minlength=samples))
+        return samples * np.fft.ifft(folded)
 
     def tail_bound(self, radius: float) -> float:
         """Crude geometric tail certificate |c_N| r^N / (1 - r)."""

@@ -678,7 +678,7 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
     tail_bounds = {}
     for r in radii:
         tail_bounds[r] = p.tail_bound(r)
-        vals = p.eval(r * np.exp(1j * t))
+        vals = p.eval_on_circle(r, grid_size)
         margins = membership_margins(region, vals)
         i = int(np.argmin(margins))
         if margins[i] < best:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import lemnisub
 from lemnisub.cli import main
 from lemnisub.report import _SCHEMA, data_section_bytes
 
@@ -204,9 +209,17 @@ def test_falsify_exploratory_below_threshold(tmp_path):
     assert "evidence" in doc["results"]["note"]
 
 
-@pytest.mark.parametrize("params", [
+OVERFLOWING_SOLVES = [
     ["--lemma", "L4", "--A", "0.5", "--B", "0", "--beta", "0.01"],
     ["--lemma", "L1", "--A", "1", "--B", "0", "--k", "2", "--beta", "1e-13"],
+]
+
+
+@pytest.mark.parametrize("params", [
+    # the adaptive L4 solve stops at order 64 with a finite residual, so its
+    # NaN is reached at a fixed order
+    OVERFLOWING_SOLVES[0] + ["--order", "512"],
+    OVERFLOWING_SOLVES[1],
 ])
 def test_falsify_non_finite_residual_exits_two(tmp_path, capsys, params):
     # the recursion overflows; a NaN residual must not pass as success
@@ -217,6 +230,21 @@ def test_falsify_non_finite_residual_exits_two(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert "premise residual nan" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params", OVERFLOWING_SOLVES)
+def test_falsify_overflowing_solve_prints_only_the_error(params):
+    # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
+    src = str(Path(lemnisub.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lemnisub.cli", "falsify", *params, "--trials", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: premise residual ")
+    assert lines[0].endswith(" at order 64")
 
 
 # --- output flags ------------------------------------------------------------------

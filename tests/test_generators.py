@@ -1,16 +1,19 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
 from lemnisub import (
+    CATALOG,
     LemmaId,
     LemmaParams,
     PowerSeries,
     blaschke_factor,
     closed_form_threshold,
     monomial,
+    premise_region,
     random_schwarz,
     scaled_polynomial,
     solve_premise,
@@ -21,7 +24,8 @@ from lemnisub.errors import (
     RecursionBreakdown,
     TruncationInsufficient,
 )
-from lemnisub.generate import compose_target
+from lemnisub import generate
+from lemnisub.generate import _target_series, compose_target
 from lemnisub.regions import SqrtLemniscate
 
 from conftest import draw_valid_params
@@ -200,11 +204,48 @@ def test_adaptive_solve_caps_and_reports():
 
 @pytest.mark.parametrize("order", [None, 512])
 def test_solve_premise_rejects_non_finite_residual(order):
-    # far below threshold the coefficients overflow and the residual is NaN
-    params = LemmaParams(A=0.5, B=0.0, beta=0.01)
-    with np.errstate(all="ignore"), \
-            pytest.raises(TruncationInsufficient, match="residual nan at order 512"):
-        solve_premise(LemmaId.L4, params, monomial(1), order)
+    # far below threshold the coefficients overflow and the residual is NaN,
+    # already at order 64, where the adaptive solve stops; no warning escapes
+    params = LemmaParams(A=1.0, B=0.0, k=2.0, beta=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationInsufficient,
+                           match=f"residual nan at order {order or 64}"):
+            solve_premise(LemmaId.L1, params, monomial(1), order)
+
+
+def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
+    # the residual at order 64 is 3.3e92; a higher order repeats those
+    # coefficients, so doubling (to NaN at 512) would only cost more solves
+    calls = []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return solve_premise_ode(*args)
+
+    monkeypatch.setattr(generate, "solve_premise_ode", counting)
+    with pytest.raises(TruncationInsufficient, match=r"residual 3\.3\d*e\+92 at order 64"):
+        solve_premise(LemmaId.L4, LemmaParams(A=0.5, B=0.0, beta=0.01), monomial(1))
+    assert calls == [64]
+
+
+@pytest.mark.parametrize("lemma", ALL)
+def test_residual_reuses_the_solve_power_exactly(lemma):
+    # the residual divides by the solve's own u = p^m; p.power(m) is the same
+    # Euler recursion on the same coefficients, so the two agree bit for bit
+    rng = np.random.default_rng(zlib.crc32((lemma.value + "u").encode()))
+    row = CATALOG[lemma]
+    for order in (64, 256):
+        params = draw_valid_params(lemma, rng)
+        thr = closed_form_threshold(lemma, params)
+        params = params.with_beta(1.2 * thr.beta_star if thr.beta_star else 1.0)
+        w = random_schwarz(rng)
+        sol = solve_premise_ode(lemma, params, w, order)
+        m = row.ode_exponent(params)
+        ratio = sol.p.zderiv() / sol.p.power(m) if m != 0.0 else sol.p.zderiv()
+        lhs = params.beta * ratio + (sol.p if row.ode_style == "convective" else 1.0)
+        F = _target_series(premise_region(lemma, params), w.series.pad_to(order))
+        assert sol.residual == (lhs - F).max_abs_coeff()
 
 
 def test_affine_vanishing_pivot_raises():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from lemnisub import PowerSeries
 from lemnisub.errors import (
@@ -113,6 +114,20 @@ def test_eval_examples():
     geo = 1.0 / PowerSeries([1.0, -1.0], order=64)
     # truncation error ~ 2^-64; float rounding of the 65-term Horner dominates
     assert abs(geo.eval(0.5) - 2.0) <= 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.9, 0.999, 1.0])
+@pytest.mark.parametrize("samples", [64, 2048])
+def test_eval_on_circle_matches_horner(samples, radius):
+    # orders below, at and past the grid size exercise the folding mod samples
+    rng = np.random.default_rng(samples)
+    z = radius * np.exp(1j * np.linspace(-np.pi, np.pi, samples, endpoint=False))
+    for order in (0, 1, samples - 1, samples, samples + 1, 4 * samples):
+        c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        got = PowerSeries(c).eval_on_circle(radius, samples)
+        scale = np.sum(np.abs(c) * radius ** np.arange(order + 1))
+        assert got.shape == (samples,)
+        assert np.max(np.abs(got - npoly.polyval(z, c))) <= 1e-13 * scale
 
 
 def test_convolution_identity_at_random_points(rng):

@@ -6,6 +6,7 @@ import pytest
 
 from lemnisub import (
     CATALOG,
+    DEFAULTS,
     AdmissibilityQuantity,
     Janowski,
     LemmaId,
@@ -17,9 +18,12 @@ from lemnisub import (
     boundary_margin_profile,
     check_superordination,
     closed_form_threshold,
+    conclusion_region,
     implication_trial,
     monomial,
     numeric_threshold,
+    random_schwarz,
+    solve_premise,
     subordination_check,
 )
 from lemnisub.errors import (
@@ -31,6 +35,7 @@ from lemnisub.errors import (
     PremiseMapPoleInsideDisk,
     TruncationInsufficient,
 )
+from lemnisub.regions import membership_margins
 from lemnisub.verify import (
     _analyze_scan,
     _golden_refine_vec,
@@ -358,6 +363,21 @@ def test_subordination_janowski_exact_margin():
     p = PowerSeries([1.0, 0.4], order=32)
     r = subordination_check(p, Janowski(0.5, 0.0), radii=(0.9,))
     assert r.margin == pytest.approx(1.0 - 0.4 * 0.9 / 0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("lemma", list(LemmaId))
+def test_subordination_margin_matches_horner_on_premise_solves(lemma):
+    rng = np.random.default_rng(zlib.crc32((lemma.value + "horner").encode()))
+    t = np.linspace(-math.pi, math.pi, DEFAULTS.subordination_grid, endpoint=False)
+    for _ in range(3):
+        params = draw_valid_params(lemma, rng)
+        thr = closed_form_threshold(lemma, params)
+        params = params.with_beta(1.5 * thr.beta_star if thr.beta_star else 1.0)
+        p = solve_premise(lemma, params, random_schwarz(rng)).p
+        region = conclusion_region(lemma, params)
+        horner = min(float(np.min(membership_margins(region, p.eval(r * np.exp(1j * t)))))
+                     for r in DEFAULTS.radii)
+        assert subordination_check(p, region).margin == pytest.approx(horner, abs=1e-12)
 
 
 # --- implication trials -------------------------------------------------------------
