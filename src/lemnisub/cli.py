@@ -10,11 +10,16 @@ Subcommands:
 Exit codes: 0 on success (``verify``: verdict Verified), 1 when a
 verification verdict is negative, 2 on invalid configuration.  Identical
 configuration and seed give byte-identical data sections.
+
+``main`` may be called many times in one process: the parser is built on
+the first call, ``jsonschema`` is imported with the first JSON report and
+``svg`` with the first figure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import re
 import sys
@@ -22,7 +27,6 @@ import sys
 import numpy as np
 
 from . import report as report_mod
-from . import svg as svg_mod
 from .catalog import (
     CATALOG,
     LemmaId,
@@ -62,7 +66,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It keeps no state between
+    commands: ``parse_args`` returns a fresh namespace, and argparse looks
+    up ``sys.stdout``/``sys.stderr`` only when it prints."""
     top = argparse.ArgumentParser(
         prog="lemnisub",
         description="numerical verification of disk subordination implications")
@@ -135,6 +143,18 @@ def _order_errors(order: int | None) -> list:
     return [f"--order must be non-negative, got {order}"]
 
 
+def _tol_seed_errors(args) -> list:
+    """Problems with --tol and --seed, which every subcommand takes."""
+    errors = []
+    # the criterion is min_margin >= 1 - tol, and margins are moduli, so a
+    # tol of 1 or more (or NaN) passes every point
+    if not 0.0 <= args.tol < 1.0:
+        errors.append(f"--tol must lie in [0, 1), got {args.tol}")
+    if args.seed < 0:
+        errors.append(f"--seed must be non-negative, got {args.seed}")
+    return errors
+
+
 def _reject(errors: list) -> int:
     print("invalid configuration:", file=sys.stderr)
     for msg in errors:
@@ -166,6 +186,7 @@ def cmd_verify(args) -> int:
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
     errors.extend(_grid_errors(args.grid))
+    errors.extend(_tol_seed_errors(args))
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
     if errors:
@@ -230,7 +251,7 @@ def _threshold_row(lemma: LemmaId, combo: dict, grid: int) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    errors: list = _grid_errors(args.grid)
+    errors: list = _grid_errors(args.grid) + _tol_seed_errors(args)
     lemma = _parse_lemma(args.lemma, errors)
     names = ["A", "B", "D", "E", "k"]
     axes = {name: _parse_float_list(name, getattr(args, name), errors)
@@ -267,6 +288,7 @@ def cmd_falsify(args) -> int:
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
     errors.extend(_order_errors(args.order))
+    errors.extend(_tol_seed_errors(args))
     if args.trials < 1:
         errors.append("--trials must be at least 1")
     if lemma is not None:
@@ -322,19 +344,22 @@ def cmd_falsify(args) -> int:
 # --- plot --------------------------------------------------------------------
 
 def cmd_plot(args) -> int:
+    from .svg import Figure
+
     errors: list = []
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
     errors.extend(_order_errors(args.order))
+    errors.extend(_tol_seed_errors(args))
     if args.svg_path is None:
         errors.append("plot requires --svg <path>")
     if errors:
         return _reject(errors)
 
     t = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
-    fig = svg_mod.Figure(f"{lemma.value}: {CATALOG[lemma].statement}")
+    fig = Figure(f"{lemma.value}: {CATALOG[lemma].statement}")
     fig.add_curve("conclusion boundary",
                   boundary_curve(conclusion_region(lemma, params)), closed=False)
     fig.add_curve("premise boundary",

@@ -5,17 +5,22 @@ echo) from the ``results`` block; byte-for-byte comparisons of two runs
 are meaningful on everything outside ``metadata.timestamp``.  All
 numbers are converted to plain Python types before serialisation and
 beta values are rounded to 9 significant digits at the formatting layer.
+
+Every document is validated against ``schemas/report-v1.json`` before it
+is returned.  ``jsonschema`` is imported, and the schema checked and its
+validator compiled, once per process, when the first document is built;
+commands that write no document (``threshold``, ``plot``) never import it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 SCHEMA_VERSION = "1"
@@ -24,12 +29,21 @@ CSV_COLUMNS = ["lemma", "A", "B", "D", "E", "k",
                "beta_star_closed", "beta_numeric", "gap", "status"]
 
 
-def _load_schema() -> dict:
+def load_schema() -> dict:
+    """A fresh copy of the report schema, ``report-v1.json``."""
     text = resources.files("lemnisub.schemas").joinpath("report-v1.json").read_text()
     return json.loads(text)
 
 
-_SCHEMA = _load_schema()
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its metaschema once."""
+    from jsonschema.validators import validator_for
+
+    schema = load_schema()
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def jsonable(value):
@@ -73,7 +87,7 @@ def build_document(command: str, config: dict, results: dict,
     if timestamp:
         doc["metadata"]["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                                      time.gmtime())
-    jsonschema.validate(doc, _SCHEMA)
+    _validator().validate(doc)
     return doc
 
 

@@ -12,11 +12,21 @@ import pytest
 
 import lemnisub
 from lemnisub.cli import main
-from lemnisub.report import _SCHEMA, data_section_bytes
+from lemnisub import report
+from lemnisub.report import data_section_bytes, load_schema
 
 
 def run(argv):
     return main(argv)
+
+
+def fresh_python(args):
+    """Run `python args` in a new interpreter that imports this lemnisub."""
+    src = str(Path(lemnisub.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 # --- exit-code contract ---------------------------------------------------------
@@ -28,7 +38,7 @@ def test_verify_exit_zero_on_verified(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Verified" in text
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _SCHEMA)
+    jsonschema.validate(doc, load_schema())
     assert doc["verdict"] == "Verified"
     assert doc["results"]["margin"]["min_margin"] == pytest.approx(3.0, abs=1e-9)
 
@@ -98,6 +108,37 @@ def test_spaced_negative_sweep_list(capsys):
     assert [r["B"] for r in rows] == ["-0.5", "0"]
     assert float(rows[0]["beta_star_closed"]) == pytest.approx(12.0)
     assert float(rows[1]["beta_star_closed"]) == pytest.approx(4.0)
+
+
+L4_CRITERION_FAILS = ["verify", "--lemma", "L4", "--A", "0", "--B=-0.5",
+                      "--beta", "2.8284271247461903"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6", "1"])
+def test_tol_outside_unit_interval_rejected_with_every_problem_listed(capsys, tol):
+    # min_margin < 1 - tol is False for these tols, which would turn this
+    # CriterionFails point into Verified
+    assert run(L4_CRITERION_FAILS) == 1
+    capsys.readouterr()
+    assert run([*L4_CRITERION_FAILS, f"--tol={tol}", "--grid", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "--tol must lie in [0, 1)" in err
+    assert "--grid must be at least 64" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    L4_CRITERION_FAILS,
+    ["threshold", "--lemma", "L1", "--A", "1", "--B", "0", "--k", "1"],
+    ["falsify", "--lemma", "L5", "--beta", "1", "--trials", "1"],
+    ["plot", "--lemma", "L5", "--beta", "1", "--svg", "unused.svg"],
+])
+def test_negative_seed_rejected_on_every_subcommand(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative, got -1" in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_option_after_option_still_needs_its_value():
@@ -193,7 +234,7 @@ def test_falsify_report_and_schema(tmp_path):
                 "--D", "1", "--E", "0", "--beta", "1", "--trials", "3",
                 "--seed", "11", "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    jsonschema.validate(doc, _SCHEMA)
+    jsonschema.validate(doc, load_schema())
     trials = doc["results"]["trials"]
     assert len(trials) == 3
     assert all(t["premise_residual"] <= 1e-9 for t in trials)
@@ -235,12 +276,7 @@ def test_falsify_non_finite_residual_exits_two(tmp_path, capsys, params):
 @pytest.mark.parametrize("params", OVERFLOWING_SOLVES)
 def test_falsify_overflowing_solve_prints_only_the_error(params):
     # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
-    src = str(Path(lemnisub.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "lemnisub.cli", "falsify", *params, "--trials", "3"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = fresh_python(["-m", "lemnisub.cli", "falsify", *params, "--trials", "3"])
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: premise residual ")
@@ -291,6 +327,46 @@ def test_plot_admissibility_lemma_uses_solution_curve(tmp_path):
     assert run(["plot", "--lemma", "L5", "--beta", "0.7",
                 "--svg", str(out)]) == 0
     assert "p(0.999" in out.read_text()
+
+
+# --- one process, many commands ----------------------------------------------------
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    verify = ["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "2",
+              "--seed", "5", "--json"]
+    first, second = tmp_path / "1.json", tmp_path / "2.json"
+    assert run([*verify, str(first)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--lemma", "L5", "--beta", "1", "--csv",
+             str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert run(["threshold", "--lemma", "L1", "--A", "1", "--B", "0",
+                "--k", "2", "--grid", "128"]) == 0
+    assert run([*verify, str(second)]) == 1
+    capsys.readouterr()
+    assert (data_section_bytes(json.loads(first.read_text()))
+            == data_section_bytes(json.loads(second.read_text())))
+
+
+def test_report_self_check_kept():
+    schema = load_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    ok = report.build_document("verify", {"lemma": "L2"}, {}, seed=0,
+                               verdict="Verified")
+    assert ok["verdict"] == "Verified"
+    with pytest.raises(jsonschema.ValidationError):
+        report.build_document("verify", {"lemma": "L2"}, {}, seed=0,
+                              verdict="Proven")
+    with pytest.raises(jsonschema.ValidationError):
+        report.build_document("prove", {"lemma": "L2"}, {}, seed=0)
+
+
+def test_cli_import_skips_jsonschema_and_svg():
+    proc = fresh_python(["-c", "import sys, lemnisub.cli; "
+                         "print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] == 'jsonschema' or m == 'lemnisub.svg'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --- determinism --------------------------------------------------------------------
