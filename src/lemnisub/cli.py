@@ -133,19 +133,15 @@ def _parse_radii(raw: str, errors: list) -> tuple:
     return radii
 
 
-def _grid_errors(grid: int) -> list:
-    return [] if grid >= 64 else [f"--grid must be at least 64, got {grid}"]
-
-
-def _order_errors(order: int | None) -> list:
-    if order is None or order >= 0:
-        return []
-    return [f"--order must be non-negative, got {order}"]
-
-
-def _tol_seed_errors(args) -> list:
-    """Problems with --tol and --seed, which every subcommand takes."""
+def _option_errors(args) -> list:
+    """Problems with --grid, --radii, --order, --tol and --seed, which
+    every subcommand takes and checks even where it does not use them."""
     errors = []
+    if args.grid < 64:
+        errors.append(f"--grid must be at least 64, got {args.grid}")
+    _parse_radii(args.radii, errors)
+    if args.order is not None and args.order < 0:
+        errors.append(f"--order must be non-negative, got {args.order}")
     # the criterion is min_margin >= 1 - tol, and margins are moduli, so a
     # tol of 1 or more (or NaN) passes every point
     if not 0.0 <= args.tol < 1.0:
@@ -185,8 +181,7 @@ def cmd_verify(args) -> int:
     errors: list = []
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
-    errors.extend(_grid_errors(args.grid))
-    errors.extend(_tol_seed_errors(args))
+    errors.extend(_option_errors(args))
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
     if errors:
@@ -207,8 +202,8 @@ def cmd_verify(args) -> int:
             "argmin_t": rep.margin.argmin_t,
             "grid_size": args.grid,
             "punctures": list(rep.margin.punctures),
-            "den_winding": rep.margin.den_winding,
-            "pole_inside": rep.margin.pole_inside,
+            "den_winding": rep.den_winding,
+            "pole_inside": rep.pole_inside,
             "refined": rep.margin.refined,
         }
     doc = report_mod.build_document("verify", _config_echo(args), results,
@@ -251,7 +246,7 @@ def _threshold_row(lemma: LemmaId, combo: dict, grid: int) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    errors: list = _grid_errors(args.grid) + _tol_seed_errors(args)
+    errors: list = _option_errors(args)
     lemma = _parse_lemma(args.lemma, errors)
     names = ["A", "B", "D", "E", "k"]
     axes = {name: _parse_float_list(name, getattr(args, name), errors)
@@ -287,19 +282,14 @@ def cmd_falsify(args) -> int:
     errors: list = []
     lemma = _parse_lemma(args.lemma, errors)
     params = _params_from_args(args, errors)
-    errors.extend(_order_errors(args.order))
-    errors.extend(_tol_seed_errors(args))
+    errors.extend(_option_errors(args))
     if args.trials < 1:
         errors.append("--trials must be at least 1")
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
     if errors:
         return _reject(errors)
-
-    radii_errors: list = []
-    radii = _parse_radii(args.radii, radii_errors)
-    if radii_errors:
-        return _reject(radii_errors)
+    radii = _parse_radii(args.radii, errors)
 
     rng = np.random.default_rng(args.seed)
     draws = [random_schwarz(rng, args.order or DEFAULTS.series_order)
@@ -351,8 +341,7 @@ def cmd_plot(args) -> int:
     params = _params_from_args(args, errors)
     if lemma is not None:
         errors.extend(validation_errors(lemma, params))
-    errors.extend(_order_errors(args.order))
-    errors.extend(_tol_seed_errors(args))
+    errors.extend(_option_errors(args))
     if args.svg_path is None:
         errors.append("plot requires --svg <path>")
     if errors:

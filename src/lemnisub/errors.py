@@ -51,10 +51,6 @@ class InfeasibleParameters(LemnisubError):
 
 # --- verifier ---
 
-class PremiseMapPoleInsideDisk(LemnisubError):
-    """The inverse-map denominator vanishes inside the unit disk."""
-
-
 class NonMonotoneMargin(LemnisubError):
     """The beta scan found a descent after the criterion level was reached."""
 

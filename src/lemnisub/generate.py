@@ -43,6 +43,8 @@ from .series import PowerSeries, euler_power_step
 _SUP_SAMPLES = 4096
 _SUP_TOL = 1e-12
 _SAFETY = 1.0000001
+_POLY_DEGREE = 8           # degree of the random polynomial family
+_TARGET_MAX_ORDER = 16384  # cap of compose_target's doubling
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,7 @@ def scaled_polynomial(coeffs, order: int = DEFAULTS.series_order) -> SchwarzFunc
 
 
 def random_schwarz(rng: np.random.Generator,
-                   order: int = DEFAULTS.series_order,
-                   degree: int = 8) -> SchwarzFunction:
+                   order: int = DEFAULTS.series_order) -> SchwarzFunction:
     """Seeded draw from the three families, reproducible given the rng state."""
     family = int(rng.integers(0, 3))
     if family == 0:
@@ -128,10 +129,10 @@ def random_schwarz(rng: np.random.Generator,
         radius = 0.8 * np.sqrt(rng.uniform())
         angle = rng.uniform(-np.pi, np.pi)
         return blaschke_factor(radius * np.exp(1j * angle), order)
-    c = np.zeros(degree + 1, dtype=complex)
-    c[1:] = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+    c = np.zeros(_POLY_DEGREE + 1, dtype=complex)
+    c[1:] = rng.normal(size=_POLY_DEGREE) + 1j * rng.normal(size=_POLY_DEGREE)
     w = scaled_polynomial(c, order)
-    return SchwarzFunction(f"poly(deg={degree})", w.series, w.boundary_sup)
+    return SchwarzFunction(f"poly(deg={_POLY_DEGREE})", w.series, w.boundary_sup)
 
 
 def _target_series(region: TargetRegion, w: PowerSeries) -> PowerSeries:
@@ -141,29 +142,24 @@ def _target_series(region: TargetRegion, w: PowerSeries) -> PowerSeries:
     return (1.0 + region.A * w) / (1.0 + region.B * w)
 
 
-def compose_target(region: TargetRegion, w: SchwarzFunction,
-                   order: int | None = None,
-                   max_order: int = 16384,
-                   tail_radius: float = max(DEFAULTS.radii),
-                   tail_tol: float = DEFAULTS.tail_tol) -> PowerSeries:
+def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
     """Series of q(w(z)) for a target region q.
 
     Because q(w) is exactly subordinate to q, these series exercise the
     subordination checker on functions that approach the target boundary.
-    With ``order=None`` the truncation is doubled until the geometric tail
-    certificate at ``tail_radius`` passes; near-inner w (boundary sup
-    close to 1) pushes the branch point of sqrt(1+w) toward the circle,
-    which is why the cap sits well above the generator default.
+    The truncation starts at 1024 and is doubled until the geometric tail
+    certificate at the outermost sampling radius passes; near-inner w
+    (boundary sup close to 1) pushes the branch point of sqrt(1+w) toward
+    the circle, which is why the cap sits well above the generator default.
     """
     def build(n: int) -> PowerSeries:
         return _target_series(region, w.series.pad_to(n))
 
-    if order is not None:
-        return build(order)
     n = 1024
     p = build(n)
-    while p.tail_bound(tail_radius) >= tail_tol and n < max_order:
-        n = min(2 * n, max_order)
+    while p.tail_bound(max(DEFAULTS.radii)) >= DEFAULTS.tail_tol \
+            and n < _TARGET_MAX_ORDER:
+        n = min(2 * n, _TARGET_MAX_ORDER)
         p = build(n)
     return p
 
@@ -223,8 +219,7 @@ def _premise_residual(lemma: LemmaId, params: LemmaParams, p: PowerSeries,
 
 
 def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
-                  order: int | None = None,
-                  max_order: int = DEFAULTS.max_series_order) -> PremiseSolution:
+                  order: int | None = None) -> PremiseSolution:
     """Adaptive-order solve: double N while the tail fails, capped.
 
     The tail certificate at the outermost sampling radius often is not
@@ -236,11 +231,12 @@ def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     first order whose residual fails raises.
     """
     n = DEFAULTS.series_order if order is None else order
+    cap = DEFAULTS.max_series_order
     sol = solve_premise_ode(lemma, params, w, n)
     # "not <=" so that a NaN residual fails too
-    while order is None and n < max_order and \
+    while order is None and n < cap and \
             sol.residual <= DEFAULTS.residual_tol and not sol.tail_certified:
-        n = min(2 * n, max_order)
+        n = min(2 * n, cap)
         sol = solve_premise_ode(lemma, params, w, n)
     if not sol.residual <= DEFAULTS.residual_tol:
         raise TruncationInsufficient(f"premise residual {sol.residual} at order {n}")

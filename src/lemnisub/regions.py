@@ -88,16 +88,15 @@ def phi_inverse(region: TargetRegion, w: complex) -> complex:
     return (w - 1.0) / den
 
 
-def membership(region: TargetRegion, w: complex,
-               band: float = DEFAULTS.boundary_band) -> Membership:
-    """Signed margin 1 - |phi_inverse(w)| with a Boundary band of width `band`."""
+def membership(region: TargetRegion, w: complex) -> Membership:
+    """Signed margin 1 - |phi_inverse(w)|, Boundary within ``DEFAULTS.boundary_band``."""
     w = complex(w)
     try:
         margin = 1.0 - abs(phi_inverse(region, w))
     except InverseMapPole:
         # the pole is the image of infinity, firmly outside q(D)
         return Membership(float("-inf"), Classification.OUTSIDE)
-    if abs(margin) <= band:
+    if abs(margin) <= DEFAULTS.boundary_band:
         cls = Classification.BOUNDARY
     elif margin > 0:
         cls = Classification.INSIDE
@@ -118,9 +117,9 @@ def membership_margins(region: TargetRegion, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def boundary_curve(region: TargetRegion, n: int = 1024) -> np.ndarray:
-    """Samples of the region boundary q(e^{it}), used for plots."""
-    t = np.linspace(-np.pi, np.pi, n, endpoint=False)
+def boundary_curve(region: TargetRegion) -> np.ndarray:
+    """1024 samples of the region boundary q(e^{it}), used for plots."""
+    t = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
     if isinstance(region, SqrtLemniscate):
         # principal sqrt of 1 + e^{it} in the stable half-angle form
         return np.sqrt(2.0 * np.cos(t / 2.0)) * np.exp(1j * t / 4.0)

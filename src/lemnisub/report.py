@@ -62,8 +62,7 @@ def jsonable(value):
 
 
 def build_document(command: str, config: dict, results: dict,
-                   seed: int | None = None, verdict: str | None = None,
-                   timestamp: bool = True) -> dict:
+                   seed: int | None = None, verdict: str | None = None) -> dict:
     from .config import DEFAULTS
 
     doc = {
@@ -72,6 +71,7 @@ def build_document(command: str, config: dict, results: dict,
         "metadata": {
             "seed": seed,
             "config": jsonable(config),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             # tolerance annotations for every numeric field downstream
             "tolerances": {
                 "margin": DEFAULTS.margin_tol,
@@ -84,9 +84,6 @@ def build_document(command: str, config: dict, results: dict,
         "results": jsonable(results),
         "verdict": verdict,
     }
-    if timestamp:
-        doc["metadata"]["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                                     time.gmtime())
     _validator().validate(doc)
     return doc
 

@@ -6,7 +6,7 @@ A :class:`PowerSeries` stores complex coefficients ``c[0] .. c[N]`` of
 
 and supports the calculus needed by the verification engine: Cauchy
 products, division, real powers, ``sqrt``/``log``/``exp``, the operator
-``z d/dz``, antiderivatives and evaluation.  The arithmetic is computed
+``z d/dz`` and evaluation.  The arithmetic is computed
 by O(N^2) coefficient recursions, which is ample at the default order
 N = 64 and keeps each step numerically transparent.  Arbitrary points
 are evaluated by Horner's rule, O(N) per point; the M equispaced points
@@ -196,21 +196,6 @@ class PowerSeries:
     def zderiv(self) -> "PowerSeries":
         """The operator z d/dz: c_n -> n c_n."""
         return PowerSeries(self._c * np.arange(self._c.size))
-
-    def integrate0(self) -> "PowerSeries":
-        """Antiderivative vanishing at 0, truncated back to the same order."""
-        out = np.zeros(self._c.size, dtype=complex)
-        ns = np.arange(1, self._c.size)
-        out[1:] = self._c[:-1] / ns
-        return PowerSeries(out)
-
-    def div_z(self) -> "PowerSeries":
-        """Divide by z (shift down); needs c0 = 0."""
-        if abs(self._c[0]) > DEFAULTS.coeff_tol:
-            raise ConstantTermNotZero(f"constant term is {self._c[0]!r}, expected 0")
-        out = np.zeros(self._c.size, dtype=complex)
-        out[:-1] = self._c[1:]
-        return PowerSeries(out)
 
     def eval(self, z):
         """Horner evaluation at a complex point or ndarray of points."""

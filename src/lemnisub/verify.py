@@ -23,15 +23,15 @@ A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
 derivative piece Q is starlike (so h is univalent and the boundary
 criterion implies containment).  When the inverse map's denominator
-vanishes inside the disk the profile records it as a diagnostic: the
-containment argument through univalence is unaffected, but the naive
-reformulation z < inverse(h(z)) would break there.
+vanishes inside the disk the verification report records it as a
+diagnostic: the containment argument through univalence is unaffected,
+but the naive reformulation z < inverse(h(z)) would break there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -64,8 +64,6 @@ from .errors import (
     LemnisubError,
     NoThresholdInBracket,
     NonMonotoneMargin,
-    PremiseMapPoleInsideDisk,
-    TruncationInsufficient,
 )
 from .generate import SchwarzFunction, solve_premise
 from .regions import Janowski, TargetRegion, membership_margins
@@ -146,6 +144,24 @@ def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
     return (lo[good], hi[good]) + tuple(a[good] for a in aligned)
 
 
+def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
+                   *aligned: np.ndarray) -> tuple:
+    """Golden-section minima of f(x, *aligned) within a grid step of each seed.
+
+    Each seed is bracketed by one step of the ``grid_size`` grid and the
+    brackets are pushed out of the punctures; empty brackets are dropped
+    together with their entries of ``aligned``.  Returns the minimising
+    angles, the minima and the surviving ``aligned`` arrays.
+    """
+    step = _TWO_PI / grid_size
+    lo, hi, *aligned = _clamp_brackets(seeds - step, seeds + step, sing, *aligned)
+    if not lo.size:
+        return (lo, lo.copy(), *aligned)
+    xb, fb = _golden_refine_vec(lambda x: f(x, *aligned), lo, hi,
+                                DEFAULTS.angle_xtol)
+    return (xb, fb, *aligned)
+
+
 # --- margin profiles ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -164,11 +180,11 @@ class MarginProfile:
     argmin_t: float
     refined: bool
     punctures: tuple
-    den_winding: Optional[int] = None
-    pole_inside: bool = False
 
     def is_constant(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.max(self.margins)))
+        """All samples agree to ``tol`` relative to the largest finite one."""
+        finite = self.margins[np.isfinite(self.margins)]
+        scale = float(np.max(finite, initial=1.0))
         return float(np.max(self.margins) - np.min(self.margins)) <= tol * scale
 
 
@@ -183,22 +199,15 @@ def _select_argmin(ts: np.ndarray, ms: np.ndarray) -> tuple:
 
 
 def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
-                            grid_size: int = DEFAULTS.margin_grid,
-                            *, refine: bool = True,
-                            diagnose_poles: bool = True,
-                            on_interior_pole: str = "flag") -> MarginProfile:
+                            grid_size: int = DEFAULTS.margin_grid) -> MarginProfile:
     """Boundary margin of the superordination criterion on a uniform grid.
 
     Singular angles of h are excluded with a puncture of radius 1e-6 and
     the smallest samples are sharpened by golden-section refinement to
-    angular resolution 1e-8.  For premises with a Mobius inverse map the
-    winding of its denominator on an inset circle is recorded; a nonzero
-    winding means the denominator vanishes inside the disk, reported as
-    a diagnostic (``on_interior_pole="raise"`` escalates it).
+    angular resolution 1e-8.
     """
     validate(lemma, params)
-    row = CATALOG[lemma]
-    if not row.margin_criterion:
+    if not CATALOG[lemma].margin_criterion:
         raise ValueError(f"{lemma.value} concludes through admissibility only; "
                          "it has no boundary margin criterion")
     if grid_size < 64:
@@ -208,52 +217,22 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     t = _punctured_grid(grid_size, sing)
     margins = margin_on_circle(lemma, params, t)
 
-    cand_t, cand_m = t, margins
-    refined = False
-    if refine:
-        step = _TWO_PI / grid_size
-        finite = np.isfinite(margins)
-        order = np.argsort(margins[finite])[:_REFINE_SEEDS]
-        seeds = t[finite][order]
-        lo, hi = _clamp_brackets(seeds - step, seeds + step, sing)
-        if lo.size:
-            xb, fb = _golden_refine_vec(
-                lambda x: margin_on_circle(lemma, params, x),
-                lo, hi, DEFAULTS.angle_xtol)
-            xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
-            cand_t = np.concatenate([t, xb])
-            cand_m = np.concatenate([margins, fb])
-            refined = True
+    finite = np.isfinite(margins)
+    seeds = t[finite][np.argsort(margins[finite])[:_REFINE_SEEDS]]
+    xb, fb = _refine_minima(lambda x: margin_on_circle(lemma, params, x),
+                            seeds, grid_size, sing)
+    xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
+    cand_t = np.concatenate([t, xb])
+    cand_m = np.concatenate([margins, fb])
 
     order = np.argsort(cand_t)
     cand_t, cand_m = cand_t[order], cand_m[order]
     min_margin, argmin_t = _select_argmin(cand_t, cand_m)
-    scale = max(1.0, float(np.max(cand_m[np.isfinite(cand_m)])))
-    if float(np.max(cand_m) - np.min(cand_m)) <= 1e-12 * scale:
-        argmin_t = 0.0   # degenerate constant profile
-
-    den_winding = None
-    pole_inside = False
-    if diagnose_poles and row.premise_kind != "sqrt":
-        den_winding = _denominator_winding(lemma, params)
-        pole_inside = den_winding != 0
-        if pole_inside and on_interior_pole == "raise":
-            raise PremiseMapPoleInsideDisk(
-                f"{lemma.value}: inverse-map denominator has winding "
-                f"{den_winding} on |z| = {_INSET_RADIUS}")
-
-    return MarginProfile(cand_t, cand_m, min_margin, argmin_t, refined,
-                         tuple(sing), den_winding, pole_inside)
-
-
-def _denominator_winding(lemma: LemmaId, params: LemmaParams,
-                         samples: int = 1024) -> int:
-    region = premise_region(lemma, params)
-    X, Y = region.A, region.B
-    t = np.linspace(-math.pi, math.pi, samples, endpoint=False)
-    z = _INSET_RADIUS * np.exp(1j * t)
-    den = (X - Y) - Y * h_minus_one_at(lemma, params, z)
-    return winding_number(den)
+    profile = MarginProfile(cand_t, cand_m, min_margin, argmin_t,
+                            bool(xb.size), tuple(sing))
+    if profile.is_constant():
+        profile = replace(profile, argmin_t=0.0)   # degenerate constant profile
+    return profile
 
 
 # --- admissibility -----------------------------------------------------------
@@ -261,15 +240,14 @@ def _denominator_winding(lemma: LemmaId, params: LemmaParams,
 def admissibility_min(lemma: LemmaId, params: LemmaParams,
                       quantity: AdmissibilityQuantity,
                       radius: float = 1.0,
-                      grid_size: int = DEFAULTS.admissibility_grid,
-                      *, refine: bool = True,
-                      cross_check: bool = True) -> float:
+                      grid_size: int = DEFAULTS.admissibility_grid) -> float:
     """Minimum of the requested real part over a punctured angular grid.
 
     The quantities come from closed-form derivatives of the catalog's Q
     and h; a central finite difference along the circle cross-checks the
     derivative quantities at a subsample (relative tolerance 1e-5, step
-    at most 1e-6, see ``_derivative_cross_check``).
+    at most 1e-6, see ``_derivative_cross_check``).  The smallest
+    samples are sharpened by golden-section refinement.
     """
     validate(lemma, params)
     if not (0.0 < radius <= 1.0):
@@ -279,21 +257,14 @@ def admissibility_min(lemma: LemmaId, params: LemmaParams,
     t = _punctured_grid(grid_size, sing)
     vals = evaluator(lemma, params, t, radius).real
 
-    if cross_check and quantity is not AdmissibilityQuantity.RE_PHI_OF_Q:
+    if quantity is not AdmissibilityQuantity.RE_PHI_OF_Q:
         _derivative_cross_check(lemma, params, quantity, radius, t)
 
-    if not refine:
-        return float(np.min(vals))
-    step = _TWO_PI / grid_size
     seeds = t[np.argsort(vals)[:_REFINE_SEEDS]]
-    lo, hi = _clamp_brackets(seeds - step, seeds + step, sing)
+    _, fb = _refine_minima(lambda x: evaluator(lemma, params, x, radius).real,
+                           seeds, grid_size, sing)
     best = float(np.min(vals))
-    if lo.size:
-        _, fb = _golden_refine_vec(
-            lambda x: evaluator(lemma, params, x, radius).real,
-            lo, hi, DEFAULTS.angle_xtol)
-        best = min(best, float(np.min(fb)))
-    return best
+    return min(best, float(np.min(fb))) if fb.size else best
 
 
 def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
@@ -308,11 +279,10 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
     circle; deviations are measured relative to max(1, |closed form|).
     """
     sub = t[:: max(1, t.size // 64)]
-    # keep clear of punctures where derivatives blow up
-    sing = singular_angles(lemma, params)
-    for s in sing:
-        sub = sub[np.abs(np.abs(sub) - abs(s)) > 1e-2] if s in (0.0, math.pi) \
-            else sub
+    # keep clear of punctures where derivatives blow up; singular angles
+    # are 0 or pi, so |t| measures the distance to them
+    for s in singular_angles(lemma, params):
+        sub = sub[np.abs(np.abs(sub) - s) > 1e-2]
     if sub.size == 0:
         return
     z = radius * np.exp(1j * sub)
@@ -356,6 +326,24 @@ class VerificationReport:
     admissibility: dict
     verdict: Verdict
     notes: tuple = field(default_factory=tuple)
+    # winding of the Mobius inverse map's denominator on |z| = _INSET_RADIUS;
+    # None for lemniscate premises and rules without a margin criterion
+    den_winding: Optional[int] = None
+
+    @property
+    def pole_inside(self) -> bool:
+        """The inverse map's denominator vanishes inside the disk."""
+        return bool(self.den_winding)
+
+
+def _denominator_winding(lemma: LemmaId, params: LemmaParams,
+                         samples: int = 1024) -> int:
+    region = premise_region(lemma, params)
+    X, Y = region.A, region.B
+    t = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    z = _INSET_RADIUS * np.exp(1j * t)
+    den = (X - Y) - Y * h_minus_one_at(lemma, params, z)
+    return winding_number(den)
 
 
 def check_superordination(lemma: LemmaId, params: LemmaParams,
@@ -367,7 +355,9 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
     admissibility route alone.  Admissibility minima are measured just
     inside the boundary so that entries whose starlikeness degenerates
     exactly on the circle (L1 at k = 3, Mobius targets with |B| = 1)
-    still register as strictly positive inside the disk.
+    still register as strictly positive inside the disk.  For Mobius
+    premises the winding of the inverse map's denominator on an inset
+    circle is recorded; a nonzero winding is a note, not a failure.
     """
     validate(lemma, params)
     row = CATALOG[lemma]
@@ -380,17 +370,19 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
             grid_size=DEFAULTS.admissibility_grid // 4)
 
     notes = []
-    profile = None
+    profile = den_winding = None
     criterion_ok = all(v > 0.0 for v in admissibility.values())
     if not criterion_ok:
         worst = min(admissibility, key=admissibility.get)
         notes.append(f"admissibility minimum {worst} = {admissibility[worst]:.3e} <= 0")
     if row.margin_criterion:
         profile = boundary_margin_profile(lemma, params, grid_size)
-        if profile.pole_inside:
+        if row.premise_kind != "sqrt":
+            den_winding = _denominator_winding(lemma, params)
+        if den_winding:
             notes.append(
                 "inverse-map denominator winds around 0 inside the disk "
-                f"(winding {profile.den_winding}); containment rests on the "
+                f"(winding {den_winding}); containment rests on the "
                 "univalence of h")
         if profile.min_margin < 1.0 - margin_tol:
             criterion_ok = False
@@ -406,16 +398,10 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
         notes.append("closed-form hypothesis fails at this beta")
 
     return VerificationReport(lemma, params, feasible, profile,
-                              admissibility, verdict, tuple(notes))
+                              admissibility, verdict, tuple(notes), den_winding)
 
 
 # --- numeric thresholds ------------------------------------------------------
-
-def _min_margin(lemma: LemmaId, params: LemmaParams, grid_size: int) -> float:
-    profile = boundary_margin_profile(lemma, params, grid_size,
-                                      diagnose_poles=False)
-    return profile.min_margin
-
 
 def _analyze_scan(margins: np.ndarray, level: float = 1.0) -> int:
     """Index of the single upcrossing of `level`; raises otherwise."""
@@ -542,7 +528,6 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     num, den = coeffs
     minima = np.empty(betas.size)
     seeds, owner = [], []
-    no_probes = np.empty(0), np.empty(0, dtype=int)
     with np.errstate(divide="ignore"):
         for j, beta in enumerate(betas):
             m2 = _poly_value(num, beta)[0] / _poly_value(den, beta)[0]
@@ -551,27 +536,21 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
                 seeds.append(t[np.argpartition(m2, _REFINE_SEEDS)[:_REFINE_SEEDS]])
                 owner.append(np.full(_REFINE_SEEDS, j))
     if not seeds:
-        return (minima,) + no_probes
-    step = _TWO_PI / grid_size
-    seeds = np.concatenate(seeds)
-    lo, hi, owner = _clamp_brackets(seeds - step, seeds + step, sing,
-                                    np.concatenate(owner))
-    if not lo.size:
-        return (minima,) + no_probes
+        return minima, np.empty(0), np.empty(0, dtype=int)
 
-    def margin2(x):
+    def margin2(x, owner):
         n, d = polynomial(x)
         with np.errstate(divide="ignore"):
             return (_poly_value(n, betas[owner])[0]
                     / _poly_value(d, betas[owner])[0])
 
-    xb, fb = _golden_refine_vec(margin2, lo, hi, DEFAULTS.angle_xtol)
+    xb, fb, owner = _refine_minima(margin2, np.concatenate(seeds), grid_size,
+                                   sing, np.concatenate(owner))
     np.minimum.at(minima, owner, fb)
     return minima, xb, owner
 
 
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
-                      scan_points: int = DEFAULTS.scan_points,
                       grid_size: int = 2048) -> float:
     """Smallest beta above which the boundary margin stays >= 1.
 
@@ -580,7 +559,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     is F_t(beta) >= 0 for a polynomial F_t of degree 2 (Mobius premise)
     or 4 (lemniscate premise).  The minimum margin over the circle,
     refined between grid points as in ``boundary_margin_profile``, at
-    ``scan_points`` betas in [1e-6, 10 beta*] brackets the last
+    ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*] brackets the last
     upcrossing of the level and confirms it is not lost again; the
     threshold is then the largest crossing of any F_t inside that
     bracket, found exactly per angle and sharpened over t by
@@ -603,7 +582,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     polynomial = _margin_polynomials(lemma, params)
     num, den = polynomial(t)
 
-    betas = np.linspace(1e-6, 10.0 * base.beta_star, scan_points)
+    betas = np.linspace(1e-6, 10.0 * base.beta_star, DEFAULTS.scan_points)
     minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,
                                          betas, grid_size)
     i0 = _analyze_scan(minima)
@@ -622,19 +601,16 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
 
     # sharpen over t around the best candidate angles; each probe follows
     # its seed's crossing by Newton steps from the seed's value
-    step = _TWO_PI / grid_size
     order = np.argsort(-last)[:_REFINE_SEEDS]
     order = order[np.isfinite(last[order])]
-    left, right, guess = _clamp_brackets(t[order] - step, t[order] + step,
-                                         sing, last[order])
-    if left.size:
-        def negated_crossing(x):
-            root = _newton_in_bracket(_crossing_coeffs(*polynomial(x)),
-                                      lo, hi, guess)
-            return np.where(np.isnan(root), np.inf, -root)
 
-        _, fb = _golden_refine_vec(negated_crossing, left, right,
-                                   DEFAULTS.angle_xtol)
+    def negated_crossing(x, guess):
+        root = _newton_in_bracket(_crossing_coeffs(*polynomial(x)), lo, hi, guess)
+        return np.where(np.isnan(root), np.inf, -root)
+
+    _, fb, _ = _refine_minima(negated_crossing, t[order], grid_size, sing,
+                              last[order])
+    if fb.size:
         best = max(best, float(-np.min(fb)))
     return best
 
@@ -657,21 +633,18 @@ class SubordinationResult:
 
 
 def subordination_check(p: PowerSeries, region: TargetRegion,
-                        radii: tuple = DEFAULTS.radii,
-                        grid_size: int = DEFAULTS.subordination_grid,
-                        tail_tol: float = DEFAULTS.tail_tol,
-                        strict_tail: bool = False) -> SubordinationResult:
+                        radii: tuple = DEFAULTS.radii) -> SubordinationResult:
     """Minimum membership margin of p(r e^{it}) over the radius schedule.
 
     A positive result certifies containment at the sampled exhaustion
     only.  Each radius carries the geometric tail certificate
-    |c_N| r^N/(1-r); radii whose certificate exceeds ``tail_tol`` are
-    still evaluated but flag the result uncertified (``strict_tail``
-    escalates to an error instead).
+    |c_N| r^N/(1-r); radii whose certificate reaches ``DEFAULTS.tail_tol``
+    are still evaluated but flag the result uncertified.
     """
     if abs(complex(p.coeffs[0]) - 1.0) > 1e-9:
         raise ConstantTermMismatch(
             f"p(0) = {p.coeffs[0]!r}, expected 1 to match the target centre")
+    grid_size = DEFAULTS.subordination_grid
     t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
     best = math.inf
     worst_r = worst_t = 0.0
@@ -684,12 +657,7 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
         if margins[i] < best:
             best = float(margins[i])
             worst_r, worst_t = float(r), float(t[i])
-    certified = all(v < tail_tol for v in tail_bounds.values())
-    if strict_tail and not certified:
-        raise TruncationInsufficient(
-            f"tail certificate fails at radii "
-            f"{[r for r, v in tail_bounds.items() if v >= tail_tol]}; "
-            "a larger truncation order is required")
+    certified = all(v < DEFAULTS.tail_tol for v in tail_bounds.values())
     return SubordinationResult(best, worst_r, worst_t, tuple(radii),
                                tail_bounds, certified)
 

@@ -43,7 +43,6 @@ from lemnisub.catalog import ThresholdStatus, _affine_bound_terms
 from lemnisub.cli import main as cli_main
 from lemnisub.generate import compose_target
 from lemnisub.report import data_section_bytes
-from lemnisub.verify import _min_margin
 
 from conftest import decaying_series_coeffs, draw_valid_params
 
@@ -144,7 +143,8 @@ def test_criterion_04_sufficiency_sweep(lemma):
         if thr.status is not ThresholdStatus.FEASIBLE:
             continue
         draws += 1
-        m = _min_margin(lemma, params.with_beta(thr.beta_star), 1024)
+        m = boundary_margin_profile(lemma, params.with_beta(thr.beta_star),
+                                    1024).min_margin
         if m < 1.0 - 1e-7:
             margin_bad.append((params, m))
         try:

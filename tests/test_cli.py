@@ -62,7 +62,7 @@ def test_verify_l5_admissibility_route(tmp_path):
         0.75, abs=1e-6)
 
 
-def test_invalid_config_exit_two_aggregated(capsys):
+def test_invalid_config_exit_two_aggregated(tmp_path, capsys):
     assert run(["verify", "--lemma", "L9", "--beta", "1"]) == 2
     err = capsys.readouterr().err
     # all four missing parameters reported at once
@@ -70,6 +70,31 @@ def test_invalid_config_exit_two_aggregated(capsys):
     assert run(["verify", "--lemma", "LX", "--beta", "1"]) == 2
     assert run(["verify", "--lemma", "L2", "--A", "x", "--B", "0",
                 "--beta", "1"]) == 2
+    capsys.readouterr()
+    # --grid, --radii, --order, --tol and --seed are checked on every
+    # subcommand, whether it uses them or not, together with the rest
+    out = tmp_path / "r.json"
+    radii_numbers = "--radii must be comma-separated numbers"
+    for argv, expected in [
+        (["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
+          "--radii", "5,x", "--order", "-4", "--json", str(out)],
+         [radii_numbers, "--order must be non-negative, got -4"]),
+        (["threshold", "--lemma", "L2", "--A", "1", "--B", "0",
+          "--radii", "x", "--order", "-1"],
+         [radii_numbers, "--order must be non-negative, got -1"]),
+        (["falsify", "--lemma", "L5", "--beta", "1", "--trials", "1",
+          "--order", "8", "--grid", "3"],
+         ["--grid must be at least 64, got 3"]),
+        (["falsify", "--lemma", "L5", "--beta", "1", "--trials", "0",
+          "--radii", "2"],
+         ["--trials must be at least 1", "--radii must lie in (0, 1)"]),
+    ]:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(msg in captured.err for msg in expected), captured.err
+        assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -95,16 +95,6 @@ def test_zderiv_of_sqrt_series():
 def test_calculus_basics():
     p = PowerSeries([1.0, 1.0, 1.0])
     assert np.allclose(p.zderiv().coeffs, [0.0, 1.0, 2.0])
-    one = PowerSeries.constant(1.0, 4)
-    assert np.allclose(one.integrate0().coeffs, [0.0, 1.0, 0.0, 0.0, 0.0])
-
-
-def test_zderiv_integrate_roundtrip_on_vanishing_series(rng):
-    c = decaying_series_coeffs(rng, 32, unit_constant=False)
-    c[0] = 0.0
-    s = PowerSeries(c)
-    back = s.zderiv().div_z().integrate0()
-    assert np.max(np.abs(back.coeffs - s.coeffs)) <= COEFF_TOL
 
 
 def test_eval_examples():
@@ -181,8 +171,6 @@ def test_error_cases():
         (0.5 + z).log()
     with pytest.raises(ConstantTermNotZero):
         (1.0 + z).exp()
-    with pytest.raises(ConstantTermNotZero):
-        (1.0 + z).div_z()
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from lemnisub import (CATALOG, LemmaId, LemmaParams, catalog, closed_form_threshold,
-                      numeric_threshold, verify)
+from lemnisub import (CATALOG, LemmaId, LemmaParams, boundary_margin_profile,
+                      catalog, closed_form_threshold, numeric_threshold, verify)
 from lemnisub.catalog import ThresholdStatus
 from lemnisub.errors import LemnisubError
-from lemnisub.verify import _analyze_scan, _min_margin
+from lemnisub.verify import _analyze_scan
 
 from conftest import draw_valid_params
 
@@ -24,10 +24,14 @@ BISECT_TOL = 1e-6
 MARGIN_LEMMAS = [l for l in LemmaId if CATALOG[l].margin_criterion]
 
 
+def min_margin(lemma, params, grid_size):
+    return boundary_margin_profile(lemma, params, grid_size).min_margin
+
+
 def bisection_threshold(lemma, params, scan_points=64, grid_size=2048):
     base = closed_form_threshold(lemma, params)
     betas = np.linspace(1e-6, 10.0 * base.beta_star, scan_points)
-    margins = np.array([_min_margin(lemma, params.with_beta(float(b)), grid_size)
+    margins = np.array([min_margin(lemma, params.with_beta(float(b)), grid_size)
                         for b in betas])
     i0 = _analyze_scan(margins)
     if i0 < 0:
@@ -37,7 +41,7 @@ def bisection_threshold(lemma, params, scan_points=64, grid_size=2048):
     tol = BISECT_TOL * min(1.0, base.beta_star)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _min_margin(lemma, params.with_beta(mid), grid_size) >= 1.0:
+        if min_margin(lemma, params.with_beta(mid), grid_size) >= 1.0:
             hi = mid
         else:
             lo = mid

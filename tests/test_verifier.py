@@ -32,8 +32,6 @@ from lemnisub.errors import (
     LemnisubError,
     NoThresholdInBracket,
     NonMonotoneMargin,
-    PremiseMapPoleInsideDisk,
-    TruncationInsufficient,
 )
 from lemnisub.regions import membership_margins
 from lemnisub.verify import (
@@ -124,9 +122,9 @@ def test_profile_even_symmetry(lemma):
         if thr.beta_star is None:
             continue
         p = boundary_margin_profile(lemma, params.with_beta(1.1 * thr.beta_star),
-                                    grid_size=1024, refine=False,
-                                    diagnose_poles=False)
-        # pair each angle with its negative (grid from -pi, endpoint excluded)
+                                    grid_size=1024)
+        # pair each angle with its negative (grid from -pi, endpoint
+        # excluded); refined angles without a mirror image are skipped
         m = dict(zip(np.round(p.t_samples, 12), p.margins))
         finite = [(t, v) for t, v in m.items() if np.isfinite(v) and -t in m]
         for t, v in finite:
@@ -148,18 +146,35 @@ def test_profile_stores_refined_samples_consistently():
     assert any(p.t_samples[i] == p.argmin_t for i in idx)
 
 
-def test_interior_pole_diagnostic_flag_and_raise():
+def test_profile_with_an_infinite_sample_is_not_constant():
+    # the finite margins run from 2.0 to about 2607.6 and one sample is
+    # infinite, which must not turn the scale of the test into inf
+    p = boundary_margin_profile(LemmaId.L1,
+                                LemmaParams(A=1.0, B=0.5, k=1.0, beta=4.0))
+    finite = p.margins[np.isfinite(p.margins)]
+    assert np.count_nonzero(~np.isfinite(p.margins)) == 1
+    assert np.min(finite) == pytest.approx(2.0, abs=1e-9)
+    assert np.max(finite) == pytest.approx(2607.6, abs=0.1)
+    assert not p.is_constant()
+    assert p.argmin_t != 0.0
+
+
+def test_interior_pole_diagnostic_is_a_note():
     # L1 with B > 1/2: A - B h(z) vanishes inside the disk at beta*
     params = LemmaParams(A=1.0, B=0.75, k=1.0, beta=4.0)
-    p = boundary_margin_profile(LemmaId.L1, params)
-    assert p.pole_inside and p.den_winding != 0
-    assert p.min_margin >= 1.0 - 1e-9    # the margin itself is unaffected
-    with pytest.raises(PremiseMapPoleInsideDisk):
-        boundary_margin_profile(LemmaId.L1, params, on_interior_pole="raise")
+    rep = check_superordination(LemmaId.L1, params)
+    assert rep.pole_inside and rep.den_winding != 0
+    assert any("winds around 0" in note for note in rep.notes)
+    assert rep.margin.min_margin >= 1.0 - 1e-9    # the margin is unaffected
+    assert rep.verdict is Verdict.VERIFIED
     # with B < 1/2 the denominator stays zero-free at beta*
-    clean = boundary_margin_profile(
+    clean = check_superordination(
         LemmaId.L1, LemmaParams(A=1.0, B=0.25, k=1.0, beta=4.0))
-    assert not clean.pole_inside
+    assert clean.den_winding == 0 and not clean.pole_inside
+    # lemniscate premises have no Mobius inverse map to diagnose
+    lemniscate = check_superordination(LemmaId.L2,
+                                       LemmaParams(A=1.0, B=0.0, beta=3.0))
+    assert lemniscate.den_winding is None and not lemniscate.pole_inside
 
 
 def lower_bound_g(params, t):
@@ -349,8 +364,6 @@ def test_subordination_boundary_touching_within_truncation():
     r = subordination_check(q, SqrtLemniscate())
     assert abs(r.margin) <= 0.1    # ~0 up to the (uncertified) truncation tail
     assert not r.certified
-    with pytest.raises(TruncationInsufficient):
-        subordination_check(q, SqrtLemniscate(), strict_tail=True)
 
 
 def test_subordination_requires_centred_series():
