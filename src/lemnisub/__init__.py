@@ -17,9 +17,7 @@ from .catalog import (
     ThresholdStatus,
     closed_form_threshold,
     conclusion_region,
-    dominant_Q_eval,
     feasibility_check,
-    premise_h_eval,
     premise_region,
 )
 from .config import DEFAULTS
@@ -33,15 +31,7 @@ from .generate import (
     solve_premise,
     solve_premise_ode,
 )
-from .regions import (
-    Classification,
-    Janowski,
-    Membership,
-    SqrtLemniscate,
-    membership,
-    phi_inverse,
-    target_eval,
-)
+from .regions import Janowski, SqrtLemniscate
 from .series import PowerSeries
 from .verify import (
     MarginProfile,
@@ -60,15 +50,14 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityQuantity", "CATALOG", "Classification", "DEFAULTS",
-    "Janowski", "LemmaId", "LemmaParams", "MarginProfile", "Membership",
-    "PowerSeries", "PremiseSolution", "SchwarzFunction", "SqrtLemniscate",
-    "STATEMENTS", "SubordinationResult", "ThresholdResult", "ThresholdStatus",
+    "AdmissibilityQuantity", "CATALOG", "DEFAULTS", "Janowski", "LemmaId",
+    "LemmaParams", "MarginProfile", "PowerSeries", "PremiseSolution",
+    "SchwarzFunction", "SqrtLemniscate", "STATEMENTS",
+    "SubordinationResult", "ThresholdResult", "ThresholdStatus",
     "TrialReport", "Verdict", "VerificationReport", "admissibility_min",
     "blaschke_factor", "boundary_margin_profile", "check_superordination",
-    "closed_form_threshold", "conclusion_region", "dominant_Q_eval",
-    "feasibility_check", "implication_trial", "membership", "monomial",
-    "numeric_threshold", "phi_inverse", "premise_h_eval", "premise_region",
+    "closed_form_threshold", "conclusion_region", "feasibility_check",
+    "implication_trial", "monomial", "numeric_threshold", "premise_region",
     "random_schwarz", "scaled_polynomial", "solve_premise",
-    "solve_premise_ode", "subordination_check", "target_eval",
+    "solve_premise_ode", "subordination_check",
 ]

@@ -53,9 +53,10 @@ implicit forms (L1 through |B b|, L9-L11 through the |c - E x| term, L8
 through its cap) resolve exactly by piecewise-linear analysis.  L1 and
 L11 are stated through |b| and so also hold at negative b; for L11,
 E b keeps its sign, so the negative side has its own end.  The minimal
-b > 0 in the set is the threshold beta*, and ``feasibility_check`` is
-membership in the set.  The test suite cross-checks the solve against a
-bisection oracle and against the inequalities evaluated as written.
+b > 0 in the set is the threshold beta*, and ``feasibility_check`` tests
+whether beta lies in the set.  The test suite cross-checks the solve
+against a bisection oracle and against the inequalities evaluated as
+written.
 
 The code derives the table of h and Q from each row's style, exponent m
 and targets: every rule reads theta(p) + b z p'/p^m < premise target
@@ -317,7 +318,7 @@ def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResul
 
     ``feasible`` is the whole set of beta, of either sign, on which the
     inequality holds.  ``status``, ``beta_star`` (its minimal beta > 0)
-    and ``binding_constraint`` describe beta > 0 only; L1 and L11 are
+    and ``binding_constraint`` concern beta > 0 only; L1 and L11 are
     stated through |beta| and also hold at negative beta.
     """
     validate(lemma, params, require_beta=False)
@@ -496,27 +497,9 @@ def _regular_points(lemma: LemmaId, params: LemmaParams, z) -> np.ndarray:
     return z
 
 
-def premise_h_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
-    """The dominant curve h at a point z of the closed disk."""
-    validate(lemma, params)
-    return complex(1.0 + h_minus_one_at(lemma, params, complex(z)))
-
-
 def h_minus_one_at(lemma: LemmaId, params: LemmaParams, z):
     """h(z) - 1, vectorised over arbitrary points of the closed disk."""
     return _h_minus_one(lemma, params, _regular_points(lemma, params, z), None)
-
-
-def dominant_Q_at(lemma: LemmaId, params: LemmaParams, z):
-    """Q(z) = z q'(z) phi(q(z)), vectorised; Q = h - 1 except for L5-L8."""
-    z = _regular_points(lemma, params, z)
-    return _dominant_Q(_curve(lemma, params), params.beta, z, None)
-
-
-def dominant_Q_eval(lemma: LemmaId, params: LemmaParams, z: complex) -> complex:
-    """Scalar Q(z) with parameter validation."""
-    validate(lemma, params)
-    return complex(dominant_Q_at(lemma, params, complex(z)))
 
 
 def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,

@@ -133,13 +133,13 @@ def _parse_radii(raw: str, errors: list) -> tuple:
     return radii
 
 
-def _option_errors(args) -> list:
-    """Problems with --grid, --radii, --order, --tol and --seed, which
-    every subcommand takes and checks even where it does not use them."""
-    errors = []
+def _check_options(args, errors: list) -> tuple:
+    """Append the problems with --grid, --radii, --order, --tol and --seed,
+    which every subcommand takes and checks even where it does not use
+    them, and with falsify's --trials; return the parsed radii."""
     if args.grid < 64:
         errors.append(f"--grid must be at least 64, got {args.grid}")
-    _parse_radii(args.radii, errors)
+    radii = _parse_radii(args.radii, errors)
     if args.order is not None and args.order < 0:
         errors.append(f"--order must be non-negative, got {args.order}")
     # the criterion is min_margin >= 1 - tol, and margins are moduli, so a
@@ -148,7 +148,9 @@ def _option_errors(args) -> list:
         errors.append(f"--tol must lie in [0, 1), got {args.tol}")
     if args.seed < 0:
         errors.append(f"--seed must be non-negative, got {args.seed}")
-    return errors
+    if getattr(args, "trials", 1) < 1:
+        errors.append("--trials must be at least 1")
+    return radii
 
 
 def _reject(errors: list) -> int:
@@ -169,6 +171,18 @@ def _params_from_args(args, errors: list) -> LemmaParams:
     )
 
 
+def _parse_point(args) -> tuple:
+    """Lemma, parameters and radii of a one-point command (verify, falsify,
+    plot), and every configuration error found in them."""
+    errors: list = []
+    lemma = _parse_lemma(args.lemma, errors)
+    params = _params_from_args(args, errors)
+    radii = _check_options(args, errors)
+    if lemma is not None:
+        errors.extend(validation_errors(lemma, params))
+    return lemma, params, radii, errors
+
+
 def _config_echo(args) -> dict:
     keys = ("command", "lemma", "A", "B", "D", "E", "k", "beta", "grid",
             "radii", "order", "tol", "seed", "trials")
@@ -178,12 +192,7 @@ def _config_echo(args) -> dict:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    errors: list = []
-    lemma = _parse_lemma(args.lemma, errors)
-    params = _params_from_args(args, errors)
-    errors.extend(_option_errors(args))
-    if lemma is not None:
-        errors.extend(validation_errors(lemma, params))
+    lemma, params, _, errors = _parse_point(args)
     if errors:
         return _reject(errors)
 
@@ -246,7 +255,8 @@ def _threshold_row(lemma: LemmaId, combo: dict, grid: int) -> dict:
 
 
 def cmd_threshold(args) -> int:
-    errors: list = _option_errors(args)
+    errors: list = []
+    _check_options(args, errors)
     lemma = _parse_lemma(args.lemma, errors)
     names = ["A", "B", "D", "E", "k"]
     axes = {name: _parse_float_list(name, getattr(args, name), errors)
@@ -279,17 +289,9 @@ def cmd_threshold(args) -> int:
 # --- falsify -----------------------------------------------------------------
 
 def cmd_falsify(args) -> int:
-    errors: list = []
-    lemma = _parse_lemma(args.lemma, errors)
-    params = _params_from_args(args, errors)
-    errors.extend(_option_errors(args))
-    if args.trials < 1:
-        errors.append("--trials must be at least 1")
-    if lemma is not None:
-        errors.extend(validation_errors(lemma, params))
+    lemma, params, radii, errors = _parse_point(args)
     if errors:
         return _reject(errors)
-    radii = _parse_radii(args.radii, errors)
 
     rng = np.random.default_rng(args.seed)
     draws = [random_schwarz(rng, args.order or DEFAULTS.series_order)
@@ -297,7 +299,7 @@ def cmd_falsify(args) -> int:
 
     def run(w):
         trial = implication_trial(lemma, params, w, order=args.order,
-                                  radii=radii, require_feasible=False)
+                                  radii=radii)
         return {
             "schwarz": trial.schwarz,
             "order": trial.order,
@@ -336,12 +338,7 @@ def cmd_falsify(args) -> int:
 def cmd_plot(args) -> int:
     from .svg import Figure
 
-    errors: list = []
-    lemma = _parse_lemma(args.lemma, errors)
-    params = _params_from_args(args, errors)
-    if lemma is not None:
-        errors.extend(validation_errors(lemma, params))
-    errors.extend(_option_errors(args))
+    lemma, params, _, errors = _parse_point(args)
     if args.svg_path is None:
         errors.append("plot requires --svg <path>")
     if errors:
@@ -350,9 +347,9 @@ def cmd_plot(args) -> int:
     t = np.linspace(-np.pi, np.pi, 1024, endpoint=False)
     fig = Figure(f"{lemma.value}: {CATALOG[lemma].statement}")
     fig.add_curve("conclusion boundary",
-                  boundary_curve(conclusion_region(lemma, params)), closed=False)
+                  boundary_curve(conclusion_region(lemma, params)))
     fig.add_curve("premise boundary",
-                  boundary_curve(premise_region(lemma, params)), closed=False)
+                  boundary_curve(premise_region(lemma, params)))
     if CATALOG[lemma].margin_criterion:
         from .catalog import singular_angles
         keep = np.ones(t.shape, dtype=bool)

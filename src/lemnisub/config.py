@@ -16,7 +16,6 @@ class Defaults:
     eval_tol: float = 1e-10       # pointwise series evaluation
     margin_tol: float = 1e-9      # boundary margin criterion slack
     residual_tol: float = 1e-9    # premise residual of generated solutions
-    boundary_band: float = 1e-12  # |margin| below this classifies as Boundary
     # relative slack for closed-form inequalities: large enough to absorb
     # the rounding of beta* itself, small enough that a 1e-6 beta
     # perturbation is resolved even on nearly-flat constraint branches

@@ -29,10 +29,6 @@ class SingularPoint(LemnisubError):
     """Evaluation requested at a pole or branch point of the map."""
 
 
-class InverseMapPole(LemnisubError):
-    """The Janowski inverse map has a pole at the requested point."""
-
-
 # --- catalog ---
 
 class InvalidParameters(LemnisubError):

@@ -55,15 +55,9 @@ class SchwarzFunction:
     series: PowerSeries
     boundary_sup: float
 
-    def __call__(self, z):
-        return self.series.eval(z)
 
-    def describe(self) -> str:
-        return self.kind
-
-
-def _boundary_sup(series: PowerSeries, samples: int = _SUP_SAMPLES) -> float:
-    return float(np.max(np.abs(series.eval_on_circle(1.0, samples))))
+def _boundary_sup(series: PowerSeries) -> float:
+    return float(np.max(np.abs(series.eval_on_circle(1.0, _SUP_SAMPLES))))
 
 
 def _certify(kind: str, series: PowerSeries) -> SchwarzFunction:

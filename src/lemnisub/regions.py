@@ -1,4 +1,4 @@
-"""Target regions, membership tests and inverse maps.
+"""Target regions: the margin of points against them, and their boundaries.
 
 Two families of univalent targets q with q(0) = 1 are supported:
 
@@ -7,25 +7,23 @@ Two families of univalent targets q with q(0) = 1 are supported:
 * ``Janowski(A, B)``: q(z) = (1+Az)/(1+Bz) with -1 <= B < A <= 1.
   Inverse map: w -> (w - 1)/(A - B w).
 
-Membership is decided through the inverse map: w lies in q(D) exactly
-when |inverse(w)| < 1, which handles half-plane images (|B| = 1)
-uniformly without special-cased geometry.  The ``margin`` reported is
-1 - |inverse(w)|: positive inside, zero on the boundary, negative
-outside.  The principal square-root branch (cut along z in (-inf, -1])
-is fixed once and exercised by the round-trip tests.
+``membership_margins`` is the one test of whether points lie in a
+region.  It goes through the inverse map, which handles half-plane
+images (|B| = 1) uniformly without special-cased geometry: at each
+point w of an array it returns 1 - |inverse(w)|, positive inside, zero
+on the boundary and negative outside.  A zero of A - B w is the image of
+infinity and gets -inf.  For ``SqrtLemniscate`` the margin is positive
+on both lobes of |w^2 - 1| < 1; the left lobe lies outside sqrt(1+z)(D)
+all the same.  ``boundary_curve`` samples q on the unit circle, with the
+principal square-root branch (cut along z in (-inf, -1]).
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from enum import Enum
 from typing import Union
 
 import numpy as np
-
-from .config import DEFAULTS
-from .errors import InverseMapPole, SingularPoint
 
 _POLE_TOL = 1e-14
 
@@ -52,61 +50,8 @@ class Janowski:
 TargetRegion = Union[SqrtLemniscate, Janowski]
 
 
-class Classification(Enum):
-    INSIDE = "Inside"
-    BOUNDARY = "Boundary"
-    OUTSIDE = "Outside"
-
-
-@dataclass(frozen=True)
-class Membership:
-    margin: float
-    classification: Classification
-
-
-def target_eval(region: TargetRegion, z: complex) -> complex:
-    """q(z) for the region's target function; principal branch for sqrt."""
-    z = complex(z)
-    if isinstance(region, SqrtLemniscate):
-        if abs(1.0 + z) < _POLE_TOL:
-            raise SingularPoint("sqrt(1+z) branch point at z = -1")
-        return cmath.sqrt(1.0 + z)
-    den = 1.0 + region.B * z
-    if abs(den) < _POLE_TOL:
-        raise SingularPoint(f"Janowski pole at z = {-1.0 / region.B!r}")
-    return (1.0 + region.A * z) / den
-
-
-def phi_inverse(region: TargetRegion, w: complex) -> complex:
-    """Global inverse of the target map; maps q(D) onto the unit disk."""
-    w = complex(w)
-    if isinstance(region, SqrtLemniscate):
-        return w * w - 1.0
-    den = region.A - region.B * w
-    if abs(den) < _POLE_TOL:
-        raise InverseMapPole(f"A - B*w vanishes at w = {w!r}")
-    return (w - 1.0) / den
-
-
-def membership(region: TargetRegion, w: complex) -> Membership:
-    """Signed margin 1 - |phi_inverse(w)|, Boundary within ``DEFAULTS.boundary_band``."""
-    w = complex(w)
-    try:
-        margin = 1.0 - abs(phi_inverse(region, w))
-    except InverseMapPole:
-        # the pole is the image of infinity, firmly outside q(D)
-        return Membership(float("-inf"), Classification.OUTSIDE)
-    if abs(margin) <= DEFAULTS.boundary_band:
-        cls = Classification.BOUNDARY
-    elif margin > 0:
-        cls = Classification.INSIDE
-    else:
-        cls = Classification.OUTSIDE
-    return Membership(margin, cls)
-
-
 def membership_margins(region: TargetRegion, w: np.ndarray) -> np.ndarray:
-    """Vectorised membership margin; poles map to -inf."""
+    """1 - |inverse(w)| at every point of w; poles of the inverse map give -inf."""
     w = np.asarray(w, dtype=complex)
     if isinstance(region, SqrtLemniscate):
         return 1.0 - np.abs(w * w - 1.0)

@@ -24,12 +24,13 @@ def _fmt(x: float) -> str:
 class Figure:
     def __init__(self, title: str):
         self.title = title
-        self.curves = []   # (label, points complex ndarray, closed: bool)
+        self.curves = []   # (label, points complex ndarray)
 
-    def add_curve(self, label: str, points: np.ndarray, closed: bool = False):
+    def add_curve(self, label: str, points: np.ndarray):
+        """An open polyline through the finite points."""
         pts = np.asarray(points, dtype=complex)
         pts = pts[np.isfinite(pts.real) & np.isfinite(pts.imag)]
-        self.curves.append((label, pts, closed))
+        self.curves.append((label, pts))
 
     def _bounds(self):
         xs = np.concatenate([c[1].real for c in self.curves])
@@ -77,11 +78,10 @@ class Figure:
                          f'text-anchor="end" font-family="monospace" '
                          f'font-size="11">{yv:.3g}</text>')
 
-        for i, (label, pts, closed) in enumerate(self.curves):
+        for i, (label, pts) in enumerate(self.curves):
             color = _COLORS[i % len(_COLORS)]
             coords = " ".join(f"{_fmt(px(p.real))},{_fmt(py(p.imag))}" for p in pts)
-            tag = "polygon" if closed else "polyline"
-            parts.append(f'<{tag} points="{coords}" fill="none" stroke="{color}" '
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                          f'stroke-width="1.5"/>')
             ly = MARGIN + 18 * (i + 1)
             parts.append(f'<line x1="{SIZE - MARGIN - 150}" y1="{ly}" '

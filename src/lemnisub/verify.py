@@ -74,6 +74,9 @@ _INSET_RADIUS = 1.0 - 1e-6      # winding diagnostic circle
 _REFINE_SEEDS = 8               # brackets refined around the smallest samples
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
+_FD_STEP = 1e-6                 # largest step of the derivative cross-check
+_FD_RTOL = 1e-5                 # its relative tolerance
+_WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
 
 
 # --- small numerics ---------------------------------------------------------
@@ -114,26 +117,25 @@ def _golden_refine_vec(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
     return np.where(take1, x1, x2), np.where(take1, f1, f2)
 
 
-def _punctured_grid(grid_size: int, sing: tuple,
-                    puncture: float = DEFAULTS.puncture_radius) -> np.ndarray:
+def _punctured_grid(grid_size: int, sing: tuple) -> np.ndarray:
     t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
     if not sing:
         return t
     keep = np.ones(t.shape, dtype=bool)
     for s in sing:
         for image in (s - _TWO_PI, s, s + _TWO_PI):
-            keep &= np.abs(t - image) > puncture
+            keep &= np.abs(t - image) > DEFAULTS.puncture_radius
     return t[keep]
 
 
 def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
-                    *aligned: np.ndarray,
-                    puncture: float = DEFAULTS.puncture_radius):
+                    *aligned: np.ndarray):
     """Push refinement brackets out of the punctured neighbourhoods.
 
     Brackets left empty are dropped, together with the matching entries
     of each array in ``aligned``.
     """
+    puncture = DEFAULTS.puncture_radius
     for s in sing:
         for image in (s - _TWO_PI, s, s + _TWO_PI):
             lo = np.where((lo > image - puncture) & (lo < image + puncture),
@@ -181,11 +183,11 @@ class MarginProfile:
     refined: bool
     punctures: tuple
 
-    def is_constant(self, tol: float = 1e-12) -> bool:
-        """All samples agree to ``tol`` relative to the largest finite one."""
+    def is_constant(self) -> bool:
+        """All samples agree to 1e-12 relative to the largest finite one."""
         finite = self.margins[np.isfinite(self.margins)]
         scale = float(np.max(finite, initial=1.0))
-        return float(np.max(self.margins) - np.min(self.margins)) <= tol * scale
+        return float(np.max(self.margins) - np.min(self.margins)) <= 1e-12 * scale
 
 
 def _select_argmin(ts: np.ndarray, ms: np.ndarray) -> tuple:
@@ -269,8 +271,7 @@ def admissibility_min(lemma: LemmaId, params: LemmaParams,
 
 def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
                             quantity: AdmissibilityQuantity, radius: float,
-                            t: np.ndarray, step: float = 1e-6,
-                            tol: float = 1e-5) -> None:
+                            t: np.ndarray) -> None:
     """Verify z f'(z)/Q(z) against a central difference along the circle.
 
     The step shrinks to 1e-3 of each sample's distance to the nearest
@@ -289,7 +290,7 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
     dist = np.full(sub.shape, np.inf)
     for s in singular_points(lemma, params):
         dist = np.minimum(dist, np.abs(z - s))
-    h = np.minimum(step, 1e-3 * dist)
+    h = np.minimum(_FD_STEP, 1e-3 * dist)
     Q = dominant_Q_on_circle(lemma, params, sub, radius)
     if quantity is AdmissibilityQuantity.RE_ZQP_OVER_Q:
         fplus = dominant_Q_on_circle(lemma, params, sub + h, radius)
@@ -303,10 +304,10 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
     fd = -1j * (fplus - fminus) / (2.0 * h) / Q
     dev = float(np.max(np.abs(fd.real - closed.real)
                        / np.maximum(1.0, np.abs(closed))))
-    if dev > tol:
+    if dev > _FD_RTOL:
         raise LemnisubError(
             f"{lemma.value}/{quantity.value}: derivative cross-check deviates "
-            f"by {dev:.3e} relative (tolerance {tol})")
+            f"by {dev:.3e} relative (tolerance {_FD_RTOL})")
 
 
 # --- verdicts ----------------------------------------------------------------
@@ -336,11 +337,10 @@ class VerificationReport:
         return bool(self.den_winding)
 
 
-def _denominator_winding(lemma: LemmaId, params: LemmaParams,
-                         samples: int = 1024) -> int:
+def _denominator_winding(lemma: LemmaId, params: LemmaParams) -> int:
     region = premise_region(lemma, params)
     X, Y = region.A, region.B
-    t = np.linspace(-math.pi, math.pi, samples, endpoint=False)
+    t = np.linspace(-math.pi, math.pi, _WINDING_SAMPLES, endpoint=False)
     z = _INSET_RADIUS * np.exp(1j * t)
     den = (X - Y) - Y * h_minus_one_at(lemma, params, z)
     return winding_number(den)
@@ -403,9 +403,9 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
 
 # --- numeric thresholds ------------------------------------------------------
 
-def _analyze_scan(margins: np.ndarray, level: float = 1.0) -> int:
-    """Index of the single upcrossing of `level`; raises otherwise."""
-    reached = np.asarray(margins) >= level
+def _analyze_scan(margins: np.ndarray) -> int:
+    """Index of the single upcrossing of 1; raises otherwise."""
+    reached = np.asarray(margins) >= 1.0
     if not reached.any():
         raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
     down = np.nonzero(reached[:-1] & ~reached[1:])[0]
@@ -414,7 +414,7 @@ def _analyze_scan(margins: np.ndarray, level: float = 1.0) -> int:
             f"margin drops back below 1 after beta index {int(down[0])}; "
             "no threshold claimed")
     if reached[0]:
-        return -1   # already above the level at the bracket start
+        return -1   # already above 1 at the bracket start
     return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
 
 
@@ -619,7 +619,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
 
 @dataclass(frozen=True)
 class SubordinationResult:
-    """Sampled-exhaustion membership certificate (a semi-decision)."""
+    """Sampled-exhaustion containment certificate (a semi-decision)."""
 
     margin: float
     worst_radius: float
@@ -628,13 +628,10 @@ class SubordinationResult:
     tail_bounds: dict
     certified: bool
 
-    def __float__(self):
-        return self.margin
-
 
 def subordination_check(p: PowerSeries, region: TargetRegion,
                         radii: tuple = DEFAULTS.radii) -> SubordinationResult:
-    """Minimum membership margin of p(r e^{it}) over the radius schedule.
+    """Minimum of ``membership_margins`` on p(r e^{it}) over the radius schedule.
 
     A positive result certifies containment at the sampled exhaustion
     only.  Each radius carries the geometric tail certificate
@@ -678,21 +675,16 @@ class TrialReport:
 
 def implication_trial(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                       order: int | None = None,
-                      radii: tuple = DEFAULTS.radii,
-                      require_feasible: bool = True) -> TrialReport:
+                      radii: tuple = DEFAULTS.radii) -> TrialReport:
     """Build the premise-exact p for a Schwarz draw and test the conclusion.
 
-    With a feasible beta the conclusion margin is expected non-negative;
-    ``require_feasible=False`` admits exploratory runs below threshold,
-    where a negative margin is evidence (never proof) of sharpness.
+    With a feasible beta the conclusion margin is expected non-negative.
+    Below threshold the trial still runs and reports ``feasible=False``;
+    a negative margin there is evidence (never proof) of sharpness.
     """
     validate(lemma, params)
     feasible = feasibility_check(lemma, params)
-    if require_feasible and not feasible:
-        raise InfeasibleParameters(
-            f"{lemma.value}: hypothesis fails at beta = {params.beta}; "
-            "pass require_feasible=False for exploratory runs")
     sol = solve_premise(lemma, params, w, order)
     sub = subordination_check(sol.p, conclusion_region(lemma, params), radii)
-    return TrialReport(lemma, params, w.describe(), sol.order, sol.residual,
+    return TrialReport(lemma, params, w.kind, sol.order, sol.residual,
                        sub.margin, sub.certified, feasible)

@@ -12,12 +12,12 @@ from lemnisub import (
     LemmaParams,
     ThresholdStatus,
     closed_form_threshold,
-    dominant_Q_eval,
     feasibility_check,
-    premise_h_eval,
 )
 from lemnisub.catalog import (
     _affine_bound_terms,
+    dominant_Q_on_circle,
+    h_minus_one_at,
     h_minus_one_on_circle,
     margin_on_circle,
     singular_angles,
@@ -245,25 +245,33 @@ def test_validation_aggregates_messages():
 
 # --- dominant curves -----------------------------------------------------------
 
+def _dominant_q_at(lemma, params, z):
+    """Q at points z of the closed disk, one circle |z| = r at a time."""
+    return np.array([dominant_Q_on_circle(lemma, params, np.array([np.angle(v)]),
+                                          abs(v))[0]
+                     for v in np.atleast_1d(np.asarray(z, dtype=complex))])
+
+
 def test_premise_h_examples():
     # h = 1 + beta*z when B = 0 for the L2 family
-    h = premise_h_eval(LemmaId.L2, LemmaParams(A=1.0, B=0.0, beta=3.0), 0.5)
+    h = 1.0 + h_minus_one_at(LemmaId.L2, LemmaParams(A=1.0, B=0.0, beta=3.0), 0.5)
     assert h == pytest.approx(2.5)
-    h = premise_h_eval(LemmaId.L1, LemmaParams(A=1.0, B=0.0, k=1.0, beta=4.0), 0.0)
+    h = 1.0 + h_minus_one_at(LemmaId.L1,
+                             LemmaParams(A=1.0, B=0.0, k=1.0, beta=4.0), 0.0)
     assert h == pytest.approx(1.0)
-    h = premise_h_eval(LemmaId.L9,
-                       LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0, beta=2.0), 1j)
+    h = 1.0 + h_minus_one_at(LemmaId.L9,
+                             LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0, beta=2.0), 1j)
     assert h == pytest.approx(1.0 + 2.0j)
 
 
 def test_dominant_q_examples():
-    q = dominant_Q_eval(LemmaId.L5, LemmaParams(beta=1.0), 0.21)
-    assert q == pytest.approx(0.21 / 2.2, abs=1e-12)   # 0.21/(2*1.1)
-    q = dominant_Q_eval(LemmaId.L6, LemmaParams(beta=2.0), 0.0)
-    assert q == pytest.approx(0.0)
-    q = dominant_Q_eval(LemmaId.L9,
-                        LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0, beta=2.0), 0.5)
-    assert q == pytest.approx(1.0)
+    q = _dominant_q_at(LemmaId.L5, LemmaParams(beta=1.0), 0.21)
+    assert q == pytest.approx([0.21 / 2.2], abs=1e-12)   # 0.21/(2*1.1)
+    q = _dominant_q_at(LemmaId.L6, LemmaParams(beta=2.0), 0.0)
+    assert q == pytest.approx([0.0])
+    q = _dominant_q_at(LemmaId.L9,
+                       LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0, beta=2.0), 0.5)
+    assert q == pytest.approx([1.0])
 
 
 @pytest.mark.parametrize("lemma", ALL)
@@ -271,12 +279,12 @@ def test_h_and_q_normalisation(lemma):
     rng = np.random.default_rng(zlib.crc32(lemma.value.encode()))
     for _ in range(25):
         params = draw_valid_params(lemma, rng).with_beta(float(rng.uniform(0.1, 5.0)))
-        assert premise_h_eval(lemma, params, 0.0) == pytest.approx(1.0)
-        assert dominant_Q_eval(lemma, params, 0.0) == pytest.approx(0.0)
+        assert 1.0 + h_minus_one_at(lemma, params, 0.0) == pytest.approx(1.0)
+        assert _dominant_q_at(lemma, params, 0.0) == pytest.approx([0.0])
         # Q = h - 1 for the affine entries, h - q for the convective ones
         z = 0.4 + 0.3j
-        h = premise_h_eval(lemma, params, z)
-        q = dominant_Q_eval(lemma, params, z)
+        h = 1.0 + h_minus_one_at(lemma, params, z)
+        q = _dominant_q_at(lemma, params, z)[0]
         if CATALOG[lemma].ode_style == "affine":
             assert q == pytest.approx(h - 1.0, abs=1e-12)
 
@@ -287,8 +295,8 @@ def test_h_conjugate_symmetry(lemma):
     for _ in range(10):
         params = draw_valid_params(lemma, rng).with_beta(float(rng.uniform(0.1, 5.0)))
         z = 0.8 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        left = premise_h_eval(lemma, params, np.conj(z))
-        right = np.conj(premise_h_eval(lemma, params, z))
+        left = h_minus_one_at(lemma, params, np.conj(z))
+        right = np.conj(h_minus_one_at(lemma, params, z))
         assert left == pytest.approx(right, abs=1e-12)
 
 
@@ -298,9 +306,8 @@ def test_circle_h_matches_pointwise_h(lemma):
     params = draw_valid_params(lemma, rng).with_beta(2.0)
     t = rng.uniform(-3.0, 3.0, 32)
     vec = h_minus_one_on_circle(lemma, params, t)
-    for i, ti in enumerate(t):
-        direct = premise_h_eval(lemma, params, np.exp(1j * ti)) - 1.0
-        assert vec[i] == pytest.approx(direct, abs=1e-11)
+    direct = h_minus_one_at(lemma, params, np.exp(1j * t))
+    assert vec == pytest.approx(direct, abs=1e-11)
 
 
 def test_singular_angles_catalogued():
@@ -392,24 +399,23 @@ def _close(got, want, rel=1e-12):
 
 @pytest.mark.parametrize("lemma", ALL)
 def test_h_and_q_match_reference_table(lemma):
-    from lemnisub.catalog import dominant_Q_at, h_minus_one_at
     convective, _, h_ref, q_ref = REFERENCE[lemma]
     assert (CATALOG[lemma].ode_style == "convective") is convective
     rng = np.random.default_rng(zlib.crc32(("table" + lemma.value).encode()))
     for _ in range(20):
         params, z, t = _reference_points(rng, lemma)
         assert _close(h_minus_one_at(lemma, params, z), h_ref(params, z) - 1.0)
-        assert _close(dominant_Q_at(lemma, params, z), q_ref(params, z))
+        assert _close(_dominant_q_at(lemma, params, z), q_ref(params, z))
         w = np.exp(1j * t)
         assert _close(h_minus_one_on_circle(lemma, params, t), h_ref(params, w) - 1.0)
         assert _close(h_minus_one_at(lemma, params, w), h_ref(params, w) - 1.0)
-        assert _close(dominant_Q_at(lemma, params, w), q_ref(params, w))
+        assert _close(dominant_Q_on_circle(lemma, params, t), q_ref(params, w))
 
 
 @pytest.mark.parametrize("lemma", ALL)
 def test_phi_and_h_derivative_identities(lemma):
-    from lemnisub.catalog import (dominant_Q_at, phi_of_q_circle,
-                                  zhprime_over_q_circle, zqprime_over_q_circle)
+    from lemnisub.catalog import (phi_of_q_circle, zhprime_over_q_circle,
+                                  zqprime_over_q_circle)
     convective, exponent, _, q_ref = REFERENCE[lemma]
     rng = np.random.default_rng(zlib.crc32(("identity" + lemma.value).encode()))
     for _ in range(20):
@@ -417,7 +423,7 @@ def test_phi_and_h_derivative_identities(lemma):
         for r in (0.9, 1.0):
             z = r * np.exp(1j * t)
             q, zq_prime = _conclusion_q(lemma, params, z)
-            Q = dominant_Q_at(lemma, params, z)
+            Q = dominant_Q_on_circle(lemma, params, t, r)
             # phi(q) = beta q^{-m} and Q = z q' phi(q)
             phi = phi_of_q_circle(lemma, params, t, r)
             assert _close(phi, params.beta / q ** exponent(params))
@@ -445,7 +451,7 @@ SINGULAR_REFERENCE = {
 
 @pytest.mark.parametrize("lemma", ALL)
 def test_singular_points_match_reference_table(lemma):
-    from lemnisub.catalog import h_minus_one_at, singular_points
+    from lemnisub.catalog import singular_points
     from lemnisub.errors import SingularPoint
     rng = np.random.default_rng(zlib.crc32(("singular" + lemma.value).encode()))
     for i in range(10):
@@ -459,3 +465,10 @@ def test_singular_points_match_reference_table(lemma):
             if abs(s) <= 1.0:
                 with pytest.raises(SingularPoint):
                     h_minus_one_at(lemma, params, np.array([0.0, s]))
+
+
+# --- package exports ------------------------------------------------------------
+
+def test_every_exported_name_resolves():
+    import lemnisub
+    assert [n for n in lemnisub.__all__ if not hasattr(lemnisub, n)] == []

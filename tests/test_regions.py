@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lemnisub import (
-    Classification,
-    Janowski,
-    SqrtLemniscate,
-    membership,
-    phi_inverse,
-    target_eval,
-)
-from lemnisub.errors import InverseMapPole, SingularPoint
-from lemnisub.regions import membership_margins
+from lemnisub import Janowski, SqrtLemniscate
+from lemnisub.regions import boundary_curve, membership_margins
 
 
 def random_janowski(rng):
@@ -22,48 +14,54 @@ def random_janowski(rng):
             return Janowski(float(a), float(b))
 
 
+# Target and inverse maps written out from the regions module docstring, in
+# plain complex arithmetic (principal branch), independent of the package.
+
+def target(region, z):
+    if isinstance(region, SqrtLemniscate):
+        return np.sqrt(1.0 + z)
+    return (1.0 + region.A * z) / (1.0 + region.B * z)
+
+
+def inverse(region, w):
+    if isinstance(region, SqrtLemniscate):
+        return w * w - 1.0
+    return (w - 1.0) / (region.A - region.B * w)
+
+
 def test_target_eval_examples():
-    assert target_eval(SqrtLemniscate(), 0.0) == pytest.approx(1.0)
-    assert target_eval(SqrtLemniscate(), 0.21) == pytest.approx(1.1)
-    assert target_eval(Janowski(1.0, 0.0), 0.3) == pytest.approx(1.3)
+    # q(0) = 1, sqrt(1 + 0.21) = 1.1 and (1 + 0.3)/(1 + 0) = 1.3 sit at depth 1 - |z|
+    for region, w, z in ((SqrtLemniscate(), 1.0, 0.0),
+                         (SqrtLemniscate(), 1.1, 0.21),
+                         (Janowski(1.0, 0.0), 1.3, 0.3)):
+        assert membership_margins(region, [w])[0] == pytest.approx(1.0 - z)
 
 
-def test_sqrt_principal_branch_nonnegative_real_part(rng):
-    z = 0.999 * np.exp(1j * rng.uniform(-np.pi, np.pi, 500))
-    vals = [target_eval(SqrtLemniscate(), v) for v in z]
-    assert min(v.real for v in vals) >= 0.0
+def test_sqrt_principal_branch_nonnegative_real_part():
+    curve = boundary_curve(SqrtLemniscate())
+    assert curve.real.min() >= 0.0
+    assert np.max(np.abs(membership_margins(SqrtLemniscate(), curve))) <= 1e-12
 
 
 def test_membership_examples():
-    m = membership(SqrtLemniscate(), 1.0)
-    assert m.margin == pytest.approx(1.0) and m.classification is Classification.INSIDE
-    m = membership(SqrtLemniscate(), math.sqrt(2.0))
-    assert abs(m.margin) <= 1e-12 and m.classification is Classification.BOUNDARY
-    m = membership(Janowski(1.0, -1.0), 1j)
-    assert abs(m.margin) <= 1e-12 and m.classification is Classification.BOUNDARY
+    m = membership_margins(SqrtLemniscate(), [1.0, math.sqrt(2.0)])
+    assert m[0] == pytest.approx(1.0) and abs(m[1]) <= 1e-12
+    assert abs(membership_margins(Janowski(1.0, -1.0), [1j])[0]) <= 1e-12
 
 
 def test_membership_pole_is_outside_sentinel():
     # w at the image of infinity: A - Bw = 0
-    reg = Janowski(0.5, -0.5)
-    m = membership(reg, -1.0)
-    assert m.margin == float("-inf")
-    assert m.classification is Classification.OUTSIDE
+    m = membership_margins(Janowski(0.5, -0.5), [-1.0, 1.0])
+    assert m[0] == float("-inf") and m[1] == pytest.approx(1.0)
 
 
 def test_phi_inverse_examples():
-    assert phi_inverse(SqrtLemniscate(), 1.0) == pytest.approx(0.0)
-    assert phi_inverse(SqrtLemniscate(), math.sqrt(2.0)) == pytest.approx(1.0)
-    assert phi_inverse(Janowski(1.0, 0.0), 1.5) == pytest.approx(0.5)
-    with pytest.raises(InverseMapPole):
-        phi_inverse(Janowski(0.5, -0.5), -1.0)
-
-
-def test_singular_points_raise():
-    with pytest.raises(SingularPoint):
-        target_eval(SqrtLemniscate(), -1.0)
-    with pytest.raises(SingularPoint):
-        target_eval(Janowski(1.0, -1.0), 1.0)
+    # 1 - |inverse(w)| at w with inverse -2, 0.44, 0.5 and -2
+    for region, w, margin in ((SqrtLemniscate(), 1j, -1.0),
+                              (SqrtLemniscate(), 1.2, 0.56),
+                              (Janowski(1.0, 0.0), 1.5, 0.5),
+                              (Janowski(0.5, -0.5), 0.0, -1.0)):
+        assert membership_margins(region, [w])[0] == pytest.approx(margin, abs=1e-15)
 
 
 def test_janowski_validation():
@@ -75,31 +73,24 @@ def test_janowski_validation():
 
 def test_round_trip_inverse_of_eval(rng):
     z = 0.99 * np.sqrt(rng.uniform(0, 1, 1000)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 1000))
-    for w0 in z[:500]:
-        assert abs(phi_inverse(SqrtLemniscate(), target_eval(SqrtLemniscate(), w0)) - w0) <= 1e-10
-    reg = random_janowski(rng)
-    for w0 in z[500:]:
-        assert abs(phi_inverse(reg, target_eval(reg, w0)) - w0) <= 1e-10
+    for region, zs in ((SqrtLemniscate(), z[:500]), (random_janowski(rng), z[500:])):
+        depth = membership_margins(region, target(region, zs))
+        assert np.max(np.abs(depth - (1.0 - np.abs(zs)))) <= 1e-10
 
 
 def test_membership_inverse_coherence(rng):
     w = rng.uniform(-2, 2, 1000) + 1j * rng.uniform(-2, 2, 1000)
     for reg in (SqrtLemniscate(), random_janowski(rng)):
-        for w0 in w:
-            try:
-                inv = phi_inverse(reg, w0)
-            except InverseMapPole:
-                continue
-            m = membership(reg, w0)
-            assert (m.margin > 0) == (abs(inv) < 1.0) or abs(m.margin) <= 1e-12
+        inv = inverse(reg, w)
+        m = membership_margins(reg, w)
+        assert np.all(((m > 0) == (np.abs(inv) < 1.0)) | (np.abs(m) <= 1e-12))
 
 
 def test_conjugation_symmetry(rng):
     w = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
     for reg in (SqrtLemniscate(), random_janowski(rng)):
-        for w0 in w:
-            assert membership(reg, np.conj(w0)).margin == pytest.approx(
-                membership(reg, w0).margin, abs=1e-13)
+        assert np.max(np.abs(membership_margins(reg, np.conj(w))
+                             - membership_margins(reg, w))) <= 1e-13
 
 
 def test_sqrt_region_convexity_witness(rng):
@@ -108,23 +99,6 @@ def test_sqrt_region_convexity_witness(rng):
     found = 0
     while found < 500:
         w = rng.uniform(0, 1.5, 2) + 1j * rng.uniform(-0.7, 0.7, 2)
-        if membership(reg, w[0]).margin > 0 and membership(reg, w[1]).margin > 0:
+        if np.all(membership_margins(reg, w) > 0):
             found += 1
-            mid = 0.5 * (w[0] + w[1])
-            assert membership(reg, mid).margin > 0
-
-
-def test_vectorised_margins_match_scalar(rng):
-    w = rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64)
-    for reg in (SqrtLemniscate(), Janowski(0.75, -0.25)):
-        vec = membership_margins(reg, w)
-        for i, w0 in enumerate(w):
-            assert vec[i] == pytest.approx(membership(reg, w0).margin, abs=1e-13)
-
-
-def test_boundary_band_classification():
-    reg = SqrtLemniscate()
-    w = math.sqrt(2.0) + 1e-15
-    assert membership(reg, w).classification is Classification.BOUNDARY
-    assert membership(reg, 1.5).classification is Classification.OUTSIDE
-    assert membership(reg, 1.3).classification is Classification.INSIDE
+            assert membership_margins(reg, [0.5 * (w[0] + w[1])])[0] > 0

