@@ -9,7 +9,6 @@ reporting CLI.
 
 from .catalog import (
     CATALOG,
-    STATEMENTS,
     AdmissibilityQuantity,
     LemmaId,
     LemmaParams,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityQuantity", "CATALOG", "DEFAULTS", "Janowski", "LemmaId",
     "LemmaParams", "MarginProfile", "PowerSeries", "PremiseSolution",
-    "SchwarzFunction", "SqrtLemniscate", "STATEMENTS",
+    "SchwarzFunction", "SqrtLemniscate",
     "SubordinationResult", "ThresholdResult", "ThresholdStatus",
     "TrialReport", "Verdict", "VerificationReport", "admissibility_min",
     "blaschke_factor", "boundary_margin_profile", "check_superordination",

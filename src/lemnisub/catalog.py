@@ -52,11 +52,16 @@ b into the feasible set: closed b-intervals of either sign.  The
 implicit forms (L1 through |B b|, L9-L11 through the |c - E x| term, L8
 through its cap) resolve exactly by piecewise-linear analysis.  L1 and
 L11 are stated through |b| and so also hold at negative b; for L11,
-E b keeps its sign, so the negative side has its own end.  The minimal
-b > 0 in the set is the threshold beta*, and ``feasibility_check`` tests
-whether beta lies in the set.  The test suite cross-checks the solve
-against a bisection oracle and against the inequalities evaluated as
-written.
+E b keeps its sign, so the negative side has its own end.  The
+threshold beta* (the minimal b > 0 in the set) and the status are read
+from the set, and ``feasibility_check`` tests whether beta lies in it.
+The test suite cross-checks the solve against a bisection oracle and
+against the inequalities evaluated as written.
+
+Each ``CatalogRow`` holds a rule's target kinds, style and exponent m
+(0, 1, 2, or "k"), from which its statement text, parameters and target
+regions are derived, and the route its proof takes
+(``margin_criterion``, ``verdict_quantities``).
 
 The code derives the table of h and Q from each row's style, exponent m
 and targets: every rule reads theta(p) + b z p'/p^m < premise target
@@ -76,7 +81,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,21 +110,6 @@ class LemmaId(str, Enum):
     L11 = "L11"
 
 
-STATEMENTS = {
-    LemmaId.L1: "1 + b*z*p'/p^k < (1+Az)/(1+Bz)  =>  p < sqrt(1+z)",
-    LemmaId.L2: "1 + b*z*p' < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L3: "1 + b*z*p'/p < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L4: "1 + b*z*p'/p^2 < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L5: "p + b*z*p' < sqrt(1+z)  =>  p < sqrt(1+z)",
-    LemmaId.L6: "p + b*z*p'/p < sqrt(1+z)  =>  p < sqrt(1+z)",
-    LemmaId.L7: "p + b*z*p'/p^2 < sqrt(1+z)  =>  p < sqrt(1+z)",
-    LemmaId.L8: "p + b*z*p'/p < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L9: "1 + b*z*p' < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L10: "1 + b*z*p'/p < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)",
-    LemmaId.L11: "1 + b*z*p'/p^2 < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)",
-}
-
-
 @dataclass(frozen=True)
 class LemmaParams:
     """Parameter bundle; each field is used only where the lemma requires it."""
@@ -143,10 +133,22 @@ class ThresholdStatus(Enum):
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    status: ThresholdStatus
-    beta_star: Optional[float]
-    binding_constraint: str
     feasible: tuple     # closed intervals (lo, hi) of beta, ends may be +-inf
+    binding_constraint: str
+
+    @property
+    def beta_star(self) -> Optional[float]:
+        """The least beta > 0 of the set; None when every beta > 0 or none qualifies."""
+        ends = [lo for lo, hi in self.feasible if hi > 0.0]
+        return min(ends) if ends and min(ends) > 0.0 else None
+
+    @property
+    def status(self) -> ThresholdStatus:
+        if self.beta_star is not None:
+            return ThresholdStatus.FEASIBLE
+        if any(hi > 0.0 for _, hi in self.feasible):
+            return ThresholdStatus.ALWAYS_FEASIBLE
+        return ThresholdStatus.INFEASIBLE
 
 
 class AdmissibilityQuantity(str, Enum):
@@ -155,21 +157,37 @@ class AdmissibilityQuantity(str, Enum):
     RE_PHI_OF_Q = "RePhiOfQ"           # positivity of phi on q(D)
 
 
+# formula text and parameters of each target kind
+_TARGETS = {
+    "sqrt": ("sqrt(1+z)", ""),
+    "janowski_AB": ("(1+Az)/(1+Bz)", "AB"),
+    "janowski_DE": ("(1+Dz)/(1+Ez)", "DE"),
+}
+
+
 @dataclass(frozen=True)
 class CatalogRow:
-    lemma: LemmaId
-    statement: str
-    uses: frozenset
-    margin_criterion: bool
     premise_kind: str        # "sqrt" | "janowski_AB" | "janowski_DE"
     conclusion_kind: str     # "sqrt" | "janowski_AB"
     ode_style: str           # "affine" (1 + b z p'/p^m) | "convective" (p + b z p'/p^m)
-    ode_exponent: Callable[[LemmaParams], float]
+    exponent: int | str      # m: 0, 1, 2, or "k" for the parameter k
+    margin_criterion: bool
     verdict_quantities: tuple
 
+    def ode_exponent(self, params: LemmaParams) -> float:
+        return float(params.k if self.exponent == "k" else self.exponent)
 
-def _exp_k(p: LemmaParams) -> float:
-    return float(p.k)
+    @property
+    def statement(self) -> str:
+        theta = "1" if self.ode_style == "affine" else "p"
+        power = {0: "", 1: "/p"}.get(self.exponent, f"/p^{self.exponent}")
+        return (f"{theta} + b*z*p'{power} < {_TARGETS[self.premise_kind][0]}"
+                f"  =>  p < {_TARGETS[self.conclusion_kind][0]}")
+
+    @property
+    def uses(self) -> frozenset:
+        names = _TARGETS[self.premise_kind][1] + _TARGETS[self.conclusion_kind][1]
+        return frozenset(names + ("k" if self.exponent == "k" else "")) | {"beta"}
 
 
 _ZQ = AdmissibilityQuantity.RE_ZQP_OVER_Q
@@ -177,39 +195,17 @@ _ZH = AdmissibilityQuantity.RE_ZHP_OVER_Q
 _PHI = AdmissibilityQuantity.RE_PHI_OF_Q
 
 CATALOG = {
-    LemmaId.L1: CatalogRow(LemmaId.L1, STATEMENTS[LemmaId.L1],
-                           frozenset("ABk") | {"beta"}, True,
-                           "janowski_AB", "sqrt", "affine", _exp_k, (_ZQ,)),
-    LemmaId.L2: CatalogRow(LemmaId.L2, STATEMENTS[LemmaId.L2],
-                           frozenset("AB") | {"beta"}, True,
-                           "sqrt", "janowski_AB", "affine", lambda p: 0.0, (_ZQ,)),
-    LemmaId.L3: CatalogRow(LemmaId.L3, STATEMENTS[LemmaId.L3],
-                           frozenset("AB") | {"beta"}, True,
-                           "sqrt", "janowski_AB", "affine", lambda p: 1.0, (_ZQ,)),
-    LemmaId.L4: CatalogRow(LemmaId.L4, STATEMENTS[LemmaId.L4],
-                           frozenset("AB") | {"beta"}, True,
-                           "sqrt", "janowski_AB", "affine", lambda p: 2.0, (_ZQ,)),
-    LemmaId.L5: CatalogRow(LemmaId.L5, STATEMENTS[LemmaId.L5],
-                           frozenset({"beta"}), False,
-                           "sqrt", "sqrt", "convective", lambda p: 0.0, (_ZQ, _PHI)),
-    LemmaId.L6: CatalogRow(LemmaId.L6, STATEMENTS[LemmaId.L6],
-                           frozenset({"beta"}), False,
-                           "sqrt", "sqrt", "convective", lambda p: 1.0, (_ZQ, _PHI)),
-    LemmaId.L7: CatalogRow(LemmaId.L7, STATEMENTS[LemmaId.L7],
-                           frozenset({"beta"}), False,
-                           "sqrt", "sqrt", "convective", lambda p: 2.0, (_ZQ, _PHI)),
-    LemmaId.L8: CatalogRow(LemmaId.L8, STATEMENTS[LemmaId.L8],
-                           frozenset("AB") | {"beta"}, True,
-                           "sqrt", "janowski_AB", "convective", lambda p: 1.0, (_ZQ, _ZH)),
-    LemmaId.L9: CatalogRow(LemmaId.L9, STATEMENTS[LemmaId.L9],
-                           frozenset("ABDE") | {"beta"}, True,
-                           "janowski_DE", "janowski_AB", "affine", lambda p: 0.0, (_ZQ,)),
-    LemmaId.L10: CatalogRow(LemmaId.L10, STATEMENTS[LemmaId.L10],
-                            frozenset("ABDE") | {"beta"}, True,
-                            "janowski_DE", "janowski_AB", "affine", lambda p: 1.0, (_ZQ,)),
-    LemmaId.L11: CatalogRow(LemmaId.L11, STATEMENTS[LemmaId.L11],
-                            frozenset("ABDE") | {"beta"}, True,
-                            "janowski_DE", "janowski_AB", "affine", lambda p: 2.0, (_ZQ,)),
+    LemmaId.L1: CatalogRow("janowski_AB", "sqrt", "affine", "k", True, (_ZQ,)),
+    LemmaId.L2: CatalogRow("sqrt", "janowski_AB", "affine", 0, True, (_ZQ,)),
+    LemmaId.L3: CatalogRow("sqrt", "janowski_AB", "affine", 1, True, (_ZQ,)),
+    LemmaId.L4: CatalogRow("sqrt", "janowski_AB", "affine", 2, True, (_ZQ,)),
+    LemmaId.L5: CatalogRow("sqrt", "sqrt", "convective", 0, False, (_ZQ, _PHI)),
+    LemmaId.L6: CatalogRow("sqrt", "sqrt", "convective", 1, False, (_ZQ, _PHI)),
+    LemmaId.L7: CatalogRow("sqrt", "sqrt", "convective", 2, False, (_ZQ, _PHI)),
+    LemmaId.L8: CatalogRow("sqrt", "janowski_AB", "convective", 1, True, (_ZQ, _ZH)),
+    LemmaId.L9: CatalogRow("janowski_DE", "janowski_AB", "affine", 0, True, (_ZQ,)),
+    LemmaId.L10: CatalogRow("janowski_DE", "janowski_AB", "affine", 1, True, (_ZQ,)),
+    LemmaId.L11: CatalogRow("janowski_DE", "janowski_AB", "affine", 2, True, (_ZQ,)),
 }
 
 
@@ -272,19 +268,19 @@ def validate(lemma: LemmaId, params: LemmaParams, require_beta: bool = True) -> 
 
 # --- regions ---
 
-def premise_region(lemma: LemmaId, params: LemmaParams) -> TargetRegion:
-    kind = CATALOG[lemma].premise_kind
-    if kind == "sqrt":
+def _region(kind: str, params: LemmaParams) -> TargetRegion:
+    names = _TARGETS[kind][1]
+    if not names:
         return SqrtLemniscate()
-    if kind == "janowski_AB":
-        return Janowski(params.A, params.B)
-    return Janowski(params.D, params.E)
+    return Janowski(*(getattr(params, name) for name in names))
+
+
+def premise_region(lemma: LemmaId, params: LemmaParams) -> TargetRegion:
+    return _region(CATALOG[lemma].premise_kind, params)
 
 
 def conclusion_region(lemma: LemmaId, params: LemmaParams) -> TargetRegion:
-    if CATALOG[lemma].conclusion_kind == "sqrt":
-        return SqrtLemniscate()
-    return Janowski(params.A, params.B)
+    return _region(CATALOG[lemma].conclusion_kind, params)
 
 
 # --- closed-form thresholds ---
@@ -317,7 +313,7 @@ def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResul
     """The lemma's hypothesis inequality, solved for beta.
 
     ``feasible`` is the whole set of beta, of either sign, on which the
-    inequality holds.  ``status``, ``beta_star`` (its minimal beta > 0)
+    inequality holds; ``beta_star`` and ``status`` are read from it.  They
     and ``binding_constraint`` concern beta > 0 only; L1 and L11 are
     stated through |beta| and also hold at negative beta.
     """
@@ -328,31 +324,26 @@ def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResul
     if lemma is LemmaId.L1:
         # |beta| (1 - |B|) >= 2^{(k+3)/2} (A - B); -1 < B < 1 on the valid domain
         beta = 2.0 ** ((k + 3.0) / 2.0) * (A - B) / (1.0 - abs(B))
-        return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "beta*(1-|B|) = 2^((k+3)/2)*(A-B)",
-                               ((-inf, -beta), (beta, inf)))
+        return ThresholdResult(((-inf, -beta), (beta, inf)),
+                               "beta*(1-|B|) = 2^((k+3)/2)*(A-B)")
 
     if lemma is LemmaId.L2:
         beta = (SQRT2 * (1.0 + abs(B)) ** 2 + (1.0 - B) ** 2) / (A - B)
-        return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = sqrt(2)*(1+|B|)^2 + (1-B)^2",
-                               ((beta, inf),))
+        return ThresholdResult(((beta, inf),),
+                               "(A-B)*beta = sqrt(2)*(1+|B|)^2 + (1-B)^2")
 
     if lemma is LemmaId.L3:
         beta = (SQRT2 - 1.0) * (1.0 + abs(A)) * (1.0 + abs(B)) / (A - B)
-        return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)*(1+|B|)",
-                               ((beta, inf),))
+        return ThresholdResult(((beta, inf),),
+                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)*(1+|B|)")
 
     if lemma is LemmaId.L4:
         beta = ((SQRT2 - 1.0) * (1.0 + abs(A)) ** 2 + (1.0 - A) ** 2) / (A - B)
-        return ThresholdResult(ThresholdStatus.FEASIBLE, beta,
-                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)^2 + (1-A)^2",
-                               ((beta, inf),))
+        return ThresholdResult(((beta, inf),),
+                               "(A-B)*beta = (sqrt(2)-1)*(1+|A|)^2 + (1-A)^2")
 
     if lemma in (LemmaId.L5, LemmaId.L6, LemmaId.L7):
-        return ThresholdResult(ThresholdStatus.ALWAYS_FEASIBLE, None,
-                               "any beta > 0", ((0.0, inf),))
+        return ThresholdResult(((0.0, inf),), "any beta > 0")
 
     if lemma is LemmaId.L8:
         # (A-B) beta >= (A-B) c1, and 1/beta >= cap_rate
@@ -361,13 +352,10 @@ def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResul
                        - (1.0 - abs(B)) / (1.0 + abs(B)))
         cap = 1.0 / cap_rate if cap_rate > 0.0 else inf
         if c1 > cap:
-            return ThresholdResult(
-                ThresholdStatus.INFEASIBLE, None,
-                f"condition 1 needs beta >= {c1:.6g} but condition 2 caps "
-                f"beta <= {cap:.6g}", ())
-        return ThresholdResult(ThresholdStatus.FEASIBLE, c1,
-                               "(A-B)*beta = sqrt(2)*(1+|A|)*(1+|B|) + |A|^2 - 1",
-                               ((c1, cap),))
+            return ThresholdResult((), f"condition 1 needs beta >= {c1:.6g} but "
+                                       f"condition 2 caps beta <= {cap:.6g}")
+        return ThresholdResult(((c1, cap),),
+                               "(A-B)*beta = sqrt(2)*(1+|A|)*(1+|B|) + |A|^2 - 1")
 
     # L9-L11: x - |c - E*x| >= P with x = beta*(A-B); L11 reads |x| - |c - E*x|,
     # so x = -y < 0 qualifies when y - |-c - E*y| >= P
@@ -379,14 +367,11 @@ def closed_form_threshold(lemma: LemmaId, params: LemmaParams) -> ThresholdResul
             feasible.append((-inf, -y / (A - B)))
     x = _solve_linear_abs(P, c, E)
     if x is None:
-        return ThresholdResult(ThresholdStatus.INFEASIBLE, None,
-                               f"x - |{c:.6g} - E*x| >= {P:.6g} has no solution",
-                               tuple(feasible))
-    beta = x / (A - B)
-    feasible.append((beta, inf))
-    return ThresholdResult(
-        ThresholdStatus.FEASIBLE, beta,
-        f"beta*(A-B) - |{c:.6g} - E*beta*(A-B)| = {P:.6g}", tuple(feasible))
+        return ThresholdResult(tuple(feasible),
+                               f"x - |{c:.6g} - E*x| >= {P:.6g} has no solution")
+    feasible.append((x / (A - B), inf))
+    return ThresholdResult(tuple(feasible),
+                           f"beta*(A-B) - |{c:.6g} - E*beta*(A-B)| = {P:.6g}")
 
 
 def _affine_bound_terms(lemma: LemmaId, params: LemmaParams):

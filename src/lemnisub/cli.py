@@ -31,7 +31,6 @@ from .catalog import (
     CATALOG,
     LemmaId,
     LemmaParams,
-    ThresholdStatus,
     closed_form_threshold,
     conclusion_region,
     h_minus_one_on_circle,
@@ -140,8 +139,8 @@ def _check_options(args, errors: list) -> tuple:
     if args.grid < 64:
         errors.append(f"--grid must be at least 64, got {args.grid}")
     radii = _parse_radii(args.radii, errors)
-    if args.order is not None and args.order < 0:
-        errors.append(f"--order must be non-negative, got {args.order}")
+    if args.order is not None and args.order < 1:
+        errors.append(f"--order must be at least 1, got {args.order}")
     # the criterion is min_margin >= 1 - tol, and margins are moduli, so a
     # tol of 1 or more (or NaN) passes every point
     if not 0.0 <= args.tol < 1.0:
@@ -216,7 +215,8 @@ def cmd_verify(args) -> int:
             "refined": rep.margin.refined,
         }
     doc = report_mod.build_document("verify", _config_echo(args), results,
-                                    seed=args.seed, verdict=rep.verdict.value)
+                                    seed=args.seed, verdict=rep.verdict.value,
+                                    margin_tol=args.tol)
     if args.json_path:
         report_mod.write_json(args.json_path, doc)
     print(f"{lemma.value}: {rep.verdict.value}")
@@ -234,14 +234,11 @@ def cmd_verify(args) -> int:
 
 def _threshold_row(lemma: LemmaId, combo: dict, grid: int) -> dict:
     params = LemmaParams(**combo)
+    closed = closed_form_threshold(lemma, params)
     row = {"lemma": lemma.value, **combo,
            "beta_star_closed": None, "beta_numeric": None,
-           "gap": None, "status": ""}
-    closed = closed_form_threshold(lemma, params)
-    row["status"] = closed.status.value
-    if closed.status is ThresholdStatus.INFEASIBLE:
-        return row
-    if closed.status is ThresholdStatus.ALWAYS_FEASIBLE:
+           "gap": None, "status": closed.status.value}
+    if closed.beta_star is None:
         return row
     row["beta_star_closed"] = closed.beta_star
     if CATALOG[lemma].margin_criterion:

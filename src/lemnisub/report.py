@@ -23,6 +23,8 @@ from importlib import resources
 
 import numpy as np
 
+from .config import DEFAULTS
+
 SCHEMA_VERSION = "1"
 
 CSV_COLUMNS = ["lemma", "A", "B", "D", "E", "k",
@@ -62,9 +64,8 @@ def jsonable(value):
 
 
 def build_document(command: str, config: dict, results: dict,
-                   seed: int | None = None, verdict: str | None = None) -> dict:
-    from .config import DEFAULTS
-
+                   seed: int | None = None, verdict: str | None = None,
+                   margin_tol: float = DEFAULTS.margin_tol) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -74,7 +75,7 @@ def build_document(command: str, config: dict, results: dict,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             # tolerance annotations for every numeric field downstream
             "tolerances": {
-                "margin": DEFAULTS.margin_tol,
+                "margin": margin_tol,   # the one the verdict applied
                 "residual": DEFAULTS.residual_tol,
                 "coefficient": DEFAULTS.coeff_tol,
                 "evaluation": DEFAULTS.eval_tol,

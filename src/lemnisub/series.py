@@ -201,8 +201,6 @@ class PowerSeries:
         """Horner evaluation at a complex point or ndarray of points."""
         return npoly.polyval(z, self._c)
 
-    __call__ = eval
-
     def eval_on_circle(self, radius: float, samples: int) -> np.ndarray:
         """p(radius e^{i t_k}) at t_k = -pi + 2 pi k / samples, by one FFT.
 

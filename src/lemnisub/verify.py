@@ -624,8 +624,7 @@ class SubordinationResult:
     margin: float
     worst_radius: float
     worst_angle: float
-    radii: tuple
-    tail_bounds: dict
+    tail_bound: float
     certified: bool
 
 
@@ -634,9 +633,10 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
     """Minimum of ``membership_margins`` on p(r e^{it}) over the radius schedule.
 
     A positive result certifies containment at the sampled exhaustion
-    only.  Each radius carries the geometric tail certificate
-    |c_N| r^N/(1-r); radii whose certificate reaches ``DEFAULTS.tail_tol``
-    are still evaluated but flag the result uncertified.
+    only.  The geometric tail certificate |c_N| r^N/(1-r) grows with r,
+    so it is taken once, at the largest radius; when it reaches
+    ``DEFAULTS.tail_tol`` every radius is still evaluated but the result
+    is flagged uncertified.
     """
     if abs(complex(p.coeffs[0]) - 1.0) > 1e-9:
         raise ConstantTermMismatch(
@@ -645,18 +645,16 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
     t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
     best = math.inf
     worst_r = worst_t = 0.0
-    tail_bounds = {}
     for r in radii:
-        tail_bounds[r] = p.tail_bound(r)
         vals = p.eval_on_circle(r, grid_size)
         margins = membership_margins(region, vals)
         i = int(np.argmin(margins))
         if margins[i] < best:
             best = float(margins[i])
             worst_r, worst_t = float(r), float(t[i])
-    certified = all(v < DEFAULTS.tail_tol for v in tail_bounds.values())
-    return SubordinationResult(best, worst_r, worst_t, tuple(radii),
-                               tail_bounds, certified)
+    tail = p.tail_bound(max(radii))
+    return SubordinationResult(best, worst_r, worst_t, tail,
+                               tail < DEFAULTS.tail_tol)
 
 
 # --- premise-exact implication trials ----------------------------------------

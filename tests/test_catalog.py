@@ -222,6 +222,32 @@ def test_affine_solve_agrees_with_bisection_oracle(lemma):
             assert oracle == pytest.approx(x_star, abs=1e-9, rel=1e-9)
 
 
+# --- rule statements ------------------------------------------------------------
+
+# the statement text and parameters of every rule, as the paper states them;
+# the catalog derives both from each row's targets, style and exponent
+STATED = {
+    LemmaId.L1: ("1 + b*z*p'/p^k < (1+Az)/(1+Bz)  =>  p < sqrt(1+z)", "ABk"),
+    LemmaId.L2: ("1 + b*z*p' < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)", "AB"),
+    LemmaId.L3: ("1 + b*z*p'/p < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)", "AB"),
+    LemmaId.L4: ("1 + b*z*p'/p^2 < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)", "AB"),
+    LemmaId.L5: ("p + b*z*p' < sqrt(1+z)  =>  p < sqrt(1+z)", ""),
+    LemmaId.L6: ("p + b*z*p'/p < sqrt(1+z)  =>  p < sqrt(1+z)", ""),
+    LemmaId.L7: ("p + b*z*p'/p^2 < sqrt(1+z)  =>  p < sqrt(1+z)", ""),
+    LemmaId.L8: ("p + b*z*p'/p < sqrt(1+z)  =>  p < (1+Az)/(1+Bz)", "AB"),
+    LemmaId.L9: ("1 + b*z*p' < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)", "ABDE"),
+    LemmaId.L10: ("1 + b*z*p'/p < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)", "ABDE"),
+    LemmaId.L11: ("1 + b*z*p'/p^2 < (1+Dz)/(1+Ez)  =>  p < (1+Az)/(1+Bz)", "ABDE"),
+}
+
+
+@pytest.mark.parametrize("lemma", ALL)
+def test_statement_and_parameters_derived_from_row(lemma):
+    statement, names = STATED[lemma]
+    assert CATALOG[lemma].statement == statement
+    assert CATALOG[lemma].uses == frozenset(names) | {"beta"}
+
+
 # --- parameter validation ------------------------------------------------------
 
 def test_validation_rejects_bad_domains():

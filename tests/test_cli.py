@@ -43,6 +43,18 @@ def test_verify_exit_zero_on_verified(tmp_path, capsys):
     assert doc["results"]["margin"]["min_margin"] == pytest.approx(3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [None, "0.5"])
+def test_report_echoes_the_margin_tolerance_applied(tmp_path, tol):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
+            "--json", str(out)]
+    assert run(argv + (["--tol", tol] if tol else [])) == 0
+    doc = json.loads(out.read_text())
+    applied = float(tol) if tol else lemnisub.DEFAULTS.margin_tol
+    assert doc["metadata"]["config"]["tol"] == applied
+    assert doc["metadata"]["tolerances"]["margin"] == applied
+
+
 def test_verify_exit_one_on_hypothesis_failure(tmp_path):
     assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
                 "--beta", "1"]) == 1
@@ -78,10 +90,15 @@ def test_invalid_config_exit_two_aggregated(tmp_path, capsys):
     for argv, expected in [
         (["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
           "--radii", "5,x", "--order", "-4", "--json", str(out)],
-         [radii_numbers, "--order must be non-negative, got -4"]),
+         [radii_numbers, "--order must be at least 1, got -4"]),
         (["threshold", "--lemma", "L2", "--A", "1", "--B", "0",
           "--radii", "x", "--order", "-1"],
-         [radii_numbers, "--order must be non-negative, got -1"]),
+         [radii_numbers, "--order must be at least 1, got -1"]),
+        # at order 0 the truncated solution is the constant 1, which
+        # would pass every trial
+        (["falsify", "--lemma", "L3", "--A=-0.305", "--B=-0.547",
+          "--beta", "3.4555", "--trials", "3", "--seed", "3", "--order", "0"],
+         ["--order must be at least 1, got 0"]),
         (["falsify", "--lemma", "L5", "--beta", "1", "--trials", "1",
           "--order", "8", "--grid", "3"],
          ["--grid must be at least 64, got 3"]),
@@ -195,11 +212,13 @@ def test_largest_allowed_beta_runs(lemma, params):
 def test_negative_order_rejected_with_every_problem_listed(tmp_path, capsys,
                                                            command):
     output = ["--svg", str(tmp_path / "p.svg")] if command == "plot" else []
-    assert run([command, "--lemma", "L5", "--beta", "-1", "--order", "-3",
-                *output]) == 2
-    err = capsys.readouterr().err
-    assert "--order must be non-negative, got -3" in err
-    assert "needs beta > 0" in err and "Traceback" not in err
+    for order in ("-3", "0"):
+        assert run([command, "--lemma", "L5", "--beta", "-1", "--order", order,
+                    *output]) == 2
+        err = capsys.readouterr().err
+        assert f"--order must be at least 1, got {order}" in err
+        assert "needs beta > 0" in err and "Traceback" not in err
+    assert not (tmp_path / "p.svg").exists()
 
 
 # --- threshold sweeps -------------------------------------------------------------

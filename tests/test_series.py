@@ -1,3 +1,4 @@
+import doctest
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import lemnisub.series
 from lemnisub import PowerSeries
 from lemnisub.errors import (
     ConstantTermNotOne,
@@ -24,6 +26,11 @@ def binom_half(n_terms):
     for n in range(1, n_terms):
         out.append(out[-1] * (0.5 - n + 1) / n)
     return np.array(out)
+
+
+def test_module_examples_run():
+    result = doctest.testmod(lemnisub.series)
+    assert result.failed == 0 and result.attempted == 4
 
 
 def test_polynomial_product_identity():

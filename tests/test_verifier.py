@@ -393,6 +393,23 @@ def test_subordination_margin_matches_horner_on_premise_solves(lemma):
         assert subordination_check(p, region).margin == pytest.approx(horner, abs=1e-12)
 
 
+@pytest.mark.parametrize("lemma", list(LemmaId))
+def test_subordination_tail_verdict_is_that_of_every_radius(lemma):
+    # the tail bound |c_N| r^N/(1-r) grows with r, so the bound at the
+    # largest radius decides for the whole schedule
+    rng = np.random.default_rng(zlib.crc32((lemma.value + "tail").encode()))
+    # the last schedule is uncertified on most rules, its 0.9 certified
+    for radii in ((0.5, 0.95, 0.8), (0.999, 0.9), (0.3,), (0.9, 0.99999)):
+        params = draw_valid_params(lemma, rng)
+        thr = closed_form_threshold(lemma, params)
+        params = params.with_beta(1.5 * thr.beta_star if thr.beta_star else 1.0)
+        p = solve_premise(lemma, params, random_schwarz(rng)).p
+        sub = subordination_check(p, conclusion_region(lemma, params), radii)
+        assert sub.certified == all(p.tail_bound(r) < DEFAULTS.tail_tol
+                                    for r in radii)
+        assert sub.tail_bound == p.tail_bound(max(radii))
+
+
 # --- implication trials -------------------------------------------------------------
 
 def test_trial_l2_identity_schwarz():
