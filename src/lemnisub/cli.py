@@ -132,15 +132,23 @@ def _parse_radii(raw: str, errors: list) -> tuple:
     return radii
 
 
+_MAX_GRID = 2 ** 20
+
+
 def _check_options(args, errors: list) -> tuple:
     """Append the problems with --grid, --radii, --order, --tol and --seed,
     which every subcommand takes and checks even where it does not use
     them, and with falsify's --trials; return the parsed radii."""
+    # the upper bounds keep a huge value from reaching numpy's allocator
     if args.grid < 64:
         errors.append(f"--grid must be at least 64, got {args.grid}")
+    if args.grid > _MAX_GRID:
+        errors.append(f"--grid must be at most {_MAX_GRID}, got {args.grid}")
     radii = _parse_radii(args.radii, errors)
     if args.order is not None and args.order < 1:
         errors.append(f"--order must be at least 1, got {args.order}")
+    if args.order is not None and args.order > DEFAULTS.max_order:
+        errors.append(f"--order must be at most {DEFAULTS.max_order}, got {args.order}")
     # the criterion is min_margin >= 1 - tol, and margins are moduli, so a
     # tol of 1 or more (or NaN) passes every point
     if not 0.0 <= args.tol < 1.0:

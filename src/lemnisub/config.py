@@ -34,6 +34,8 @@ class Defaults:
     radii: tuple[float, ...] = (0.9, 0.99, 0.999)
     series_order: int = 64
     max_series_order: int = 512
+    # largest order of any series: compose_target's cap and --order's bound
+    max_order: int = 16384
 
     # admissibility radius used for verdicts (strictly inside the disk);
     # reported constants are measured at radius 1 on the punctured grid

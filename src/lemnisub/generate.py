@@ -22,10 +22,20 @@ coefficientwise; one recursion serves both styles,
     (beta n + own) c_n = F_n + sum_{j=1}^{n-1} G_j u_{n-j},
 
 with own = 1 for convective entries and 0 for affine ones, G = F - own p
-and u = p^m.  Euler's power step extends u by one coefficient in O(n),
-so a full solve is O(N^2).  The recursion is exact: the reported
-residual is the largest coefficient of (premise functional - F(w)) after
-the fact.
+and u = p^m.  The solve branches once on m:
+
+* m = 0: u = 1 and the sum vanishes, so c_n = F_n/(beta n + own) is one
+  vectorised division;
+* m = 1: u is p itself, one dot product per coefficient;
+* m = 2: u_n = 2 c_n + sum_{j=1}^{n-1} c_j c_{n-j}, a second dot product;
+* any other m (L1 with k outside {0, 1, 2}): Euler's power step, shared
+  with ``PowerSeries.power``, extends u by one coefficient in O(n).
+
+A full solve is O(N^2), except for m = 0.  The recursion is exact: the
+reported residual is the largest coefficient of
+beta z p' - (F - theta(p)) u after the fact, one Cauchy product with the
+solve's own u and no series division.  It is the defect of the premise
+functional, theta(p) + beta z p'/p^m - F, times u.
 """
 
 from __future__ import annotations
@@ -44,7 +54,6 @@ _SUP_SAMPLES = 4096
 _SUP_TOL = 1e-12
 _SAFETY = 1.0000001
 _POLY_DEGREE = 8           # degree of the random polynomial family
-_TARGET_MAX_ORDER = 16384  # cap of compose_target's doubling
 
 
 @dataclass(frozen=True)
@@ -152,8 +161,8 @@ def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
     n = 1024
     p = build(n)
     while p.tail_bound(max(DEFAULTS.radii)) >= DEFAULTS.tail_tol \
-            and n < _TARGET_MAX_ORDER:
-        n = min(2 * n, _TARGET_MAX_ORDER)
+            and n < DEFAULTS.max_order:
+        n = min(2 * n, DEFAULTS.max_order)
         p = build(n)
     return p
 
@@ -182,34 +191,53 @@ def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     if not own and abs(beta) < 1e-14:
         raise RecursionBreakdown("vanishing pivot beta*n at n=1")
     F = _target_series(premise_region(lemma, params), w.series.pad_to(order)).coeffs
-
+    pivots = beta * np.arange(order + 1) + own
     c = np.zeros(order + 1, dtype=complex)
-    u = np.zeros(order + 1, dtype=complex)   # u = p^m
     c[0] = 1.0
-    u[0] = 1.0
-    G = F.copy()                             # G = F - own * p, filled as c grows
     # a diverging solve overflows to inf/nan; its residual reports that
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, order + 1):
-            c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / (beta * n + own)
-            G[n] -= own * c[n]
-            if m != 0.0:
-                u[n] = euler_power_step(m, c, u, n)
+        if m == 0.0:
+            c[1:] = F[1:] / pivots[1:]
+            u = None
+        else:
+            u, extend = _growing_power(m, c)
+            G = F.copy()                     # G = F - own * p, filled as c grows
+            for n in range(1, order + 1):
+                c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / pivots[n]
+                G[n] -= own * c[n]
+                extend(n)
+            u = PowerSeries(u)
         p = PowerSeries(c)
-        residual = _premise_residual(lemma, params, p, PowerSeries(F),
-                                     PowerSeries(u) if m != 0.0 else None)
+        residual = _premise_residual(beta, p, PowerSeries(F) - (p if own else 1.0), u)
     return PremiseSolution(p, residual, order,
                            p.tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol)
 
 
-def _premise_residual(lemma: LemmaId, params: LemmaParams, p: PowerSeries,
-                      F: PowerSeries, u: PowerSeries | None) -> float:
-    """Max coefficient of (premise functional applied to p) - F, given u = p^m."""
-    ratio = p.zderiv()
-    if u is not None:
-        ratio = ratio / u
-    lhs = params.beta * ratio + (p if CATALOG[lemma].ode_style == "convective" else 1.0)
-    return (lhs - F).max_abs_coeff()
+def _growing_power(m: float, c: np.ndarray):
+    """u = p^m as an array that grows with c, and the step that sets u_n
+    once c_n is known; m = 1 shares c itself."""
+    if m == 1.0:
+        return c, lambda n: None
+    u = np.zeros_like(c)
+    u[0] = 1.0
+    if m == 2.0:
+        def extend(n: int) -> None:
+            u[n] = 2.0 * c[n] + np.dot(c[1:n], c[n - 1 : 0 : -1])
+    else:
+        jc = np.zeros_like(c)                # jc_j = j c_j
+        ku = np.zeros_like(c)                # ku_k = k u_k
+
+        def extend(n: int) -> None:
+            jc[n] = n * c[n]
+            euler_power_step(m, c, jc, u, ku, n)
+    return u, extend
+
+
+def _premise_residual(beta: float, p: PowerSeries, G: PowerSeries,
+                      u: PowerSeries | None) -> float:
+    """Max coefficient of beta z p' - G u, with G = F - theta(p) and the
+    solve's u = p^m (None for m = 0, where u = 1)."""
+    return (beta * p.zderiv() - (G if u is None else G * u)).max_abs_coeff()
 
 
 def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,

@@ -155,10 +155,12 @@ class PowerSeries:
         """p**a for real a, by the Euler coefficient recursion; needs c0 = 1."""
         _require_constant_one(self._c)
         a = float(exponent)
+        jc = self._c * np.arange(self._c.size)
         u = np.zeros(self._c.size, dtype=complex)
+        ku = np.zeros(self._c.size, dtype=complex)
         u[0] = 1.0
         for n in range(1, u.size):
-            u[n] = euler_power_step(a, self._c, u, n)
+            euler_power_step(a, self._c, jc, u, ku, n)
         return PowerSeries(u)
 
     def sqrt(self) -> "PowerSeries":
@@ -224,14 +226,19 @@ class PowerSeries:
         return float(np.max(np.abs(self._c)))
 
 
-def euler_power_step(a: float, c: np.ndarray, u: np.ndarray, n: int) -> complex:
-    """u_n of u = p**a from c_1..c_n of p and u_0..u_{n-1}; needs c_0 = 1.
+def euler_power_step(a: float, c: np.ndarray, jc: np.ndarray, u: np.ndarray,
+                     ku: np.ndarray, n: int) -> None:
+    """Set u_n and ku_n = n u_n of u = p**a; needs c_0 = 1.
 
-    Euler's recursion reads p z u' = a u z p' coefficientwise:
-    n u_n = sum_{j=1}^{n} (a j - (n - j)) c_j u_{n-j}.
+    Reads c_1..c_n of p with jc_j = j c_j, and u_0..u_{n-1} with
+    ku_k = k u_k.  Euler's recursion reads p z u' = a u z p'
+    coefficientwise, n u_n = sum_{j=1}^{n} (a j - (n - j)) c_j u_{n-j},
+    which splits into two dot products over the running arrays:
+    n u_n = a sum_j jc_j u_{n-j} - sum_j c_j ku_{n-j}.
     """
-    j = np.arange(1, n + 1)
-    return np.dot((a * j - (n - j)) * c[1 : n + 1], u[n - 1 :: -1]) / n
+    u[n] = (a * np.dot(jc[1 : n + 1], u[n - 1 :: -1])
+            - np.dot(c[1 : n + 1], ku[n - 1 :: -1])) / n
+    ku[n] = n * u[n]
 
 
 def _require_constant_one(c: np.ndarray) -> None:

@@ -105,6 +105,17 @@ def test_invalid_config_exit_two_aggregated(tmp_path, capsys):
         (["falsify", "--lemma", "L5", "--beta", "1", "--trials", "0",
           "--radii", "2"],
          ["--trials must be at least 1", "--radii must lie in (0, 1)"]),
+        # values this large used to reach numpy's allocator and end in a
+        # MemoryError traceback; they are rejected before any allocation
+        (["falsify", "--lemma", "L5", "--beta", "1", "--order", "1000000000000"],
+         ["--order must be at most 16384, got 1000000000000"]),
+        (["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
+          "--grid", "1000000000000", "--json", str(out)],
+         ["--grid must be at most 1048576, got 1000000000000"]),
+        (["plot", "--lemma", "L5", "--beta", "1", "--order", "16385",
+          "--grid", "1048577", "--tol", "2"],
+         ["--order must be at most 16384, got 16385",
+          "--grid must be at most 1048576, got 1048577", "--tol must lie in"]),
     ]:
         assert run(argv) == 2, argv
         captured = capsys.readouterr()
@@ -297,6 +308,8 @@ def test_falsify_exploratory_below_threshold(tmp_path):
 OVERFLOWING_SOLVES = [
     ["--lemma", "L4", "--A", "0.5", "--B", "0", "--beta", "0.01"],
     ["--lemma", "L1", "--A", "1", "--B", "0", "--k", "2", "--beta", "1e-13"],
+    # a non-integer exponent overflows through Euler's power step
+    ["--lemma", "L1", "--A", "1", "--B", "0", "--k", "0.5", "--beta", "1e-13"],
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 import zlib
@@ -215,8 +216,8 @@ def test_solve_premise_rejects_non_finite_residual(order):
 
 
 def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
-    # the residual at order 64 is 3.3e92; a higher order repeats those
-    # coefficients, so doubling (to NaN at 512) would only cost more solves
+    # the residual at order 64 is 4.0e87; a higher order repeats those
+    # coefficients, so doubling (to NaN at 256) would only cost more solves
     calls = []
 
     def counting(*args):
@@ -224,15 +225,22 @@ def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
         return solve_premise_ode(*args)
 
     monkeypatch.setattr(generate, "solve_premise_ode", counting)
-    with pytest.raises(TruncationInsufficient, match=r"residual 3\.3\d*e\+92 at order 64"):
+    with pytest.raises(TruncationInsufficient, match=r"residual 3\.97\d*e\+87 at order 64"):
         solve_premise(LemmaId.L4, LemmaParams(A=0.5, B=0.0, beta=0.01), monomial(1))
     assert calls == [64]
 
 
+# u = p*p convolves where the solve adds one dot product per coefficient;
+# the two differ by rounding of coefficients of modulus about 1
+SQUARE_RESIDUAL_TOL = 1e-15
+
+
 @pytest.mark.parametrize("lemma", ALL)
 def test_residual_reuses_the_solve_power_exactly(lemma):
-    # the residual divides by the solve's own u = p^m; p.power(m) is the same
-    # Euler recursion on the same coefficients, so the two agree bit for bit
+    # the residual is max |beta z p' - (F - theta(p)) u| with the solve's own
+    # u = p^m: none for m = 0, p itself for m = 1, and for any other m but 2
+    # p.power(m), the same Euler step on the same coefficients, so these
+    # agree bit for bit
     rng = np.random.default_rng(zlib.crc32((lemma.value + "u").encode()))
     row = CATALOG[lemma]
     for order in (64, 256):
@@ -242,10 +250,98 @@ def test_residual_reuses_the_solve_power_exactly(lemma):
         w = random_schwarz(rng)
         sol = solve_premise_ode(lemma, params, w, order)
         m = row.ode_exponent(params)
-        ratio = sol.p.zderiv() / sol.p.power(m) if m != 0.0 else sol.p.zderiv()
-        lhs = params.beta * ratio + (sol.p if row.ode_style == "convective" else 1.0)
+        if m == 0.0:
+            u = None
+        elif m == 1.0:
+            u = sol.p
+        elif m == 2.0:
+            u = sol.p * sol.p
+        else:
+            u = sol.p.power(m)
         F = _target_series(premise_region(lemma, params), w.series.pad_to(order))
-        assert sol.residual == (lhs - F).max_abs_coeff()
+        G = F - (sol.p if row.ode_style == "convective" else 1.0)
+        defect = params.beta * sol.p.zderiv() - (G if u is None else G * u)
+        if m == 2.0:
+            assert abs(sol.residual - defect.max_abs_coeff()) <= SQUARE_RESIDUAL_TOL
+        else:
+            assert sol.residual == defect.max_abs_coeff()
+
+
+# --- the per-exponent branches at large order ----------------------------------
+
+FAST_ORDER = 2048
+
+
+def _solve_at(lemma, rng, k=None):
+    params = draw_valid_params(lemma, rng)
+    if k is not None:
+        params = dataclasses.replace(params, k=k)
+    thr = closed_form_threshold(lemma, params)
+    params = params.with_beta(1.2 * thr.beta_star if thr.beta_star else 1.0)
+    w = random_schwarz(rng, FAST_ORDER)
+    F = _target_series(premise_region(lemma, params), w.series.pad_to(FAST_ORDER))
+    sol = solve_premise_ode(lemma, params, w, FAST_ORDER)
+    return params, F, sol
+
+
+def _affine_closed_form(F, beta, m):
+    # 1 + beta z p'/p^m = F reads z p' p^-m = (F - 1)/beta, which integrates
+    # to p^(1-m) = 1 + ((1-m)/beta) I for m != 1 and to p = exp(I/beta) for
+    # m = 1, where z I' = F - 1, i.e. I_n = F_n/n
+    I = np.zeros_like(F.coeffs)
+    I[1:] = F.coeffs[1:] / np.arange(1, F.order + 1)
+    I = PowerSeries(I)
+    if m == 1.0:
+        return (I / beta).exp()
+    base = 1.0 + ((1.0 - m) / beta) * I
+    return base if m == 0.0 else 1.0 / base
+
+
+@pytest.mark.parametrize("lemma,k", [
+    (LemmaId.L2, None), (LemmaId.L3, None), (LemmaId.L4, None),
+    (LemmaId.L9, None), (LemmaId.L10, None), (LemmaId.L11, None),
+    (LemmaId.L1, 0.0), (LemmaId.L1, 1.0), (LemmaId.L1, 2.0),
+])
+def test_affine_solve_matches_closed_form_at_large_order(lemma, k):
+    rng = np.random.default_rng(zlib.crc32(f"{lemma.value}{k}closed".encode()))
+    for _ in range(2):
+        params, F, sol = _solve_at(lemma, rng, k)
+        closed = _affine_closed_form(F, params.beta,
+                                     CATALOG[lemma].ode_exponent(params))
+        scale = sol.p.max_abs_coeff()
+        assert np.max(np.abs(sol.p.coeffs - closed.coeffs)) <= 1e-13 * scale
+
+
+def _euler_loop(F, beta, m, own):
+    # one loop for every exponent, with Euler's power step
+    # n u_n = sum_j (m j - (n - j)) c_j u_{n-j} at every coefficient
+    c = np.zeros_like(F)
+    u = np.zeros_like(F)
+    c[0] = u[0] = 1.0
+    G = F.copy()
+    for n in range(1, F.size):
+        c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / (beta * n + own)
+        G[n] -= own * c[n]
+        if m != 0.0:
+            j = np.arange(1, n + 1)
+            u[n] = np.dot((m * j - (n - j)) * c[1 : n + 1], u[n - 1 :: -1]) / n
+    return c
+
+
+@pytest.mark.parametrize("lemma,k", [
+    (LemmaId.L5, None), (LemmaId.L6, None), (LemmaId.L7, None),
+    (LemmaId.L8, None),
+    (LemmaId.L1, -0.5), (LemmaId.L1, 0.5), (LemmaId.L1, 2.5), (LemmaId.L1, 3.0),
+])
+def test_solve_matches_euler_loop_at_large_order(lemma, k):
+    rng = np.random.default_rng(zlib.crc32(f"{lemma.value}{k}euler".encode()))
+    row = CATALOG[lemma]
+    for _ in range(2):
+        params, F, sol = _solve_at(lemma, rng, k)
+        own = 1.0 if row.ode_style == "convective" else 0.0
+        ref = _euler_loop(F.coeffs, params.beta, row.ode_exponent(params), own)
+        scale = sol.p.max_abs_coeff()
+        assert np.max(np.abs(sol.p.coeffs - ref)) <= 1e-13 * scale
 
 
 def test_affine_vanishing_pivot_raises():
