@@ -590,3 +590,65 @@ ADMISSIBILITY_EVALUATORS = {
     AdmissibilityQuantity.RE_PHI_OF_Q: phi_of_q_circle,
 }
 
+
+# --- slopes of the admissibility quantities along the circle ---------------
+#
+# On |z| = r write x = cos t.  A factor (1 + c z) contributes, with s = c r,
+#     R(s, x) = Re(s e^{it}/(1 + s e^{it})) = (s x + s^2)/(1 + 2 s x + s^2),
+#     dR/dx   = s (1 - s^2)/(1 + 2 s x + s^2)^2,
+# so w R(s, x) has the slope term (k, s) = (w s (1 - s^2), s), read as
+# k/(1 + 2 s x + s^2)^2; a constant slope k is the term (k, 0).
+
+def _mobius_slope(scale: float, factors, r: float) -> Optional[tuple]:
+    """Slope term of Re(scale (1 + a z)/(1 + b z)) on |z| = r, or None.
+
+    scale (1 + a z)/(1 + b z) = scale + scale ((a - b)/b) R(b r, x), so the
+    term is (scale (a - b) r (1 - s^2), s) with s = b r; b = 0 leaves the
+    constant slope scale a r.  None when the product has another shape.
+    """
+    a = b = 0.0
+    for c, e in factors:
+        if c == 0.0 or e == 0.0:
+            continue
+        if e == 1.0 and a == 0.0:
+            a = c
+        elif e == -1.0 and b == 0.0:
+            b = c
+        else:
+            return None
+    s = b * r
+    return scale * (a - b) * r * (1.0 - s * s), s
+
+
+def admissibility_slope(lemma: LemmaId, params: LemmaParams,
+                        quantity: AdmissibilityQuantity, r: float) -> tuple:
+    """Terms (k, s) such that d/dx Re quantity(r e^{it}) has the sign of
+    sum k/(1 + 2 s x + s^2)^2, x = cos t; zero terms are dropped.
+
+    Re z Q'/Q = 1 + sum e R(c r, x) over the factors (c, e) of Q, for any
+    real e.  When h = q + Q, z h'/Q adds q^m/beta, which must be Mobius
+    (L8: q/beta).  phi(q) = beta q^{-m} is Mobius, or a lone power
+    (1 + c z)^e with |e| <= 1, whose real part is monotone in x with the
+    sign of e c: its t-derivative is -e |z (1+z)^{e-1}| sin(t + (e-1) arg(1+z))
+    for c > 0, and 0 <= arg(1+z) <= t/2 on [0, pi] when r <= 1.  Raises
+    ValueError for a quantity of any other shape.
+    """
+    curve = _curve(lemma, params)
+    terms = [(e * c * r * (1.0 - (c * r) ** 2), c * r) for c, e in curve.factors]
+    if quantity is _PHI:
+        power = [(c, -curve.m * e) for c, e in curve.q]
+        term = _mobius_slope(params.beta, power, r)
+        if term is None and len(power) == 1 and abs(power[0][1]) <= 1.0:
+            term = (power[0][1] * power[0][0], 0.0)
+        terms = [term]
+    elif quantity is _ZH and curve.convective:
+        terms.append(_mobius_slope(1.0 / params.beta,
+                                   [(c, curve.m * e) for c, e in curve.q], r))
+    if None in terms:
+        raise ValueError(f"{lemma.value}/{quantity.value} has no closed-form "
+                         "slope on the circle")
+    merged = {}
+    for k, s in terms:
+        merged[s] = merged.get(s, 0.0) + k
+    return tuple((k, s) for s, k in merged.items() if k != 0.0)
+

@@ -26,7 +26,6 @@ class Defaults:
 
     # grids
     margin_grid: int = 4096
-    admissibility_grid: int = 8192
     subordination_grid: int = 2048
     scan_points: int = 64
 
@@ -38,7 +37,7 @@ class Defaults:
     max_order: int = 16384
 
     # admissibility radius used for verdicts (strictly inside the disk);
-    # reported constants are measured at radius 1 on the punctured grid
+    # reported constants are measured at radius 1 on the punctured circle
     verdict_radius: float = 1.0 - 1e-6
 
 

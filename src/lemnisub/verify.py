@@ -7,9 +7,15 @@ uniform boundary criterion
 
 where ``inverse`` is the premise region's global inverse map.  This
 module measures that margin on a dense angular grid with golden-section
-refinement, measures the Miller-Mocanu admissibility minima from the
-closed-form derivative quantities, and semi-decides subordination of
-concrete power series by sampling an exhaustion of the disk.
+refinement and semi-decides subordination of concrete power series by
+sampling an exhaustion of the disk.
+
+The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
+quantity's real part is, in x = cos t, a constant plus terms
+w R(c r, x) with R(s, x) = Re(s z/(1 + s z)) (and at most a term linear
+in x), or monotone in x; its minimum therefore sits at t = 0, at t = pi
+or at the one stationary angle solved in closed form, and the
+closed-form quantity is evaluated at those angles only.
 
 Empirical beta thresholds are solved exactly per angle.  For every
 margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
@@ -44,6 +50,7 @@ from .catalog import (
     LemmaId,
     LemmaParams,
     ThresholdStatus,
+    admissibility_slope,
     closed_form_threshold,
     conclusion_region,
     dominant_Q_on_circle,
@@ -76,6 +83,8 @@ _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
 _FD_STEP = 1e-6                 # largest step of the derivative cross-check
 _FD_RTOL = 1e-5                 # its relative tolerance
+# angles of the derivative cross-check
+_CROSS_CHECK_ANGLES = np.linspace(-math.pi, math.pi, 64, endpoint=False)
 _WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
 
 
@@ -239,39 +248,64 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
 
 # --- admissibility -----------------------------------------------------------
 
+def _candidate_angles(lemma: LemmaId, params: LemmaParams,
+                      quantity: AdmissibilityQuantity, radius: float) -> np.ndarray:
+    """Angles in [0, pi] among which the quantity's real part is least.
+
+    The real part is even in t, and in x = cos t its slope has the sign
+    of sum k/D(s, x)^2 with D(s, x) = 1 + 2 s x + s^2 and at most two
+    terms (``admissibility_slope``).  One term keeps its sign, so the
+    minimum sits at t = 0 or pi; two terms of opposite sign cancel only
+    where D(s1, x) = rho D(s2, x), rho = sqrt(-k1/k2), which is linear in
+    x.  On the unit circle the candidates are clipped out of the
+    punctures around singular angles (which are 0 or pi).
+    """
+    terms = admissibility_slope(lemma, params, quantity, radius)
+    if len(terms) > 2:
+        raise ValueError(f"{lemma.value}/{quantity.value}: {len(terms)} slope "
+                         "terms, no closed-form stationary point")
+    t = [0.0, math.pi]
+    if len(terms) == 2:
+        (k1, s1), (k2, s2) = terms
+        if k1 * k2 < 0.0:
+            rho = math.sqrt(-k1 / k2)
+            den = 2.0 * (s1 - rho * s2)
+            x = (rho * (1.0 + s2 * s2) - (1.0 + s1 * s1)) / den if den else math.nan
+            if -1.0 < x < 1.0:
+                t.append(math.acos(x))
+    if radius == 1.0:
+        sing = singular_angles(lemma, params)
+        puncture = DEFAULTS.puncture_radius
+        t = np.clip(t, puncture if 0.0 in sing else 0.0,
+                    math.pi - puncture if math.pi in sing else math.pi)
+    return np.asarray(t, dtype=float)
+
+
 def admissibility_min(lemma: LemmaId, params: LemmaParams,
                       quantity: AdmissibilityQuantity,
-                      radius: float = 1.0,
-                      grid_size: int = DEFAULTS.admissibility_grid) -> float:
-    """Minimum of the requested real part over a punctured angular grid.
+                      radius: float = 1.0) -> float:
+    """Minimum of the requested real part over the circle |z| = radius.
 
     The quantities come from closed-form derivatives of the catalog's Q
-    and h; a central finite difference along the circle cross-checks the
-    derivative quantities at a subsample (relative tolerance 1e-5, step
-    at most 1e-6, see ``_derivative_cross_check``).  The smallest
-    samples are sharpened by golden-section refinement.
+    and h, evaluated at the at most three angles where the minimum can
+    sit (``_candidate_angles``); at radius 1 the singular angles are
+    punctured with radius 1e-6.  A central finite difference along the
+    circle cross-checks the derivative quantities at 64 angles (relative
+    tolerance 1e-5, step at most 1e-6, see ``_derivative_cross_check``).
     """
     validate(lemma, params)
     if not (0.0 < radius <= 1.0):
         raise ValueError("radius must lie in (0, 1]")
-    evaluator = ADMISSIBILITY_EVALUATORS[quantity]
-    sing = singular_angles(lemma, params) if radius == 1.0 else ()
-    t = _punctured_grid(grid_size, sing)
-    vals = evaluator(lemma, params, t, radius).real
-
     if quantity is not AdmissibilityQuantity.RE_PHI_OF_Q:
-        _derivative_cross_check(lemma, params, quantity, radius, t)
-
-    seeds = t[np.argsort(vals)[:_REFINE_SEEDS]]
-    _, fb = _refine_minima(lambda x: evaluator(lemma, params, x, radius).real,
-                           seeds, grid_size, sing)
-    best = float(np.min(vals))
-    return min(best, float(np.min(fb))) if fb.size else best
+        _derivative_cross_check(lemma, params, quantity, radius)
+    t = _candidate_angles(lemma, params, quantity, radius)
+    vals = ADMISSIBILITY_EVALUATORS[quantity](lemma, params, t, radius).real
+    return float(np.min(vals))
 
 
 def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
-                            quantity: AdmissibilityQuantity, radius: float,
-                            t: np.ndarray) -> None:
+                            quantity: AdmissibilityQuantity,
+                            radius: float) -> None:
     """Verify z f'(z)/Q(z) against a central difference along the circle.
 
     The step shrinks to 1e-3 of each sample's distance to the nearest
@@ -279,7 +313,7 @@ def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
     the difference near 1e-6 relative however close a pole sits to the
     circle; deviations are measured relative to max(1, |closed form|).
     """
-    sub = t[:: max(1, t.size // 64)]
+    sub = _CROSS_CHECK_ANGLES
     # keep clear of punctures where derivatives blow up; singular angles
     # are 0 or pi, so |t| measures the distance to them
     for s in singular_angles(lemma, params):
@@ -366,8 +400,7 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
     admissibility = {}
     for qty in row.verdict_quantities:
         admissibility[qty.value] = admissibility_min(
-            lemma, params, qty, radius=DEFAULTS.verdict_radius,
-            grid_size=DEFAULTS.admissibility_grid // 4)
+            lemma, params, qty, radius=DEFAULTS.verdict_radius)
 
     notes = []
     profile = den_winding = None

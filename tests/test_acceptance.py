@@ -181,7 +181,7 @@ def test_criterion_05_admissibility_constants():
     for lemma, expect in expects.items():
         m = admissibility_min(lemma, LemmaParams(beta=1.0),
                               AdmissibilityQuantity.RE_ZQP_OVER_Q,
-                              radius=1.0, grid_size=8192)
+                              radius=1.0)
         measured[lemma.value] = m
         ok = ok and abs(m - expect) <= 1e-9
     assert _verdict(5, "admissibility constants 3/4, 1/2, 1/4", ok,

@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lemnisub
 from lemnisub.cli import main
@@ -123,6 +128,37 @@ def test_invalid_config_exit_two_aggregated(tmp_path, capsys):
         assert all(msg in captured.err for msg in expected), captured.err
         assert "Traceback" not in captured.err
     assert not out.exists()
+
+
+# edge values of every parameter: the domain ends, just inside them, zero,
+# tiny and non-finite, or the parameter left out; next to uniform draws
+_EDGE_VALUES = [1.0, -1.0, 1.0 - 1e-7, -(1.0 - 1e-7), 0.0, 1e-300, -1e-300,
+                math.nan, math.inf, -math.inf, None]
+
+
+def _fuzz_value(bound):
+    return st.sampled_from(_EDGE_VALUES) | st.floats(-bound, bound)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(lemma=st.sampled_from([f"L{i}" for i in range(1, 12)]),
+       values=st.fixed_dictionaries({**{name: _fuzz_value(1.0) for name in
+                                        ("A", "B", "D", "E")},
+                                     "k": _fuzz_value(3.0),
+                                     "beta": _fuzz_value(20.0)}))
+def test_verify_fuzz_exits_cleanly(lemma, values):
+    argv = ["verify", "--lemma", lemma]
+    for name, value in values.items():
+        if value is not None:
+            argv += [f"--{name}", repr(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -258,7 +258,7 @@ NEAR_POLE_L9 = LemmaParams(A=-0.19149202174029467, B=-0.9998703276536798,
 def test_cross_check_accepts_pole_near_circle():
     m = admissibility_min(LemmaId.L9, NEAR_POLE_L9,
                           AdmissibilityQuantity.RE_ZQP_OVER_Q,
-                          radius=1.0 - 1e-6, grid_size=2048)
+                          radius=1.0 - 1e-6)
     assert m > 0.0
     assert check_superordination(LemmaId.L9, NEAR_POLE_L9).verdict is Verdict.VERIFIED
 
@@ -278,8 +278,7 @@ def test_cross_check_rejects_closed_form_off_by_1e3(monkeypatch, lemma, params,
     monkeypatch.setitem(verify.ADMISSIBILITY_EVALUATORS, quantity, skewed)
     monkeypatch.setattr(verify, "zhprime_over_q_circle", skewed)
     with pytest.raises(LemnisubError, match="cross-check deviates"):
-        admissibility_min(lemma, params, quantity, radius=1.0 - 1e-6,
-                          grid_size=2048)
+        admissibility_min(lemma, params, quantity, radius=1.0 - 1e-6)
 
 
 # --- verdicts -------------------------------------------------------------------
