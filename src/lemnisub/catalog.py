@@ -74,6 +74,8 @@ Subordinations, 2000, section 3.4), and q, Q are products of (1 + c z)^e:
 
 Hence z Q'/Q = 1 + sum e c z/(1 + c z), z h'/Q = z Q'/Q (+ q^m/b if h = q + Q),
 and h or Q is singular at -1/c for each factor of negative or fractional e.
+``admissibility_slope`` reads from the same factors the slope of each
+admissibility quantity along |z| = r, in x = cos t.
 """
 
 from __future__ import annotations
@@ -628,10 +630,11 @@ def admissibility_slope(lemma: LemmaId, params: LemmaParams,
     Re z Q'/Q = 1 + sum e R(c r, x) over the factors (c, e) of Q, for any
     real e.  When h = q + Q, z h'/Q adds q^m/beta, which must be Mobius
     (L8: q/beta).  phi(q) = beta q^{-m} is Mobius, or a lone power
-    (1 + c z)^e with |e| <= 1, whose real part is monotone in x with the
-    sign of e c: its t-derivative is -e |z (1+z)^{e-1}| sin(t + (e-1) arg(1+z))
-    for c > 0, and 0 <= arg(1+z) <= t/2 on [0, pi] when r <= 1.  Raises
-    ValueError for a quantity of any other shape.
+    (1 + w)^e, w = c z, with |e| <= 1, whose real part is monotone in x
+    with the sign of e c: for c > 0 its t-derivative is
+    -e |w (1+w)^{e-1}| sin(t + (e-1) arg(1+w)), and on [0, pi]
+    0 <= arg(1+w) <= t/2 when c r <= 1.  Raises ValueError for a quantity
+    of any other shape.
     """
     curve = _curve(lemma, params)
     terms = [(e * c * r * (1.0 - (c * r) ** 2), c * r) for c, e in curve.factors]
@@ -651,4 +654,3 @@ def admissibility_slope(lemma: LemmaId, params: LemmaParams,
     for k, s in terms:
         merged[s] = merged.get(s, 0.0) + k
     return tuple((k, s) for s, k in merged.items() if k != 0.0)
-

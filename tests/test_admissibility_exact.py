@@ -145,17 +145,11 @@ def test_phi_of_q_is_monotone_in_t(lemma, radius):
         if not terms:   # constant, L5 everywhere and L7 on the unit circle
             assert np.all(np.abs(steps) <= slack)
             continue
-        # the slope in x = cos t has the sign of k, so in t the opposite one
-        assert np.all(-math.copysign(1.0, terms[0][0]) * steps >= -slack)
-        assert admissibility_min(lemma, params, _PHI, radius) == min(values[0], values[-1])
-
-
-def test_l6_phi_minimum_sits_at_zero():
-    params = LemmaParams(beta=1.0)
-    for radius in (0.3, 0.9, 1.0 - 1e-6, 1.0):
-        assert np.array_equal(_candidate_angles(LemmaId.L6, params, _PHI, radius)[:1], [0.0])
-        at_zero = phi_of_q_circle(LemmaId.L6, params, np.zeros(1), radius).real[0]
-        assert admissibility_min(LemmaId.L6, params, _PHI, radius) == at_zero
+        # the slope in x = cos t has the sign of k < 0, so the real part
+        # rises with t and is least at t = 0 (for L6 too)
+        assert terms[0][0] < 0.0
+        assert np.all(steps >= -slack)
+        assert admissibility_min(lemma, params, _PHI, radius) == values[0]
 
 
 @pytest.mark.parametrize("e", [-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
