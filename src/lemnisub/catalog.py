@@ -495,6 +495,56 @@ def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,
     return _h_minus_one(lemma, params, np.exp(1j * t), t)
 
 
+def poly_mul(a, b) -> np.ndarray:
+    """Product of two polynomials given by ascending coefficient arrays,
+    1-D or 2-D (one axis per variable)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(tuple(i + j - 1 for i, j in zip(a.shape, b.shape)))
+    for index, value in np.ndenumerate(a):
+        out[tuple(slice(i, i + n) for i, n in zip(index, b.shape))] += value * b
+    return out
+
+
+def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
+    """Real polynomials (N0, N1, D) in z with h - 1 = (N0 + beta N1)/D.
+
+    The arrays hold ascending coefficients and have one length.  D is the
+    least common multiple of the denominators of Q and, when h = q + Q,
+    of q; then N1 = scale z prod (1 + c z)^e D and N0 = (q - 1) D.  None
+    when an exponent is not an integer (L1 at non-integer kappa).
+    """
+    curve = _curve(lemma, params)
+    parts = []
+    for part in (curve.factors, curve.q if curve.convective else None):
+        if part is None:
+            continue
+        merged = {}
+        for c, e in part:
+            if c != 0.0 and e != 0.0:
+                merged[c] = merged.get(c, 0.0) + e
+        if not all(e.is_integer() for e in merged.values()):
+            return None
+        parts.append(merged)
+    den = {}
+    for merged in parts:
+        for c, e in merged.items():
+            den[c] = max(den.get(c, 0), int(-e))
+
+    def times_den(merged: dict) -> np.ndarray:
+        out = np.ones(1)
+        for c, n in den.items():
+            for _ in range(n + int(merged.get(c, 0.0))):
+                out = poly_mul(out, (1.0, c))
+        return out
+
+    D = times_den({})
+    N1 = curve.scale * poly_mul((0.0, 1.0), times_den(parts[0]))
+    qD = times_den(parts[1]) if curve.convective else D
+    size = max(D.size, N1.size, qD.size)
+    D, N1, qD = (np.pad(p, (0, size - p.size)) for p in (D, N1, qD))
+    return qD - D, N1, D
+
+
 def dominant_Q_on_circle(lemma: LemmaId, params: LemmaParams,
                          t: np.ndarray, r: float = 1.0) -> np.ndarray:
     """Q on |z| = r, through the stable circle forms when r = 1."""

@@ -55,7 +55,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{name}", default=None,
                        help=f"parameter {name} (threshold: comma list sweeps)")
     p.add_argument("--grid", type=int, default=DEFAULTS.margin_grid,
-                   help="angular grid size for margin profiles")
+                   help="angular grid size. verify samples the boundary "
+                        "margin on it and solves the minima between samples "
+                        "exactly; threshold uses min(--grid, 2048) angles, "
+                        "which seed its exact solve. For L1 at non-integer "
+                        "k both refine the grid by golden section instead")
     p.add_argument("--radii", default=",".join(str(r) for r in DEFAULTS.radii),
                    help="subordination radius schedule")
     p.add_argument("--order", type=int, default=None,

@@ -6,9 +6,19 @@ uniform boundary criterion
     |inverse(h(e^{it}))| >= 1,   -pi <= t <= pi,
 
 where ``inverse`` is the premise region's global inverse map.  This
-module measures that margin on a dense angular grid with golden-section
-refinement and semi-decides subordination of concrete power series by
-sampling an exhaustion of the disk.
+module measures that margin on a dense angular grid and semi-decides
+subordination of concrete power series by sampling an exhaustion of the
+disk.
+
+For every margin rule but L1 at non-integer kappa, h - 1 is rational in
+z with real coefficients and affine in beta, so on the circle the
+squared margin is P/R for polynomials P, R in beta and x = cos t, and
+margin >= 1 is F = P - R >= 0.  The margin minima between grid samples
+are then the stationary points of P/R, and the threshold's scan minima
+and binding angle are solved from F; values are still taken per angle,
+where they keep their relative accuracy.  L1 at non-integer kappa is
+transcendental in x and keeps grid sampling with golden-section
+refinement.
 
 The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
 quantity's real part is, in x = cos t, a constant plus terms
@@ -22,8 +32,9 @@ margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
 the criterion is a polynomial inequality in beta: a quadratic for the
 Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
-bracket that a coarse beta scan of the refined minimum margin confirms,
-sharpened over the angle by golden-section refinement.
+bracket that a coarse beta scan of the minimum margin confirms; the
+binding angle solves F = dF/dx = 0 (golden section over t for L1 at
+non-integer kappa).
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -58,7 +69,9 @@ from .catalog import (
     h_minus_one_at,
     h_minus_one_on_circle,
     margin_on_circle,
+    poly_mul,
     premise_region,
+    rational_h_minus_one,
     singular_angles,
     singular_points,
     validate,
@@ -81,6 +94,7 @@ _INSET_RADIUS = 1.0 - 1e-6      # winding diagnostic circle
 _REFINE_SEEDS = 8               # brackets refined around the smallest samples
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
+_TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
 _FD_STEP = 1e-6                 # largest step of the derivative cross-check
 _FD_RTOL = 1e-5                 # its relative tolerance
 # angles of the derivative cross-check
@@ -155,6 +169,18 @@ def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
     return (lo[good], hi[good]) + tuple(a[good] for a in aligned)
 
 
+def _end_angles(sing: tuple) -> np.ndarray:
+    """Angles in [0, pi] nearest t = 0 and t = pi outside the punctures.
+
+    A puncture leaves out |t - s| <= radius, as ``_punctured_grid`` does,
+    so a punctured end moves one floating-point step past its edge.
+    """
+    puncture = DEFAULTS.puncture_radius
+    return np.array([np.nextafter(puncture, 1.0) if 0.0 in sing else 0.0,
+                     np.nextafter(math.pi - puncture, 0.0) if math.pi in sing
+                     else math.pi])
+
+
 def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
                    *aligned: np.ndarray) -> tuple:
     """Golden-section minima of f(x, *aligned) within a grid step of each seed.
@@ -173,16 +199,173 @@ def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
     return (xb, fb, *aligned)
 
 
+# --- real roots of columns of polynomials -------------------------------------
+
+def _poly_value(c: np.ndarray, x):
+    """Value and derivative of sum_k c[k] x^k by Horner's rule."""
+    f, d = c[-1], 0.0
+    for ck in c[-2::-1]:
+        d = d * x + f
+        f = f * x + ck
+    return f, d
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative along the first axis."""
+    k = np.arange(1.0, c.shape[0])
+    return c[1:] * k.reshape((-1,) + (1,) * (c.ndim - 1))
+
+
+def _newton_in_bracket(c: np.ndarray, left, right,
+                       x: np.ndarray) -> np.ndarray:
+    """Crossing of F = 0 inside each column's [left, right].
+
+    Newton steps from x; a step that leaves the shrinking bracket is
+    replaced by its midpoint, so each column converges.  Columns where
+    F < 0 holds at both ends or at neither come back NaN.
+    """
+    neg_left = _poly_value(c, left)[0] < 0.0
+    dead = neg_left == (_poly_value(c, right)[0] < 0.0)
+    for _ in range(_NEWTON_STEPS):
+        f, d = _poly_value(c, x)
+        same = (f < 0.0) == neg_left
+        left = np.where(same, x, left)
+        right = np.where(same, right, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - f / d
+        nxt = np.where((nxt >= left) & (nxt <= right), nxt, 0.5 * (left + right))
+        settled = np.abs(nxt - x) <= _ROOT_RTOL * np.abs(nxt)
+        x = nxt
+        if (settled | dead).all():
+            break
+    return np.where(dead, np.nan, x)
+
+
+def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Points of [lo, hi] where each column's F changes between < 0 and >= 0.
+
+    Returns shape (deg, n), ascending per column and NaN-padded.  The
+    crossings of F' cut [lo, hi] into pieces on which F is monotone, so
+    a piece whose ends differ in sign holds exactly one crossing.
+    """
+    deg, n = c.shape[0] - 1, c.shape[1]
+    if deg == 0:
+        return np.empty((0, n))
+    crit = _crossings(_derivative(c), lo, hi)
+    cuts = np.concatenate([np.full((1, n), lo),
+                           np.where(np.isnan(crit), hi, crit),
+                           np.full((1, n), hi)])
+    left, right = cuts[:-1], cuts[1:]
+    return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
+                   axis=0)
+
+
+# --- the margin criterion as a polynomial in x = cos t -------------------------
+#
+# When h - 1 = (N0 + beta N1)/D with real polynomials N0, N1, D in z
+# (``rational_h_minus_one``), the squared margin on |z| = 1 is P/R with P
+# and R polynomials in beta and x = cos t.  They are stored as 2-D arrays
+# of ascending coefficients, beta down the rows and x along the columns,
+# and margin >= 1 holds exactly where F = P - R >= 0:
+#     Mobius premise      P = |N|^2,          R = |(X-Y) D - Y N|^2
+#     lemniscate premise  P = |N|^2 |2D + N|^2,  R = |D|^4
+
+def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re(p(z) conj q(z)) on |z| = 1, as ascending coefficients in x = cos t.
+
+    For real p and q it is sum_{j,k} p_j q_k cos((j - k) t): a Chebyshev
+    series whose coefficient of T_d(x) = cos(d t) sums the
+    cross-correlations of p and q at lags d and -d.
+    """
+    cheb = np.zeros(max(p.size, q.size))
+    for j, pj in enumerate(p):
+        for k, qk in enumerate(q):
+            cheb[abs(j - k)] += pj * qk
+    out, prev, cur = np.zeros(cheb.size), np.zeros(cheb.size), np.zeros(cheb.size)
+    cur[0] = 1.0
+    for d, coeff in enumerate(cheb):
+        out += coeff * cur
+        nxt = np.zeros(cheb.size)          # T_{d+1} = 2x T_d - T_{d-1}, T_1 = x
+        nxt[1:] = (1.0 if d == 0 else 2.0) * cur[:-1]
+        prev, cur = cur, nxt - (prev if d else 0.0)
+    return out
+
+
+def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """|p0 + beta p1|^2 on |z| = 1, rows in ascending powers of beta."""
+    return np.array([_circle_product(p0, p0), 2.0 * _circle_product(p0, p1),
+                     _circle_product(p1, p1)])
+
+
+def _margin_ratio(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
+    """(P, R) with margin^2 = P/R on the unit circle, or None when h - 1
+    has no rational form."""
+    form = rational_h_minus_one(lemma, params)
+    if form is None:
+        return None
+    N0, N1, D = form
+    region = premise_region(lemma, params)
+    if isinstance(region, Janowski):
+        X, Y = region.A, region.B
+        return _affine_abs2(N0, N1), _affine_abs2((X - Y) * D - Y * N0, -Y * N1)
+    d2 = _circle_product(D, D)[None, :]
+    return (poly_mul(_affine_abs2(N0, N1), _affine_abs2(2.0 * D + N0, N1)),
+            poly_mul(d2, d2))
+
+
+def _criterion_polynomial(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """F = P - R, which is >= 0 exactly where margin >= 1."""
+    F = np.zeros(np.maximum(P.shape, R.shape))
+    F[:P.shape[0], :P.shape[1]] += P
+    F[:R.shape[0], :R.shape[1]] -= R
+    return F
+
+
+def _at_beta(C: np.ndarray, beta: float) -> np.ndarray:
+    """sum_j beta^j C_j in powers of x, up to a positive factor.
+
+    The factor scales the largest term beta^j C_j to size 1, so no beta
+    the rules accept (1e-300 to 1e100) overflows or underflows the
+    result; P/R keeps its stationary points.
+    """
+    j = np.arange(C.shape[0])
+    size = np.max(np.abs(C), axis=1)
+    with np.errstate(divide="ignore"):
+        log_term = j * math.log(abs(beta)) + np.log(size)   # -inf for zero rows
+    w = np.exp(log_term - np.max(log_term)) * np.sign(beta) ** j
+    return np.sum(w[:, None] * C / np.where(size > 0.0, size, 1.0)[:, None], axis=0)
+
+
+def _stationary_minima(P: np.ndarray, R: np.ndarray, beta: float,
+                       ends: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Angles in [-pi, pi) of the local minima of P/R over x in cos(ends).
+
+    Inside, they are the roots of S = P'R - PR' where S rises through 0,
+    since (P/R)' = S/R^2.  Each is bracketed by a sign change of S
+    between the grid's x values and polished by Newton steps.  An end
+    counts when P/R does not rise toward it.
+    """
+    p, r = _at_beta(P, beta), _at_beta(R, beta)
+    s = poly_mul(_derivative(p), r) - poly_mul(p, _derivative(r))
+    x = np.cos(np.concatenate([ends[1:], t[(t < ends[1]) & (t > ends[0])][::-1],
+                               ends[:1]]))                 # ascending
+    v = _poly_value(s, x)[0]
+    rise = np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))
+    left, right = x[rise], x[rise + 1]
+    roots = _newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
+    tp = np.concatenate([np.arccos(roots), ends[np.array([v[-1] <= 0.0, v[0] >= 0.0])]])
+    return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])
+
+
 # --- margin profiles ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class MarginProfile:
     """Sampled boundary values of |inverse(h(e^{it}))|.
 
-    The samples include the golden-section refinement points, so
-    ``min_margin == min(margins)`` and ``argmin_t`` names one of the
-    stored angles (ties broken toward the smallest |t|; constant
-    profiles report 0).
+    The samples include the refined minima, so ``min_margin ==
+    min(margins)`` and ``argmin_t`` names one of the stored angles (ties
+    broken toward the smallest |t|; constant profiles report 0).
     """
 
     t_samples: np.ndarray
@@ -213,9 +396,12 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
                             grid_size: int = DEFAULTS.margin_grid) -> MarginProfile:
     """Boundary margin of the superordination criterion on a uniform grid.
 
-    Singular angles of h are excluded with a puncture of radius 1e-6 and
-    the smallest samples are sharpened by golden-section refinement to
-    angular resolution 1e-8.
+    Singular angles of h are excluded with a puncture of radius 1e-6.
+    When h - 1 is rational in z, the local minima of margin^2 = P/R in
+    x = cos t are solved exactly (``_stationary_minima``); otherwise (L1
+    at non-integer kappa) the smallest samples are sharpened by
+    golden-section refinement to angular resolution 1e-8.  Either way
+    the margins at the added angles come from ``margin_on_circle``.
     """
     validate(lemma, params)
     if not CATALOG[lemma].margin_criterion:
@@ -228,11 +414,16 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     t = _punctured_grid(grid_size, sing)
     margins = margin_on_circle(lemma, params, t)
 
-    finite = np.isfinite(margins)
-    seeds = t[finite][np.argsort(margins[finite])[:_REFINE_SEEDS]]
-    xb, fb = _refine_minima(lambda x: margin_on_circle(lemma, params, x),
-                            seeds, grid_size, sing)
-    xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
+    ratio = _margin_ratio(lemma, params)
+    if ratio is not None:
+        xb = _stationary_minima(*ratio, params.beta, _end_angles(sing), t)
+        fb = margin_on_circle(lemma, params, xb)
+    else:
+        finite = np.isfinite(margins)
+        seeds = t[finite][np.argsort(margins[finite])[:_REFINE_SEEDS]]
+        xb, fb = _refine_minima(lambda x: margin_on_circle(lemma, params, x),
+                                seeds, grid_size, sing)
+        xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
     cand_t = np.concatenate([t, xb])
     cand_m = np.concatenate([margins, fb])
 
@@ -451,6 +642,147 @@ def _analyze_scan(margins: np.ndarray) -> int:
     return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
 
 
+def _bracket(i0: int, betas: np.ndarray) -> tuple:
+    """The scan interval holding the upcrossing found by ``_analyze_scan``."""
+    if i0 < 0:
+        return 1e-12, float(betas[0])
+    return float(betas[i0]), float(betas[i0 + 1])
+
+
+def numeric_threshold(lemma: LemmaId, params: LemmaParams,
+                      grid_size: int = 2048) -> float:
+    """Smallest beta above which the boundary margin stays >= 1.
+
+    The minimum margin over the circle at ``DEFAULTS.scan_points`` betas
+    in [1e-6, 10 beta*] brackets the last upcrossing of the level 1 and
+    confirms it is not lost again.  At each angle margin >= 1 is
+    F(beta) >= 0 for a polynomial F of degree 2 (Mobius premise) or 4
+    (lemniscate premise) in beta, and the threshold is the largest
+    crossing of any angle's F inside that bracket.  Crossings at isolated
+    smaller beta, where the margin touches 1 from below between scan
+    points, do not register on the scan, so the reported threshold is
+    the stable one.
+
+    When h - 1 is rational in z the scan minima are exact and the binding
+    angle is solved in x = cos t (``_exact_threshold``); the punctured
+    grid's angles only seed that solve.  Otherwise (L1 at non-integer
+    kappa) the scan minima and the binding angle are refined from the
+    grid by golden section (``_grid_threshold``).
+    """
+    row = CATALOG[lemma]
+    if not row.margin_criterion:
+        raise ValueError(f"{lemma.value} has no margin criterion")
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+    base = closed_form_threshold(lemma, params)
+    if base.status is ThresholdStatus.INFEASIBLE:
+        raise InfeasibleParameters(
+            f"{lemma.value}: {base.binding_constraint}")
+    sing = singular_angles(lemma, params)
+    t = _punctured_grid(grid_size, sing)
+    betas = np.linspace(1e-6, 10.0 * base.beta_star, DEFAULTS.scan_points)
+    polynomial = _margin_polynomials(lemma, params)
+    ratio = _margin_ratio(lemma, params)
+    if ratio is None:
+        return _grid_threshold(polynomial, t, sing, betas, grid_size)
+    return _exact_threshold(polynomial, _criterion_polynomial(*ratio), t, sing,
+                            betas)
+
+
+# --- the threshold from the criterion polynomial F(x; beta) -------------------
+
+def _last_crossings(polynomial, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The largest crossing in [lo, hi] at each angle, -inf where none."""
+    return np.fmax.reduce(_crossings(_crossing_coeffs(*polynomial(t)), lo, hi),
+                          axis=0, initial=-np.inf)
+
+
+def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
+                    x_lo: float, x_hi: float) -> np.ndarray:
+    """x in [x_lo, x_hi] where F = dF/dx = 0, by Newton steps in (x, beta).
+
+    There the curve F = 0 has a horizontal tangent in beta, so the last
+    crossing in beta is stationary over x: the binding angle of the
+    threshold when it lies inside the interval.  A seed that leaves the
+    interval or diverges comes back NaN; the ends are candidates anyway.
+    """
+    # coefficients in x, each a column of coefficients in beta; padded so
+    # that d2F/dx2 stays an array
+    Fx = np.pad(F, ((0, 0), (0, max(0, 3 - F.shape[1])))).T[:, :, None]
+    dFx = _derivative(Fx)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f = _poly_value(Fx, x)[0]
+            fx, fxx = _poly_value(dFx, x)
+            v, vb = _poly_value(f, beta)
+            vx, vxb = _poly_value(fx, beta)
+            vxx = _poly_value(fxx, beta)[0]
+            det = vx * vxb - vb * vxx
+            dx = (vb * vx - v * vxb) / det
+            x, beta = x + dx, beta + (v * vxx - vx * vx) / det
+            x = np.where((x >= x_lo) & (x <= x_hi) & np.isfinite(beta), x, np.nan)
+            if not np.any(np.abs(dx[np.isfinite(x)]) > _TANGENT_XTOL):
+                break
+    return x
+
+
+def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
+                     betas: np.ndarray) -> float:
+    """``numeric_threshold`` from the criterion polynomial F(x; beta).
+
+    At each scan beta the least F over the x interval sits at an end or
+    where dF/dx rises through 0; the scan minimum is the least squared
+    margin at those angles.  The largest crossing in the bracket is
+    taken over the ends, the grid angles and the scan's least angle at
+    the bracket's lower end; the best interior peaks among them seed
+    ``_tangent_points``, whose crossings are taken too.  Every candidate
+    is an angle of the punctured circle, so none overshoots the
+    threshold.
+
+    F only places the candidates.  Their values come from the per-angle
+    polynomials in beta (``_margin_polynomials``), which keep their
+    relative accuracy where F is small against its coefficients in x:
+    near t = 0 or pi, and near poles and zeros of h on the circle.
+    """
+    ends = _end_angles(sing)
+    x_hi, x_lo = np.cos(ends)
+    slope = _derivative(_poly_value(F[:, :, None], betas)[0])
+    crit = _crossings(slope, x_lo, x_hi)
+    crit = np.where(_poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
+    angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
+                             np.arccos(crit)])
+    num, den = polynomial(angles.ravel())
+    at = np.tile(betas, angles.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
+        m2 = (_poly_value(num, at)[0] / _poly_value(den, at)[0]).reshape(angles.shape)
+    i0 = _analyze_scan(m2.min(axis=0))
+    lo, hi = _bracket(i0, betas)
+
+    # F is even in t: the ends and the grid's angles between them, in order
+    cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
+    n = cand.size
+    if i0 >= 0:
+        cand = np.append(cand, angles[np.argmin(m2[:, i0]), i0])
+    last = _last_crossings(polynomial, cand, lo, hi)
+    best = max(lo, float(np.max(last)))
+    # seeds: the peaks of the last crossing over t and the scan's least
+    # angle, inside the interval and best first
+    mid = last[1:n - 1]
+    seeds = np.concatenate([np.flatnonzero((mid >= last[:n - 2]) & (mid >= last[2:n])) + 1,
+                            np.arange(n, cand.size)])
+    seeds = seeds[np.isfinite(last[seeds]) & (cand[seeds] > ends[0])
+                  & (cand[seeds] < ends[1])]
+    seeds = seeds[np.argsort(-last[seeds])[:_REFINE_SEEDS]]
+    x = _tangent_points(F, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
+    x = x[np.isfinite(x)]
+    if x.size:
+        best = max(best, float(np.max(_last_crossings(polynomial, np.arccos(x),
+                                                      lo, hi))))
+    return best
+
+
+# --- the threshold on the grid, for curves with no rational form -------------
+
 def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
     return np.array([p.real * p.real + p.imag * p.imag,
@@ -494,59 +826,6 @@ def _crossing_coeffs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return c
 
 
-def _poly_value(c: np.ndarray, x):
-    """Value and derivative of sum_k c[k] x^k by Horner's rule."""
-    f, d = c[-1], 0.0
-    for ck in c[-2::-1]:
-        d = d * x + f
-        f = f * x + ck
-    return f, d
-
-
-def _newton_in_bracket(c: np.ndarray, left, right,
-                       x: np.ndarray) -> np.ndarray:
-    """Crossing of F = 0 inside each column's [left, right].
-
-    Newton steps from x; a step that leaves the shrinking bracket is
-    replaced by its midpoint, so each column converges.  Columns where
-    F < 0 holds at both ends or at neither come back NaN.
-    """
-    neg_left = _poly_value(c, left)[0] < 0.0
-    dead = neg_left == (_poly_value(c, right)[0] < 0.0)
-    for _ in range(_NEWTON_STEPS):
-        f, d = _poly_value(c, x)
-        same = (f < 0.0) == neg_left
-        left = np.where(same, x, left)
-        right = np.where(same, right, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - f / d
-        nxt = np.where((nxt >= left) & (nxt <= right), nxt, 0.5 * (left + right))
-        settled = np.abs(nxt - x) <= _ROOT_RTOL * np.abs(nxt)
-        x = nxt
-        if (settled | dead).all():
-            break
-    return np.where(dead, np.nan, x)
-
-
-def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Betas in [lo, hi] where each column's F changes between < 0 and >= 0.
-
-    Returns shape (deg, n), ascending per column and NaN-padded.  The
-    crossings of F' cut [lo, hi] into pieces on which F is monotone, so
-    a piece whose ends differ in sign holds exactly one crossing.
-    """
-    deg, n = c.shape[0] - 1, c.shape[1]
-    if deg == 0:
-        return np.empty((0, n))
-    crit = _crossings(c[1:] * np.arange(1.0, deg + 1.0)[:, None], lo, hi)
-    cuts = np.concatenate([np.full((1, n), lo),
-                           np.where(np.isnan(crit), hi, crit),
-                           np.full((1, n), hi)])
-    left, right = cuts[:-1], cuts[1:]
-    return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
-                   axis=0)
-
-
 def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
                  betas: np.ndarray, grid_size: int) -> tuple:
     """Minimum squared margin over the circle at each scan beta.
@@ -561,7 +840,7 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     num, den = coeffs
     minima = np.empty(betas.size)
     seeds, owner = [], []
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
         for j, beta in enumerate(betas):
             m2 = _poly_value(num, beta)[0] / _poly_value(den, beta)[0]
             minima[j] = m2.min()
@@ -583,46 +862,20 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     return minima, xb, owner
 
 
-def numeric_threshold(lemma: LemmaId, params: LemmaParams,
-                      grid_size: int = 2048) -> float:
-    """Smallest beta above which the boundary margin stays >= 1.
+def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
+                    grid_size: int) -> float:
+    """``numeric_threshold`` from the per-angle polynomials on the grid.
 
-    At each angle t of the punctured grid the squared margin is a ratio
-    of polynomials in beta, see ``_margin_polynomials``, and margin >= 1
-    is F_t(beta) >= 0 for a polynomial F_t of degree 2 (Mobius premise)
-    or 4 (lemniscate premise).  The minimum margin over the circle,
-    refined between grid points as in ``boundary_margin_profile``, at
-    ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*] brackets the last
-    upcrossing of the level and confirms it is not lost again; the
-    threshold is then the largest crossing of any F_t inside that
-    bracket, found exactly per angle and sharpened over t by
-    golden-section refinement around the best grid angles.  Crossings
-    at isolated smaller beta, where the margin touches 1 from below
-    between scan points, do not register on the scan, so the reported
-    threshold is the stable one.
+    The scan minima are refined as in ``boundary_margin_profile``; the
+    largest crossing over the grid and the scan's refined angles at the
+    bracket's lower end is sharpened over t by golden-section refinement
+    around the best grid angles.
     """
-    row = CATALOG[lemma]
-    if not row.margin_criterion:
-        raise ValueError(f"{lemma.value} has no margin criterion")
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    base = closed_form_threshold(lemma, params)
-    if base.status is ThresholdStatus.INFEASIBLE:
-        raise InfeasibleParameters(
-            f"{lemma.value}: {base.binding_constraint}")
-    sing = singular_angles(lemma, params)
-    t = _punctured_grid(grid_size, sing)
-    polynomial = _margin_polynomials(lemma, params)
     num, den = polynomial(t)
-
-    betas = np.linspace(1e-6, 10.0 * base.beta_star, DEFAULTS.scan_points)
     minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,
                                          betas, grid_size)
     i0 = _analyze_scan(minima)
-    if i0 < 0:
-        lo, hi = 1e-12, float(betas[0])
-    else:
-        lo, hi = float(betas[i0]), float(betas[i0 + 1])
+    lo, hi = _bracket(i0, betas)
     # candidate angles: the grid, and the scan's refined angles at the
     # bracket's lower end, where a dip between grid points may bind
     probes = probes[owner == i0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lemnisub
@@ -159,6 +159,63 @@ def test_verify_fuzz_exits_cleanly(lemma, values):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# threshold sweeps: one or two values per axis.  A and D are 1, just
+# inside +-1, the anchors' 0, +-1/2 or uniform; B and E sit below the
+# least of them by a share of the room down to -1 (1/2, all of it, 1e-7,
+# none, or uniform up to 1.05 of it), so most sweeps are valid, some reach
+# B = -1 or E = -1 and some leave the domain.  k takes the integer and
+# half-integer exponents, just inside -1, or a uniform value in [-1, 3].
+_UPPER = st.sampled_from([1.0, 1.0 - 1e-7, -(1.0 - 1e-7), 0.0, 0.5, -0.5]) \
+    | st.floats(-1.0, 1.0)
+_SHARE = st.sampled_from([0.5, 1.0, 1e-7, 0.0]) | st.floats(0.0, 1.05)
+_K = st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, -(1.0 - 1e-7)]) \
+    | st.floats(-1.0, 3.0)
+
+
+def _joined(values):
+    return ",".join(map(repr, values))
+
+
+@st.composite
+def _sweeps(draw):
+    out = {}
+    for upper, lower, most in (("A", "B", 2), ("D", "E", 1)):
+        tops = draw(st.lists(_UPPER, min_size=1, max_size=most))
+        shares = draw(st.lists(_SHARE, min_size=1, max_size=most))
+        out[upper] = _joined(tops)
+        out[lower] = _joined(min(tops) - share * (min(tops) + 1.0) for share in shares)
+    out["k"] = _joined(draw(st.lists(_K, min_size=1, max_size=2)))
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(lemma=st.sampled_from([f"L{i}" for i in range(1, 12)]), sweeps=_sweeps())
+# the degenerate L9 anchor, where F = beta^2 - 1 does not depend on x
+@example(lemma="L9", sweeps={"A": "1.0", "B": "0.0", "D": "1.0", "E": "0.0", "k": "1.0"})
+@example(lemma="L1", sweeps={"A": "1.0", "B": "0.0", "D": "0.0", "E": "0.0",
+                             "k": "0.0,1.0,1.5,3.0"})
+def test_threshold_fuzz_exits_cleanly(lemma, sweeps):
+    argv = ["threshold", "--lemma", lemma]
+    for name, value in sweeps.items():
+        argv += [f"--{name}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_grid_help_states_the_threshold_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["threshold", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "min(--grid, 2048)" in help_text and "(default: 4096)" in help_text
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

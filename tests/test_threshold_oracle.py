@@ -1,4 +1,4 @@
-"""The exact per-angle threshold solve against the scan-plus-bisection oracle.
+"""The threshold solve against the scan-plus-bisection oracle, on both paths.
 
 ``bisection_threshold`` is the solver ``numeric_threshold`` replaced: a
 64-point beta scan of full refined margin profiles brackets the last
@@ -115,25 +115,54 @@ _SYNTHETIC = {
 }
 
 
-@pytest.mark.parametrize("grid_size", [64, 512])
-@pytest.mark.parametrize("name", list(_SYNTHETIC))
-def test_scan_outcomes_agree_with_oracle_on_synthetic_curves(monkeypatch, name,
-                                                             grid_size):
-    b, exact = _SYNTHETIC[name]
-
+def _use_curve(monkeypatch, b, form):
+    """Put h - 1 = beta*b(t) in place of L2's curve, with ``form`` as its
+    rational form (None: no rational form, so the grid path runs)."""
     def curve(lemma, params, t):
         return params.beta * b(np.asarray(t, dtype=float))
 
     monkeypatch.setattr(catalog, "h_minus_one_on_circle", curve)
     monkeypatch.setattr(verify, "h_minus_one_on_circle", curve)
+    monkeypatch.setattr(verify, "rational_h_minus_one", lambda lemma, params: form)
+
+
+@pytest.mark.parametrize("grid_size", [64, 512])
+@pytest.mark.parametrize("name", list(_SYNTHETIC))
+def test_scan_outcomes_agree_with_oracle_on_synthetic_curves(monkeypatch, name,
+                                                             grid_size):
+    b, exact = _SYNTHETIC[name]
+    _use_curve(monkeypatch, b, None)
+    _assert_outcomes_agree(grid_size, exact)
+
+
+# Two of the outcomes again through the exact path: h - 1 = beta*c*z has
+# the rational form N0 = 0, N1 = c z, D = 1.
+_RATIONAL = {
+    "never reaches 1": (0.01, "NoThresholdInBracket", None),
+    "reached at the scan start": (1e7, "Feasible", _ROOT / 1e7),
+}
+
+
+@pytest.mark.parametrize("grid_size", [64, 512])
+@pytest.mark.parametrize("name", list(_RATIONAL))
+def test_scan_outcomes_agree_with_oracle_on_rational_curves(monkeypatch, name,
+                                                            grid_size):
+    c, status, exact = _RATIONAL[name]
+    _use_curve(monkeypatch, lambda t: c * np.exp(1j * t),
+               (np.zeros(2), np.array([0.0, c]), np.array([1.0, 0.0])))
+    assert _assert_outcomes_agree(grid_size, exact) == status
+
+
+def _assert_outcomes_agree(grid_size, exact):
     lemma, params = LemmaId.L2, LemmaParams(A=1.0, B=0.0)
     status, value = _outcome(numeric_threshold, lemma, params, grid_size)
     oracle_status, oracle = _outcome(bisection_threshold, lemma, params, grid_size)
     assert status == oracle_status
     if exact is None:
         assert status != "Feasible"
-        return
+        return status
     assert status == "Feasible"
     assert value == pytest.approx(exact, rel=1e-12)
     star = closed_form_threshold(lemma, params).beta_star
     assert -1e-12 * value <= oracle - value <= BISECT_TOL * min(1.0, star)
+    return status
