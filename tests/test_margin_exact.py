@@ -3,7 +3,7 @@
 When h - 1 is rational in z, ``boundary_margin_profile`` solves the
 stationary points of margin^2 = P/R and ``numeric_threshold`` the scan
 minima and the binding angle from polynomials in x = cos t.  The oracle
-is the same two functions with the rational-form builder monkeypatched to
+is the same two functions with ``rational_h_minus_one`` monkeypatched to
 return None, which sends every rule down the grid-plus-golden-section
 path that L1 at non-integer kappa still takes.  Its golden section runs
 to angular resolution 1e-13 instead of 1e-8: where h passes through +-1
@@ -44,12 +44,11 @@ RULES = ([(LemmaId.L1, k) for k in (1.0, 3.0)]
 def _edges(lemma, params):
     """The draw with one parameter moved to an end of its domain: A = 1,
     B = -1, D = 1 or E = -1, where the rule allows it."""
-    out = [params.__class__(**{**params.__dict__, "A": 1.0})]
+    out = [dataclasses.replace(params, A=1.0)]
     if lemma is not LemmaId.L1:
-        out.append(params.__class__(**{**params.__dict__, "B": -1.0}))
+        out.append(dataclasses.replace(params, B=-1.0))
     if params.E is not None:
-        out += [params.__class__(**{**params.__dict__, "D": 1.0}),
-                params.__class__(**{**params.__dict__, "E": -1.0})]
+        out += [dataclasses.replace(params, D=1.0), dataclasses.replace(params, E=-1.0)]
     return out
 
 
@@ -60,7 +59,7 @@ def _points():
         for i in range(DRAWS):
             params = draw_valid_params(lemma, rng)
             if k is not None:
-                params = params.__class__(A=params.A, B=params.B, k=k)
+                params = dataclasses.replace(params, k=k)
             points.append((lemma, params))
             if i < 2:
                 points += [(lemma, edge) for edge in _edges(lemma, params)]
