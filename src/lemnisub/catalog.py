@@ -499,10 +499,16 @@ def poly_mul(a, b) -> np.ndarray:
     """Product of two polynomials given by ascending coefficient arrays,
     1-D or 2-D (one axis per variable)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out = np.zeros(tuple(i + j - 1 for i, j in zip(a.shape, b.shape)))
-    for index, value in np.ndenumerate(a):
-        out[tuple(slice(i, i + n) for i, n in zip(index, b.shape))] += value * b
-    return out
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    # the rows, each padded to the product's width and laid end to end,
+    # multiply as one polynomial whose power i * width + j stands for y^i x^j
+    rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+    flat = [np.zeros((m.shape[0], width)) for m in (a, b)]
+    for f, m in zip(flat, (a, b)):
+        f[:, :m.shape[1]] = m
+    out = np.convolve(flat[0].ravel(), flat[1].ravel())
+    return out[:rows * width].reshape(rows, width)
 
 
 def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
@@ -511,7 +517,8 @@ def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]
     The arrays hold ascending coefficients and have one length.  D is the
     least common multiple of the denominators of Q and, when h = q + Q,
     of q; then N1 = scale z prod (1 + c z)^e D and N0 = (q - 1) D.  None
-    when an exponent is not an integer (L1 at non-integer kappa).
+    when an exponent is not an integer: L1 at non-integer kappa, which is
+    every k but 1 and 3.
     """
     curve = _curve(lemma, params)
     parts = []
@@ -541,7 +548,7 @@ def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]
     N1 = curve.scale * poly_mul((0.0, 1.0), times_den(parts[0]))
     qD = times_den(parts[1]) if curve.convective else D
     size = max(D.size, N1.size, qD.size)
-    D, N1, qD = (np.pad(p, (0, size - p.size)) for p in (D, N1, qD))
+    D, N1, qD = (np.concatenate([p, np.zeros(size - p.size)]) for p in (D, N1, qD))
     return qD - D, N1, D
 
 

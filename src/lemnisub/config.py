@@ -20,7 +20,7 @@ class Defaults:
     # the rounding of beta* itself, small enough that a 1e-6 beta
     # perturbation is resolved even on nearly-flat constraint branches
     feasibility_slack: float = 1e-12
-    angle_xtol: float = 1e-8      # golden-section angular resolution
+    angle_xtol: float = 1e-8      # angular resolution of the grid refinement
     puncture_radius: float = 1e-6  # excluded neighbourhood of singular angles
     tail_tol: float = 1e-9        # series tail certificate |c_N| r^N / (1-r)
 

@@ -10,15 +10,16 @@ module measures that margin on a dense angular grid and semi-decides
 subordination of concrete power series by sampling an exhaustion of the
 disk.
 
-For every margin rule but L1 at non-integer kappa, h - 1 is rational in
-z with real coefficients and affine in beta, so on the circle the
-squared margin is P/R for polynomials P, R in beta and x = cos t, and
-margin >= 1 is F = P - R >= 0.  The margin minima between grid samples
-are then the stationary points of P/R, and the threshold's scan minima
-and binding angle are solved from F; values are still taken per angle,
-where they keep their relative accuracy.  L1 at non-integer kappa is
-transcendental in x and keeps grid sampling with golden-section
-refinement.
+For every margin rule but L1 at non-integer kappa = (k+1)/2 (every k
+but 1 and 3), h - 1 is rational in z with real coefficients and affine
+in beta, so on the circle the squared margin is P/R for polynomials P,
+R in beta and x = cos t, and margin >= 1 is F = P - R >= 0.  The margin
+minima between grid samples are then the stationary points of P/R, and
+the threshold's scan minima and binding angle are solved from F; values
+are still taken per angle, where they keep their relative accuracy.  L1
+at non-integer kappa is transcendental in x and keeps grid sampling; the
+grid's local minima are refined by safeguarded parabolic steps
+(``_parabolic_refine``).
 
 The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
 quantity's real part is, in x = cos t, a constant plus terms
@@ -33,7 +34,7 @@ the criterion is a polynomial inequality in beta: a quadratic for the
 Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
 bracket that a coarse beta scan of the minimum margin confirms; the
-binding angle solves F = dF/dx = 0 (golden section over t for L1 at
+binding angle solves F = dF/dx = 0 (parabolic steps over t for L1 at
 non-integer kappa).
 
 A verified verdict rests on three measured facts: the closed-form
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -91,7 +93,10 @@ from .series import PowerSeries
 
 _TWO_PI = 2.0 * math.pi
 _INSET_RADIUS = 1.0 - 1e-6      # winding diagnostic circle
-_REFINE_SEEDS = 8               # brackets refined around the smallest samples
+_REFINE_SEEDS = 8               # local minima refined, the smallest first
+_REFINE_STEPS = 100             # cap on a refinement's steps
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0   # golden section of a bracket side
+_PROBE_RTOL = 4.0 * np.finfo(float).eps   # a probe must read lower by more, relative
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
 _TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
@@ -112,32 +117,71 @@ def winding_number(values: np.ndarray) -> int:
     return int(round(float(d.sum()) / _TWO_PI))
 
 
-def _golden_refine_vec(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
-    """Vectorised golden-section minimisation over a batch of brackets."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = 1.0 - invphi
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    h = b - a
-    x1 = a + invphi2 * h
-    x2 = a + invphi * h
-    f1 = f(x1)
-    f2 = f(x2)
-    while np.max(b - a) > xtol:
-        left = f1 < f2
-        b = np.where(left, x2, b)
-        a = np.where(left, a, x1)
-        h = b - a
-        cand1 = a + invphi2 * h
-        cand2 = a + invphi * h
-        probe = np.where(left, cand1, cand2)
-        fp = f(probe)
-        x1, f1, x2, f2 = (np.where(left, cand1, x2),
-                          np.where(left, fp, f2),
-                          np.where(left, x1, cand2),
-                          np.where(left, f1, fp))
-    take1 = f1 < f2
-    return np.where(take1, x1, x2), np.where(take1, f1, f2)
+def _parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
+                      xtol: float) -> tuple:
+    """Minima of f inside brackets a < x < b, by safeguarded parabolic steps.
+
+    Brent's scheme (Algorithms for Minimization without Derivatives,
+    ch. 5) on a batch of columns: each step goes to the vertex of the
+    parabola through the column's three best points, or takes a golden
+    section of the larger side when the vertex leaves the bracket or
+    does not halve the step before last.  A step below ``xtol`` probes
+    x +- xtol instead, and the column stops when neither probe reads
+    lower by more than rounding; it keeps the lowest point it evaluated.
+    A column whose x is not below both ends returns its better end.
+    ``f(points, columns)`` is called on the unsettled columns only.
+    Returns the minimising points and the minima.
+    """
+    n = x.size
+    fa, fx, fb = np.split(f(np.concatenate([a, x, b]), np.tile(np.arange(n), 3)), 3)
+    end_a = fa <= fb
+    x_out, f_out = np.where(end_a, a, b), np.where(end_a, fa, fb)
+    cols = np.flatnonzero((fx < fa) & (fx < fb))
+    a, x, b, fx, end_a = a[cols], x[cols], b[cols], fx[cols], end_a[cols]
+    w, fw = x_out[cols], f_out[cols]                          # the better end
+    v, fv = np.where(end_a, b, a), np.where(end_a, fb[cols], fa[cols])
+    d = e = b - a
+    for _ in range(_REFINE_STEPS):
+        if not cols.size:
+            break
+        golden = np.where(x >= 0.5 * (a + b), a - x, b - x)
+        with np.errstate(divide="ignore", invalid="ignore"):   # w or v may read inf
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = np.where(q > 0.0, -p, p), np.abs(q)
+            vertex = ((np.abs(p) < np.abs(0.5 * q * e))
+                      & (p > q * (a - x)) & (p < q * (b - x)))
+            d, e = (np.where(vertex, p / q, _GOLDEN_STEP * golden),
+                    np.where(vertex, d, golden))
+        probe = np.abs(d) < xtol
+        u = x + d
+        lo, hi = np.maximum(x - xtol, a)[probe], np.minimum(x + xtol, b)[probe]
+        k = int(np.count_nonzero(~probe))
+        values = f(np.concatenate([u[~probe], lo, hi]),
+                   np.concatenate([cols[~probe], cols[probe], cols[probe]]))
+        f_lo, f_hi = values[k:k + lo.size], values[k + lo.size:]
+        right = f_hi < f_lo
+        fu = np.empty(cols.size)
+        fu[~probe] = values[:k]
+        u[probe], fu[probe] = np.where(right, hi, lo), np.where(right, f_hi, f_lo)
+        done = probe & ~(fu < fx - _PROBE_RTOL * np.abs(fx))
+        # the bracket keeps the best point inside; x, w, v are the three best
+        better, left = fu <= fx, u < x
+        a = np.where(better != left, np.where(better, x, u), a)
+        b = np.where(better == left, np.where(better, x, u), b)
+        second = ~better & ((fu <= fw) | (w == x))
+        third = ~better & ~second & ((fu <= fv) | (v == x) | (v == w))
+        v = np.where(better | second, w, np.where(third, u, v))
+        fv = np.where(better | second, fw, np.where(third, fu, fv))
+        w = np.where(better, x, np.where(second, u, w))
+        fw = np.where(better, fx, np.where(second, fu, fw))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        x_out[cols[done]], f_out[cols[done]] = x[done], fx[done]
+        keep = ~done
+        cols, a, x, b, fx, w, fw, v, fv, d, e = (
+            arr[keep] for arr in (cols, a, x, b, fx, w, fw, v, fv, d, e))
+    x_out[cols], f_out[cols] = x, fx
+    return x_out, f_out
 
 
 def _punctured_grid(grid_size: int, sing: tuple) -> np.ndarray:
@@ -181,21 +225,32 @@ def _end_angles(sing: tuple) -> np.ndarray:
                      else math.pi])
 
 
+def _local_minima(values: np.ndarray) -> np.ndarray:
+    """Indices of the ``_REFINE_SEEDS`` smallest finite samples that are not
+    above either neighbour, the samples read round the circle."""
+    ring = np.concatenate([values[-1:], values, values[:1]])
+    idx = np.flatnonzero(np.isfinite(values) & ~(values > ring[:-2])
+                         & ~(values > ring[2:]))
+    return idx[np.argsort(values[idx], kind="stable")[:_REFINE_SEEDS]]
+
+
 def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
                    *aligned: np.ndarray) -> tuple:
-    """Golden-section minima of f(x, *aligned) within a grid step of each seed.
+    """Minima of f(x, *aligned) within a grid step of each seed.
 
-    Each seed is bracketed by one step of the ``grid_size`` grid and the
-    brackets are pushed out of the punctures; empty brackets are dropped
-    together with their entries of ``aligned``.  Returns the minimising
-    angles, the minima and the surviving ``aligned`` arrays.
+    Each seed is bracketed by one step of the ``grid_size`` grid, the
+    brackets are pushed out of the punctures and ``_parabolic_refine``
+    starts from the seed and the bracket's ends; empty brackets are
+    dropped together with their entries of ``aligned``.  Returns the
+    minimising angles, the minima and the surviving ``aligned`` arrays.
     """
     step = _TWO_PI / grid_size
-    lo, hi, *aligned = _clamp_brackets(seeds - step, seeds + step, sing, *aligned)
+    lo, hi, seeds, *aligned = _clamp_brackets(seeds - step, seeds + step, sing,
+                                              seeds, *aligned)
     if not lo.size:
         return (lo, lo.copy(), *aligned)
-    xb, fb = _golden_refine_vec(lambda x: f(x, *aligned), lo, hi,
-                                DEFAULTS.angle_xtol)
+    xb, fb = _parabolic_refine(lambda x, cols: f(x, *(a[cols] for a in aligned)),
+                               lo, seeds, hi, DEFAULTS.angle_xtol)
     return (xb, fb, *aligned)
 
 
@@ -277,18 +332,25 @@ def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     series whose coefficient of T_d(x) = cos(d t) sums the
     cross-correlations of p and q at lags d and -d.
     """
+    corr = np.correlate(p, q, "full")          # lags j - k from 1 - q.size
+    zero = q.size - 1
     cheb = np.zeros(max(p.size, q.size))
-    for j, pj in enumerate(p):
-        for k, qk in enumerate(q):
-            cheb[abs(j - k)] += pj * qk
-    out, prev, cur = np.zeros(cheb.size), np.zeros(cheb.size), np.zeros(cheb.size)
-    cur[0] = 1.0
-    for d, coeff in enumerate(cheb):
-        out += coeff * cur
-        nxt = np.zeros(cheb.size)          # T_{d+1} = 2x T_d - T_{d-1}, T_1 = x
-        nxt[1:] = (1.0 if d == 0 else 2.0) * cur[:-1]
-        prev, cur = cur, nxt - (prev if d else 0.0)
-    return out
+    cheb[:p.size] = corr[zero:]
+    cheb[1:q.size] += corr[zero - 1::-1]
+    return np.sum(cheb[:, None] * _chebyshev_powers(cheb.size), axis=0)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_powers(n: int) -> np.ndarray:
+    """Row d holds T_d(x) in ascending powers of x, for d < n."""
+    table = np.zeros((n, n))
+    table[0, 0] = 1.0
+    for d in range(1, n):             # T_1 = x, T_d = 2x T_{d-1} - T_{d-2}
+        table[d, 1:] = (2.0 if d > 1 else 1.0) * table[d - 1, :-1]
+        if d > 1:
+            table[d] -= table[d - 2]
+    table.flags.writeable = False     # shared by every caller
+    return table
 
 
 def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -399,8 +461,8 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     Singular angles of h are excluded with a puncture of radius 1e-6.
     When h - 1 is rational in z, the local minima of margin^2 = P/R in
     x = cos t are solved exactly (``_stationary_minima``); otherwise (L1
-    at non-integer kappa) the smallest samples are sharpened by
-    golden-section refinement to angular resolution 1e-8.  Either way
+    at non-integer kappa) the smallest local minima of the samples are
+    refined by parabolic steps to angular resolution 1e-8.  Either way
     the margins at the added angles come from ``margin_on_circle``.
     """
     validate(lemma, params)
@@ -419,10 +481,8 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
         xb = _stationary_minima(*ratio, params.beta, _end_angles(sing), t)
         fb = margin_on_circle(lemma, params, xb)
     else:
-        finite = np.isfinite(margins)
-        seeds = t[finite][np.argsort(margins[finite])[:_REFINE_SEEDS]]
         xb, fb = _refine_minima(lambda x: margin_on_circle(lemma, params, x),
-                                seeds, grid_size, sing)
+                                t[_local_minima(margins)], grid_size, sing)
         xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
     cand_t = np.concatenate([t, xb])
     cand_m = np.concatenate([margins, fb])
@@ -643,9 +703,10 @@ def _analyze_scan(margins: np.ndarray) -> int:
 
 
 def _bracket(i0: int, betas: np.ndarray) -> tuple:
-    """The scan interval holding the upcrossing found by ``_analyze_scan``."""
+    """The scan interval holding the upcrossing found by ``_analyze_scan``;
+    below the scan it reaches down to 1e-6 of the scan's first beta."""
     if i0 < 0:
-        return 1e-12, float(betas[0])
+        return 1e-6 * float(betas[0]), float(betas[0])
     return float(betas[i0]), float(betas[i0 + 1])
 
 
@@ -654,20 +715,20 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     """Smallest beta above which the boundary margin stays >= 1.
 
     The minimum margin over the circle at ``DEFAULTS.scan_points`` betas
-    in [1e-6, 10 beta*] brackets the last upcrossing of the level 1 and
-    confirms it is not lost again.  At each angle margin >= 1 is
-    F(beta) >= 0 for a polynomial F of degree 2 (Mobius premise) or 4
-    (lemniscate premise) in beta, and the threshold is the largest
-    crossing of any angle's F inside that bracket.  Crossings at isolated
-    smaller beta, where the margin touches 1 from below between scan
-    points, do not register on the scan, so the reported threshold is
-    the stable one.
+    in [1e-6, 10 beta*] (from 1e-6 beta* when 10 beta* <= 1e-6) brackets
+    the last upcrossing of the level 1 and confirms it is not lost again.
+    At each angle margin >= 1 is F(beta) >= 0 for a polynomial F of
+    degree 2 (Mobius premise) or 4 (lemniscate premise) in beta, and the
+    threshold is the largest crossing of any angle's F inside that
+    bracket.  Crossings at isolated smaller beta, where the margin
+    touches 1 from below between scan points, do not register on the
+    scan, so the reported threshold is the stable one.
 
     When h - 1 is rational in z the scan minima are exact and the binding
     angle is solved in x = cos t (``_exact_threshold``); the punctured
     grid's angles only seed that solve.  Otherwise (L1 at non-integer
-    kappa) the scan minima and the binding angle are refined from the
-    grid by golden section (``_grid_threshold``).
+    kappa, every k but 1 and 3) the scan minima and the binding angle are
+    refined from the grid by parabolic steps (``_grid_threshold``).
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
@@ -680,7 +741,9 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
             f"{lemma.value}: {base.binding_constraint}")
     sing = singular_angles(lemma, params)
     t = _punctured_grid(grid_size, sing)
-    betas = np.linspace(1e-6, 10.0 * base.beta_star, DEFAULTS.scan_points)
+    # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
+    floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
+    betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
     polynomial = _margin_polynomials(lemma, params)
     ratio = _margin_ratio(lemma, params)
     if ratio is None:
@@ -831,8 +894,8 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     """Minimum squared margin over the circle at each scan beta.
 
     As in ``boundary_margin_profile``, the minimum over the grid is
-    sharpened by golden-section refinement around the smallest samples,
-    so a dip between grid points counts.  Refinement can only lower a
+    refined around the smallest local minima of the samples, so a dip
+    between grid points counts.  Refinement can only lower a
     minimum, so it runs only at the betas whose grid minimum reaches 1,
     all of them in one batch.  Returns the minima, the refined angles
     and the index of the scan beta each angle belongs to.
@@ -845,8 +908,8 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
             m2 = _poly_value(num, beta)[0] / _poly_value(den, beta)[0]
             minima[j] = m2.min()
             if minima[j] >= 1.0:
-                seeds.append(t[np.argpartition(m2, _REFINE_SEEDS)[:_REFINE_SEEDS]])
-                owner.append(np.full(_REFINE_SEEDS, j))
+                seeds.append(t[_local_minima(m2)])
+                owner.append(np.full(seeds[-1].size, j))
     if not seeds:
         return minima, np.empty(0), np.empty(0, dtype=int)
 
@@ -868,8 +931,8 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
 
     The scan minima are refined as in ``boundary_margin_profile``; the
     largest crossing over the grid and the scan's refined angles at the
-    bracket's lower end is sharpened over t by golden-section refinement
-    around the best grid angles.
+    bracket's lower end is sharpened over t around its best local maxima
+    on the grid and those refined angles.
     """
     num, den = polynomial(t)
     minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,
@@ -879,6 +942,7 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     # candidate angles: the grid, and the scan's refined angles at the
     # bracket's lower end, where a dip between grid points may bind
     probes = probes[owner == i0]
+    n = t.size
     t = np.concatenate([t, probes])
     coeffs = np.concatenate([_crossing_coeffs(num, den),
                              _crossing_coeffs(*polynomial(probes))], axis=1)
@@ -887,8 +951,9 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
 
     # sharpen over t around the best candidate angles; each probe follows
     # its seed's crossing by Newton steps from the seed's value
-    order = np.argsort(-last)[:_REFINE_SEEDS]
-    order = order[np.isfinite(last[order])]
+    peaks = np.concatenate([_local_minima(-last[:n]), np.arange(n, t.size)])
+    peaks = peaks[np.isfinite(last[peaks])]
+    order = peaks[np.argsort(-last[peaks], kind="stable")[:_REFINE_SEEDS]]
 
     def negated_crossing(x, guess):
         root = _newton_in_bracket(_crossing_coeffs(*polynomial(x)), lo, hi, guess)

@@ -4,10 +4,11 @@ When h - 1 is rational in z, ``boundary_margin_profile`` solves the
 stationary points of margin^2 = P/R and ``numeric_threshold`` the scan
 minima and the binding angle from polynomials in x = cos t.  The oracle
 is the same two functions with ``rational_h_minus_one`` monkeypatched to
-return None, which sends every rule down the grid-plus-golden-section
-path that L1 at non-integer kappa still takes.  Its golden section runs
-to angular resolution 1e-13 instead of 1e-8: where h passes through +-1
-the margin has a V-shaped zero, and 1e-8 in t leaves up to 7e-11 there.
+return None, which sends every rule down the grid path that L1 at every
+k but 1 and 3 still takes: the grid's local minima refined by parabolic
+steps.  Its refinement runs to angular resolution 1e-13 instead of 1e-8:
+where h passes through +-1 the margin has a V-shaped zero, and 1e-8 in t
+leaves up to 7e-11 there.
 """
 
 import dataclasses
@@ -26,12 +27,12 @@ from lemnisub.errors import LemnisubError
 from conftest import draw_valid_params
 from test_verifier import NEAR_POLE_L9
 
-ORACLE_XTOL = 1e-13      # the oracle's golden-section angular resolution
+ORACLE_XTOL = 1e-13      # the oracle's angular resolution
 AGREE_RTOL = 1e-12       # exact and grid values agree to this, relative
 # the exact minimum may sit above the grid one by rounding only: the grid
-# path keeps the least of about 30 golden-section evaluations around a
-# minimum, each with a few ulps of rounding in margin_on_circle (at
-# t = +-pi, |2 + w| cancels), and the exact path evaluates it once
+# path keeps the least of several evaluations around a minimum, each with
+# a few ulps of rounding in margin_on_circle (at t = +-pi, |2 + w|
+# cancels), and the exact path evaluates it once
 ABOVE_RTOL = 4e-15
 DRAWS = 5
 

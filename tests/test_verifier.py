@@ -36,7 +36,7 @@ from lemnisub.errors import (
 from lemnisub.regions import membership_margins
 from lemnisub.verify import (
     _analyze_scan,
-    _golden_refine_vec,
+    _parabolic_refine,
     winding_number,
 )
 
@@ -55,13 +55,23 @@ def test_winding_number_basic():
     assert winding_number(3.0 + np.exp(1j * t)) == 0
 
 
-def test_golden_refine_vectorised():
-    f = lambda x: (x - 1.3) ** 2 + 0.2
+@pytest.mark.parametrize("f,ftol", [(lambda x: (x - 1.3) ** 2 + 0.2, 1e-12),
+                                    (lambda x: np.abs(x - 1.3) + 0.2, 1e-10)],
+                         ids=["smooth", "v-shaped"])
+def test_parabolic_refine_vectorised(f, ftol):
+    # a V-shaped minimum is resolved to xtol in x, so to xtol in f at slope 1
     lo = np.array([0.0, 1.0])
     hi = np.array([2.0, 2.0])
-    xb, fb = _golden_refine_vec(f, lo, hi, 1e-10)
+    xb, fb = _parabolic_refine(lambda x, cols: f(x), lo, 0.5 * (lo + hi), hi, 1e-10)
     assert np.max(np.abs(xb - 1.3)) <= 1e-8
-    assert np.max(np.abs(fb - 0.2)) <= 1e-12
+    assert np.max(np.abs(fb - 0.2)) <= ftol
+
+
+def test_parabolic_refine_keeps_the_better_end():
+    # a seed not below both ends: the column returns its better end unrefined
+    xb, fb = _parabolic_refine(lambda x, cols: x * x, np.array([0.5]),
+                               np.array([1.0]), np.array([2.0]), 1e-10)
+    assert (xb[0], fb[0]) == (0.5, 0.25)
 
 
 def test_analyze_scan_single_upcrossing():
@@ -324,6 +334,14 @@ def test_numeric_threshold_l2_exact_point():
 def test_numeric_threshold_l9_degenerate():
     b = numeric_threshold(LemmaId.L9, LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0))
     assert b == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("B,beta_star", [(-1e-13, 4e-13), (-1e-20, 4e-20)])
+def test_numeric_threshold_scan_scales_below_its_floor(B, beta_star):
+    # beta* = 2^((k+3)/2) (A - B)/(1 - |B|): 10 beta* lies below the scan's
+    # usual start 1e-6, so the scan starts at 1e-6 beta* instead
+    b = numeric_threshold(LemmaId.L1, LemmaParams(A=0.0, B=B, k=1.0))
+    assert b == pytest.approx(beta_star, rel=1e-9, abs=0.0)
 
 
 def test_numeric_threshold_rejects_infeasible():
