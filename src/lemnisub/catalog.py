@@ -292,6 +292,8 @@ def _solve_linear_abs(P: float, c: float, E: float) -> Optional[float]:
 
     g(x) = x - |c - E*x| is continuous, piecewise linear and nondecreasing
     for |E| <= 1, so the minimal solution is the smallest root of g = P.
+    A candidate root is accepted up to rounding: g(x) cancels two terms of
+    size about |x|, so the slack scales with |x| as well as with |P|.
     """
     def g(x: float) -> float:
         return x - abs(c - E * x)
@@ -305,7 +307,7 @@ def _solve_linear_abs(P: float, c: float, E: float) -> Optional[float]:
         candidates.append(c / E)          # kink of |c - E*x|
     best = None
     for x in candidates:
-        if x > 0.0 and g(x) >= P - 1e-12 * max(1.0, abs(P)):
+        if x > 0.0 and g(x) >= P - 1e-12 * max(1.0, abs(P), x):
             if best is None or x < best:
                 best = x
     return best

@@ -31,11 +31,19 @@ and u = p^m.  The solve branches once on m:
 * any other m (L1 with k outside {0, 1, 2}): Euler's power step, shared
   with ``PowerSeries.power``, extends u by one coefficient in O(n).
 
-A full solve is O(N^2), except for m = 0.  The recursion is exact: the
-reported residual is the largest coefficient of
+A solve to order N is O(N^2), except for m = 0.  The recursion is exact:
+the reported residual is the largest coefficient of
 beta z p' - (F - theta(p)) u after the fact, one Cauchy product with the
 solve's own u and no series division.  It is the defect of the premise
 functional, theta(p) + beta z p'/p^m - F, times u.
+
+Coefficient n of F, c, G and u reads only coefficients below n, so the
+solve keeps them in arrays sized once and extends them in place: the
+adaptive ``solve_premise`` raises the order 64 -> 128 -> 256 -> 512 by
+computing only the new coefficients of the target and of the recursion,
+and each order's solution is bit for bit the one a solve to that order
+from scratch gives.  ``compose_target`` extends its target series the
+same way.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .config import DEFAULTS
 from .catalog import CATALOG, LemmaId, LemmaParams, premise_region, validate
 from .errors import NotAContraction, RecursionBreakdown, TruncationInsufficient
 from .regions import SqrtLemniscate, TargetRegion
-from .series import PowerSeries, euler_power_step
+from .series import PowerSeries, divide_fill, euler_power_step, sqrt_fill
 
 _SUP_SAMPLES = 4096
 _SUP_TOL = 1e-12
@@ -138,11 +146,23 @@ def random_schwarz(rng: np.random.Generator,
     return SchwarzFunction(f"poly(deg={_POLY_DEGREE})", w.series, w.boundary_sup)
 
 
+def _target_fill(region: TargetRegion, w: PowerSeries):
+    """q(w) for the region's target function q, as an array sized to w's
+    order, and the fill that sets its coefficients lo..hi-1 in place."""
+    q = np.zeros(w.order + 1, dtype=complex)
+    if isinstance(region, SqrtLemniscate):
+        a = (1.0 + w).coeffs
+        return q, lambda lo, hi: sqrt_fill(a, q, lo, hi)
+    a = (1.0 + region.A * w).coeffs
+    b = (1.0 + region.B * w).coeffs
+    return q, lambda lo, hi: divide_fill(a, b, q, lo, hi)
+
+
 def _target_series(region: TargetRegion, w: PowerSeries) -> PowerSeries:
     """Series of q(w) for the region's target function q."""
-    if isinstance(region, SqrtLemniscate):
-        return (1.0 + w).sqrt()
-    return (1.0 + region.A * w) / (1.0 + region.B * w)
+    q, fill = _target_fill(region, w)
+    fill(0, q.size)
+    return PowerSeries(q)
 
 
 def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
@@ -154,17 +174,17 @@ def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
     certificate at the outermost sampling radius passes; near-inner w
     (boundary sup close to 1) pushes the branch point of sqrt(1+w) toward
     the circle, which is why the cap sits well above the generator default.
+    Each doubling extends the coefficients already computed.
     """
-    def build(n: int) -> PowerSeries:
-        return _target_series(region, w.series.pad_to(n))
-
+    top = DEFAULTS.max_order
+    q, fill = _target_fill(region, w.series.pad_to(top))
     n = 1024
-    p = build(n)
-    while p.tail_bound(max(DEFAULTS.radii)) >= DEFAULTS.tail_tol \
-            and n < DEFAULTS.max_order:
-        n = min(2 * n, DEFAULTS.max_order)
-        p = build(n)
-    return p
+    fill(0, n + 1)
+    while PowerSeries(q[: n + 1]).tail_bound(max(DEFAULTS.radii)) >= DEFAULTS.tail_tol \
+            and n < top:
+        n, done = min(2 * n, top), n
+        fill(done + 1, n + 1)
+    return PowerSeries(q[: n + 1])
 
 
 # --- premise-exact solutions ------------------------------------------------
@@ -179,38 +199,66 @@ class PremiseSolution:
     tail_certified: bool
 
 
+class _PremiseState:
+    """The premise recursion's arrays F, c, G = F - own p and u = p^m,
+    sized once and extended in place to a growing order.
+
+    ``solve_to(n)`` computes only the coefficients above the order already
+    reached.  Each coefficient reads the same values as in a solve built
+    to order n from scratch, so the solution at every order is the same.
+    """
+
+    def __init__(self, lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
+                 size: int):
+        validate(lemma, params)
+        row = CATALOG[lemma]
+        self.beta = params.beta
+        self.m = row.ode_exponent(params)
+        self.own = 1.0 if row.ode_style == "convective" else 0.0
+        # the smallest pivot is |beta| for affine rules; convective ones exceed 1
+        if not self.own and abs(self.beta) < 1e-14:
+            raise RecursionBreakdown("vanishing pivot beta*n at n=1")
+        self.F, self._fill_target = _target_fill(premise_region(lemma, params),
+                                                 w.series.pad_to(size))
+        self._fill_target(0, 1)
+        self.pivots = self.beta * np.arange(size + 1) + self.own
+        self.c = np.zeros(size + 1, dtype=complex)
+        self.c[0] = 1.0
+        if self.m != 0.0:
+            self.G = self.F.copy()           # G = F - own * p, filled as c grows
+            self.u, self._extend_power = _growing_power(self.m, self.c)
+        self.order = 0
+
+    def solve_to(self, order: int) -> PremiseSolution:
+        """The solution at ``order``, extending the one already reached."""
+        lo, hi = self.order + 1, order + 1
+        F, c = self.F, self.c
+        self._fill_target(lo, hi)
+        # a diverging solve overflows to inf/nan; its residual reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.m == 0.0:
+                c[lo:hi] = F[lo:hi] / self.pivots[lo:hi]
+                u = None
+            else:
+                G, u, pivots, own = self.G, self.u, self.pivots, self.own
+                G[lo:hi] = F[lo:hi]
+                for n in range(lo, hi):
+                    c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / pivots[n]
+                    G[n] -= own * c[n]
+                    self._extend_power(n)
+                u = PowerSeries(u[:hi])
+            p = PowerSeries(c[:hi])
+            residual = _premise_residual(self.beta, p,
+                                         PowerSeries(F[:hi]) - (p if self.own else 1.0), u)
+        self.order = order
+        return PremiseSolution(p, residual, order,
+                               p.tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol)
+
+
 def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                       order: int = DEFAULTS.series_order) -> PremiseSolution:
     """Coefficient recursion for the premise-exact p at a fixed order."""
-    validate(lemma, params)
-    row = CATALOG[lemma]
-    beta = params.beta
-    m = row.ode_exponent(params)
-    own = 1.0 if row.ode_style == "convective" else 0.0
-    # the smallest pivot is |beta| for affine rules; convective ones exceed 1
-    if not own and abs(beta) < 1e-14:
-        raise RecursionBreakdown("vanishing pivot beta*n at n=1")
-    F = _target_series(premise_region(lemma, params), w.series.pad_to(order)).coeffs
-    pivots = beta * np.arange(order + 1) + own
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = 1.0
-    # a diverging solve overflows to inf/nan; its residual reports that
-    with np.errstate(over="ignore", invalid="ignore"):
-        if m == 0.0:
-            c[1:] = F[1:] / pivots[1:]
-            u = None
-        else:
-            u, extend = _growing_power(m, c)
-            G = F.copy()                     # G = F - own * p, filled as c grows
-            for n in range(1, order + 1):
-                c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / pivots[n]
-                G[n] -= own * c[n]
-                extend(n)
-            u = PowerSeries(u)
-        p = PowerSeries(c)
-        residual = _premise_residual(beta, p, PowerSeries(F) - (p if own else 1.0), u)
-    return PremiseSolution(p, residual, order,
-                           p.tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol)
+    return _PremiseState(lemma, params, w, order).solve_to(order)
 
 
 def _growing_power(m: float, c: np.ndarray):
@@ -248,18 +296,20 @@ def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     attainable within the cap for targets with circle singularities, in
     which case the solution at the cap is returned with
     ``tail_certified=False``.  The residual is met by construction unless
-    the recursion diverges.  A higher order repeats the first N
-    coefficients bit for bit, so its residual can only be larger: the
+    the recursion diverges.  Each doubling extends one solve, computing
+    only the new coefficients: a higher order repeats the first N
+    coefficients bit for bit, so its residual can only be larger, and the
     first order whose residual fails raises.
     """
     n = DEFAULTS.series_order if order is None else order
     cap = DEFAULTS.max_series_order
-    sol = solve_premise_ode(lemma, params, w, n)
+    state = _PremiseState(lemma, params, w, max(n, cap) if order is None else order)
+    sol = state.solve_to(n)
     # "not <=" so that a NaN residual fails too
     while order is None and n < cap and \
             sol.residual <= DEFAULTS.residual_tol and not sol.tail_certified:
         n = min(2 * n, cap)
-        sol = solve_premise_ode(lemma, params, w, n)
+        sol = state.solve_to(n)
     if not sol.residual <= DEFAULTS.residual_tol:
         raise TruncationInsufficient(f"premise residual {sol.residual} at order {n}")
     return sol

@@ -165,13 +165,8 @@ class PowerSeries:
 
     def sqrt(self) -> "PowerSeries":
         """Square root with value 1 at the origin; needs c0 = 1."""
-        _require_constant_one(self._c)
-        n = self.order
-        s = np.zeros(n + 1, dtype=complex)
-        s[0] = 1.0
-        for m in range(1, n + 1):
-            acc = np.dot(s[1:m], s[m - 1 : 0 : -1]) if m > 1 else 0.0
-            s[m] = (self._c[m] - acc) / 2.0
+        s = np.zeros(self._c.size, dtype=complex)
+        sqrt_fill(self._c, s, 0, s.size)
         return PowerSeries(s)
 
     def log(self) -> "PowerSeries":
@@ -247,15 +242,44 @@ def _require_constant_one(c: np.ndarray) -> None:
 
 
 def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    if abs(b._c[0]) < _DIV_PIVOT_TOL:
-        raise DivisionByZeroConstantTerm(
-            f"denominator constant term {b._c[0]!r} below {_DIV_PIVOT_TOL}"
-        )
-    n = min(a.order, b.order)
-    bc = b._c[: n + 1]
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = a._c[0] / bc[0]
-    for m in range(1, n + 1):
-        acc = np.dot(out[:m], bc[m:0:-1])
-        out[m] = (a._c[m] - acc) / bc[0]
+    out = np.zeros(min(a.order, b.order) + 1, dtype=complex)
+    divide_fill(a._c, b._c, out, 0, out.size)
     return PowerSeries(out)
+
+
+# The recursions below set the coefficients lo..hi-1 of their result in
+# place from the lower ones, so a caller may extend a result it already
+# holds to a higher order without recomputing it: each coefficient reads
+# the same values whichever order the result is built to.  A fill from
+# lo = 0 checks the constant term and sets the result's.
+
+def sqrt_fill(a: np.ndarray, s: np.ndarray, lo: int, hi: int) -> None:
+    """Set s_lo..s_{hi-1} of s = sqrt(a), the root with s_0 = 1; needs a_0 = 1.
+
+    Squaring reads a_m = 2 s_m + sum_{j=1}^{m-1} s_j s_{m-j} for m >= 1.
+    """
+    if lo == 0:
+        _require_constant_one(a)
+        s[0] = 1.0
+        lo = 1
+    for m in range(lo, hi):
+        acc = np.dot(s[1:m], s[m - 1 : 0 : -1]) if m > 1 else 0.0
+        s[m] = (a[m] - acc) / 2.0
+
+
+def divide_fill(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int,
+                hi: int) -> None:
+    """Set out_lo..out_{hi-1} of out = a/b; needs b_0 away from 0.
+
+    Multiplying back reads a_m = sum_{j=0}^{m} out_j b_{m-j}.
+    """
+    if lo == 0:
+        if abs(b[0]) < _DIV_PIVOT_TOL:
+            raise DivisionByZeroConstantTerm(
+                f"denominator constant term {b[0]!r} below {_DIV_PIVOT_TOL}"
+            )
+        out[0] = a[0] / b[0]
+        lo = 1
+    for m in range(lo, hi):
+        acc = np.dot(out[:m], b[m:0:-1])
+        out[m] = (a[m] - acc) / b[0]

@@ -256,6 +256,15 @@ def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
 
 # --- real roots of columns of polynomials -------------------------------------
 
+def _poly_at(c: np.ndarray, x):
+    """Value of sum_k c[k] x^k by Horner's rule: ``_poly_value``'s value by
+    the same operations, without forming the derivative."""
+    f = c[-1]
+    for ck in c[-2::-1]:
+        f = f * x + ck
+    return f
+
+
 def _poly_value(c: np.ndarray, x):
     """Value and derivative of sum_k c[k] x^k by Horner's rule."""
     f, d = c[-1], 0.0
@@ -279,8 +288,8 @@ def _newton_in_bracket(c: np.ndarray, left, right,
     replaced by its midpoint, so each column converges.  Columns where
     F < 0 holds at both ends or at neither come back NaN.
     """
-    neg_left = _poly_value(c, left)[0] < 0.0
-    dead = neg_left == (_poly_value(c, right)[0] < 0.0)
+    neg_left = _poly_at(c, left) < 0.0
+    dead = neg_left == (_poly_at(c, right) < 0.0)
     for _ in range(_NEWTON_STEPS):
         f, d = _poly_value(c, x)
         same = (f < 0.0) == neg_left
@@ -411,7 +420,7 @@ def _stationary_minima(P: np.ndarray, R: np.ndarray, beta: float,
     s = poly_mul(_derivative(p), r) - poly_mul(p, _derivative(r))
     x = np.cos(np.concatenate([ends[1:], t[(t < ends[1]) & (t > ends[0])][::-1],
                                ends[:1]]))                 # ascending
-    v = _poly_value(s, x)[0]
+    v = _poly_at(s, x)
     rise = np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))
     left, right = x[rise], x[rise + 1]
     roots = _newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
@@ -775,11 +784,11 @@ def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
     dFx = _derivative(Fx)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            f = _poly_value(Fx, x)[0]
+            f = _poly_at(Fx, x)
             fx, fxx = _poly_value(dFx, x)
             v, vb = _poly_value(f, beta)
             vx, vxb = _poly_value(fx, beta)
-            vxx = _poly_value(fxx, beta)[0]
+            vxx = _poly_at(fxx, beta)
             det = vx * vxb - vb * vxx
             dx = (vb * vx - v * vxb) / det
             x, beta = x + dx, beta + (v * vxx - vx * vx) / det
@@ -809,7 +818,7 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     """
     ends = _end_angles(sing)
     x_hi, x_lo = np.cos(ends)
-    slope = _derivative(_poly_value(F[:, :, None], betas)[0])
+    slope = _derivative(_poly_at(F[:, :, None], betas))
     crit = _crossings(slope, x_lo, x_hi)
     crit = np.where(_poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
     angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
@@ -817,7 +826,7 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     num, den = polynomial(angles.ravel())
     at = np.tile(betas, angles.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
-        m2 = (_poly_value(num, at)[0] / _poly_value(den, at)[0]).reshape(angles.shape)
+        m2 = (_poly_at(num, at) / _poly_at(den, at)).reshape(angles.shape)
     i0 = _analyze_scan(m2.min(axis=0))
     lo, hi = _bracket(i0, betas)
 
@@ -905,7 +914,7 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     seeds, owner = [], []
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
         for j, beta in enumerate(betas):
-            m2 = _poly_value(num, beta)[0] / _poly_value(den, beta)[0]
+            m2 = _poly_at(num, beta) / _poly_at(den, beta)
             minima[j] = m2.min()
             if minima[j] >= 1.0:
                 seeds.append(t[_local_minima(m2)])
@@ -916,8 +925,7 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
     def margin2(x, owner):
         n, d = polynomial(x)
         with np.errstate(divide="ignore"):
-            return (_poly_value(n, betas[owner])[0]
-                    / _poly_value(d, betas[owner])[0])
+            return _poly_at(n, betas[owner]) / _poly_at(d, betas[owner])
 
     xb, fb, owner = _refine_minima(margin2, np.concatenate(seeds), grid_size,
                                    sing, np.concatenate(owner))

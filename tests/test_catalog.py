@@ -201,6 +201,38 @@ def test_feasibility_l11_negative_side():
         assert reference_feasibility(LemmaId.L11, p) is want
 
 
+# E within 1e-4 of -1 puts the root of x - |c - E x| = P near 1e5, where
+# evaluating the left side cancels two terms of that size; these points
+# hold the hypothesis with room to spare and were once reported infeasible
+LARGE_ROOTS = [
+    (LemmaId.L11, dict(A=0.10888058179137405, B=-0.49683160297439466,
+                       D=0.08538045076583689, E=-0.9999787164429905,
+                       beta=208216.8128725419)),
+    (LemmaId.L11, dict(A=0.6768576165666613, B=0.2458322594800777,
+                       D=0.5406440377581587, E=-0.999902046435921,
+                       beta=158394.50551874508)),
+    (LemmaId.L9, dict(A=0.35237443562657744, B=0.12204066384391621,
+                      D=0.8190882645282613, E=-0.9999359304040454,
+                      beta=275063.1740887267)),
+    (LemmaId.L10, dict(A=0.2044315089287938, B=-0.4556029234532547,
+                       D=0.29331795867471655, E=-0.9999767678295786,
+                       beta=93494.12385049085)),
+]
+
+
+@pytest.mark.parametrize("lemma,point", LARGE_ROOTS)
+def test_feasibility_accepts_large_roots_near_e_minus_one(lemma, point):
+    params = LemmaParams(**point)
+    assert reference_feasibility(lemma, params)
+    assert feasibility_check(lemma, params)
+    r = closed_form_threshold(lemma, params)
+    assert r.status is ThresholdStatus.FEASIBLE
+    assert r.beta_star < params.beta
+    P, c = _affine_bound_terms(lemma, params)
+    x = r.beta_star * (params.A - params.B)
+    assert abs(x - abs(c - params.E * x) - P) <= 1e-12 * x
+
+
 @pytest.mark.parametrize("lemma", [LemmaId.L9, LemmaId.L10, LemmaId.L11])
 def test_affine_solve_agrees_with_bisection_oracle(lemma):
     rng = np.random.default_rng(4242)

@@ -27,7 +27,7 @@ from lemnisub.errors import (
 )
 from lemnisub import generate
 from lemnisub.generate import _target_series, compose_target
-from lemnisub.regions import SqrtLemniscate
+from lemnisub.regions import Janowski, SqrtLemniscate
 
 from conftest import draw_valid_params
 
@@ -217,17 +217,74 @@ def test_solve_premise_rejects_non_finite_residual(order):
 
 def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
     # the residual at order 64 is 4.0e87; a higher order repeats those
-    # coefficients, so doubling (to NaN at 256) would only cost more solves
-    calls = []
+    # coefficients, so doubling (to NaN at 256) would only cost more work
+    reached = []
+    solve_to = generate._PremiseState.solve_to
 
-    def counting(*args):
-        calls.append(args[-1])
-        return solve_premise_ode(*args)
+    def recording(state, order):
+        reached.append((state, order))
+        return solve_to(state, order)
 
-    monkeypatch.setattr(generate, "solve_premise_ode", counting)
+    monkeypatch.setattr(generate._PremiseState, "solve_to", recording)
     with pytest.raises(TruncationInsufficient, match=r"residual 3\.97\d*e\+87 at order 64"):
         solve_premise(LemmaId.L4, LemmaParams(A=0.5, B=0.0, beta=0.01), monomial(1))
-    assert calls == [64]
+    assert [order for _, order in reached] == [64]
+    state = reached[0][0]
+    assert state.order == 64
+    assert not state.c[65:].any() and not state.F[65:].any()
+
+
+def _same_solution(a, b):
+    # bit for bit, NaN residuals included
+    return (a.p.coeffs.tobytes() == b.p.coeffs.tobytes()
+            and repr(a.residual) == repr(b.residual)
+            and a.order == b.order and a.tail_certified == b.tail_certified)
+
+
+def _restarting_solve(lemma, params, w, order=None):
+    # the adaptive solve as a fresh solve at every order: 64, 128, 256, 512
+    n = 64 if order is None else order
+    sol = solve_premise_ode(lemma, params, w, n)
+    while order is None and n < 512 and sol.residual <= 1e-9 \
+            and not sol.tail_certified:
+        n = min(2 * n, 512)
+        sol = solve_premise_ode(lemma, params, w, n)
+    return sol
+
+
+# every rule, and L1 at k in {0, 1, 2} and at two other exponents, so that
+# each branch of the recursion (m = 0, 1, 2 and Euler's step) is extended
+RESUMED = [(lemma, None) for lemma in ALL] + [
+    (LemmaId.L1, k) for k in (0.0, 1.0, 2.0, -0.5, 2.5)]
+
+
+@pytest.mark.parametrize("lemma,k", RESUMED)
+def test_resumed_solve_matches_fresh_solve_at_each_order(lemma, k):
+    rng = np.random.default_rng(zlib.crc32(f"{lemma.value}{k}resume".encode()))
+    poly = np.concatenate([[0.0], rng.normal(size=8) + 1j * rng.normal(size=8)])
+    families = (monomial(2), blaschke_factor(0.6 - 0.3j), scaled_polynomial(poly))
+    for w, factor in zip(families, (0.6, 1.05, 2.0)):
+        params = draw_valid_params(lemma, rng)
+        if k is not None:
+            params = dataclasses.replace(params, k=k)
+        thr = closed_form_threshold(lemma, params)
+        params = params.with_beta(factor * thr.beta_star if thr.beta_star else factor)
+        state = generate._PremiseState(lemma, params, w, 512)
+        for order in (64, 128, 256, 512):
+            resumed = state.solve_to(order)
+            assert _same_solution(resumed, solve_premise_ode(lemma, params, w, order))
+        for order in (None, 100):
+            assert _same_solution(solve_premise(lemma, params, w, order),
+                                  _restarting_solve(lemma, params, w, order))
+
+
+@pytest.mark.parametrize("region", [SqrtLemniscate(), Janowski(0.5, -0.99)])
+def test_compose_target_extends_the_target_series(region):
+    w = blaschke_factor(0.9j)
+    p = compose_target(region, w)
+    assert p.order > 1024
+    fresh = _target_series(region, w.series.pad_to(p.order))
+    assert p.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
 # u = p*p convolves where the solve adds one dot product per coefficient;

@@ -168,6 +168,21 @@ def test_truncation_order_tracking():
     assert (a / b).order == 4
 
 
+def test_fills_extend_a_result_bit_for_bit(rng):
+    # sqrt and division set coefficients lo..hi-1 from the lower ones, so
+    # filling in pieces gives what one call to order 40 gives
+    a = PowerSeries(np.concatenate([[1.0], 0.3 * (rng.normal(size=40)
+                                                  + 1j * rng.normal(size=40))]))
+    b = PowerSeries(np.concatenate([[0.7 - 0.2j], 0.3 * rng.normal(size=40)]))
+    s = np.zeros(41, dtype=complex)
+    q = np.zeros(41, dtype=complex)
+    for lo, hi in ((0, 1), (1, 5), (5, 17), (17, 41)):
+        lemnisub.series.sqrt_fill(a.coeffs, s, lo, hi)
+        lemnisub.series.divide_fill(a.coeffs, b.coeffs, q, lo, hi)
+        assert s[:hi].tobytes() == a.pad_to(hi - 1).sqrt().coeffs.tobytes()
+        assert q[:hi].tobytes() == (a / b.pad_to(hi - 1)).coeffs.tobytes()
+
+
 def test_error_cases():
     z = PowerSeries.identity(8)
     with pytest.raises(DivisionByZeroConstantTerm):
