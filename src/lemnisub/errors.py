@@ -66,7 +66,7 @@ class NotAContraction(LemnisubError):
 
 
 class RecursionBreakdown(LemnisubError):
-    """A vanishing pivot interrupted the coefficient recursion."""
+    """A vanishing pivot beta*n stopped the premise solve."""
 
 
 class TruncationInsufficient(LemnisubError):

@@ -16,34 +16,39 @@ with p(0) = 1 satisfying
     theta(p) + beta z p'(z) / p(z)^m = F(w(z)),
 
 where F is the premise target and theta(p) is 1 for the affine entries
-and p for the convective ones.  Read beta z p' = (F - theta(p)) p^m
-coefficientwise; one recursion serves both styles,
+and p for the convective ones.  Each rule is solved in closed form
+through the integral I = integral_0^z (F(s) - 1)/s ds, I_n = F_n/n:
 
-    (beta n + own) c_n = F_n + sum_{j=1}^{n-1} G_j u_{n-j},
+* m = 0 (L2, L9, L1 at k = 0; L5): p_n = F_n/(beta n + own), with own = 1
+  for convective entries and 0 for affine ones, one vectorised division;
+* affine m = 1 (L3, L10, L1 at k = 1): p = exp(I/beta);
+* affine m = 2 (L4, L11): p = 1/(1 - I/beta);
+* L1 at any other k: p = g^(1/(1-k)) with g = 1 + ((1-k)/beta) I, taken
+  as exp(f) with z f' = (F - 1)/(beta g);
+* convective m = 1 (L6, L8): v = 1/p solves the linear
+  beta z v' + F v = 1, so with E = exp(I/beta) and S_n = E_n/(beta n + 1),
+  p = E/S;
+* L7 (convective, m = 2): Newton's method on the operator, each step a
+  linear first-order equation solved by an integrating factor (Bostan et
+  al., SODA 2007).
 
-with own = 1 for convective entries and 0 for affine ones, G = F - own p
-and u = p^m.  The solve branches once on m:
-
-* m = 0: u = 1 and the sum vanishes, so c_n = F_n/(beta n + own) is one
-  vectorised division;
-* m = 1: u is p itself, one dot product per coefficient;
-* m = 2: u_n = 2 c_n + sum_{j=1}^{n-1} c_j c_{n-j}, a second dot product;
-* any other m (L1 with k outside {0, 1, 2}): Euler's power step, shared
-  with ``PowerSeries.power``, extends u by one coefficient in O(n).
-
-A solve to order N is O(N^2), except for m = 0.  The recursion is exact:
-the reported residual is the largest coefficient of
-beta z p' - (F - theta(p)) u after the fact, one Cauchy product with the
-solve's own u and no series division.  It is the defect of the premise
+The series operations are the Newton kernels of ``series``: each step of
+the Newton ladder doubles the number of coefficients of the target, of
+the series the closed form passes through and of p, a few products per
+step, O(N log N) in all above the FFT crossover.  The reported residual
+is the largest coefficient of beta z p' - (F - theta(p)) u after the
+fact, with u = p^m (p for m = 1, p*p for m = 2, ``PowerSeries.power``
+otherwise) and one direct Cauchy product (``np.convolve``), which does
+not share the kernels' rounding.  It is the defect of the premise
 functional, theta(p) + beta z p'/p^m - F, times u.
 
-Coefficient n of F, c, G and u reads only coefficients below n, so the
-solve keeps them in arrays sized once and extends them in place: the
-adaptive ``solve_premise`` raises the order 64 -> 128 -> 256 -> 512 by
-computing only the new coefficients of the target and of the recursion,
-and each order's solution is bit for bit the one a solve to that order
-from scratch gives.  ``compose_target`` extends its target series the
-same way.
+A Newton step sets the coefficients lo..hi-1 of every array from the ones
+below, so the solve keeps its arrays sized once and extends them in
+place: the adaptive ``solve_premise`` raises the order
+64 -> 128 -> 256 -> 512 by one Newton step each, and each order's
+solution is bit for bit the one a solve to that order from scratch
+gives, because the ladder to order 2N is the ladder to N plus one step.
+``compose_target`` extends its target series the same way.
 """
 
 from __future__ import annotations
@@ -56,7 +61,17 @@ from .config import DEFAULTS
 from .catalog import CATALOG, LemmaId, LemmaParams, premise_region, validate
 from .errors import NotAContraction, RecursionBreakdown, TruncationInsufficient
 from .regions import SqrtLemniscate, TargetRegion
-from .series import PowerSeries, divide_fill, euler_power_step, sqrt_fill
+from .series import (
+    PowerSeries,
+    divide_step,
+    exp_step,
+    mul,
+    mul_mid,
+    newton_arrays,
+    newton_steps,
+    recip_step,
+    sqrt_step,
+)
 
 _SUP_SAMPLES = 4096
 _SUP_TOL = 1e-12
@@ -146,22 +161,23 @@ def random_schwarz(rng: np.random.Generator,
     return SchwarzFunction(f"poly(deg={_POLY_DEGREE})", w.series, w.boundary_sup)
 
 
-def _target_fill(region: TargetRegion, w: PowerSeries):
+def _target_ladder(region: TargetRegion, w: PowerSeries):
     """q(w) for the region's target function q, as an array sized to w's
-    order, and the fill that sets its coefficients lo..hi-1 in place."""
-    q = np.zeros(w.order + 1, dtype=complex)
+    order, and the Newton step that sets its coefficients lo..hi-1."""
+    q, h = newton_arrays(w.order + 1)
     if isinstance(region, SqrtLemniscate):
         a = (1.0 + w).coeffs
-        return q, lambda lo, hi: sqrt_fill(a, q, lo, hi)
+        return q, lambda lo, hi: sqrt_step(a, q, h, lo, hi)
     a = (1.0 + region.A * w).coeffs
     b = (1.0 + region.B * w).coeffs
-    return q, lambda lo, hi: divide_fill(a, b, q, lo, hi)
+    return q, lambda lo, hi: divide_step(a, b, q, h, lo, hi)
 
 
 def _target_series(region: TargetRegion, w: PowerSeries) -> PowerSeries:
     """Series of q(w) for the region's target function q."""
-    q, fill = _target_fill(region, w)
-    fill(0, q.size)
+    q, step = _target_ladder(region, w)
+    for lo, hi in newton_steps(1, q.size):
+        step(lo, hi)
     return PowerSeries(q)
 
 
@@ -174,17 +190,20 @@ def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
     certificate at the outermost sampling radius passes; near-inner w
     (boundary sup close to 1) pushes the branch point of sqrt(1+w) toward
     the circle, which is why the cap sits well above the generator default.
-    Each doubling extends the coefficients already computed.
+    Each doubling is one more Newton step on the coefficients already
+    computed.
     """
     top = DEFAULTS.max_order
-    q, fill = _target_fill(region, w.series.pad_to(top))
-    n = 1024
-    fill(0, n + 1)
-    while PowerSeries(q[: n + 1]).tail_bound(max(DEFAULTS.radii)) >= DEFAULTS.tail_tol \
-            and n < top:
-        n, done = min(2 * n, top), n
-        fill(done + 1, n + 1)
-    return PowerSeries(q[: n + 1])
+    q, step = _target_ladder(region, w.series.pad_to(top))
+    n, done = 1024, 1
+    while True:
+        for lo, hi in newton_steps(done, n + 1):
+            step(lo, hi)
+        done = n + 1
+        if PowerSeries(q[:done]).tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol \
+                or n >= top:
+            return PowerSeries(q[:done])
+        n = min(2 * n, top)
 
 
 # --- premise-exact solutions ------------------------------------------------
@@ -200,12 +219,13 @@ class PremiseSolution:
 
 
 class _PremiseState:
-    """The premise recursion's arrays F, c, G = F - own p and u = p^m,
-    sized once and extended in place to a growing order.
+    """The premise solve's arrays, sized once and extended in place along
+    the Newton ladder to a growing order: the target F, the solution c
+    and the series its closed form passes through.
 
-    ``solve_to(n)`` computes only the coefficients above the order already
-    reached.  Each coefficient reads the same values as in a solve built
-    to order n from scratch, so the solution at every order is the same.
+    ``solve_to(n)`` takes only the Newton steps above the order already
+    reached.  Each step reads the same values as in a solve built to order
+    n from scratch, so the solution at every order is the same.
     """
 
     def __init__(self, lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
@@ -218,73 +238,125 @@ class _PremiseState:
         # the smallest pivot is |beta| for affine rules; convective ones exceed 1
         if not self.own and abs(self.beta) < 1e-14:
             raise RecursionBreakdown("vanishing pivot beta*n at n=1")
-        self.F, self._fill_target = _target_fill(premise_region(lemma, params),
-                                                 w.series.pad_to(size))
-        self._fill_target(0, 1)
+        self.F, self._target_step = _target_ladder(premise_region(lemma, params),
+                                                   w.series.pad_to(size))
         self.pivots = self.beta * np.arange(size + 1) + self.own
         self.c = np.zeros(size + 1, dtype=complex)
         self.c[0] = 1.0
-        if self.m != 0.0:
-            self.G = self.F.copy()           # G = F - own * p, filled as c grows
-            self.u, self._extend_power = _growing_power(self.m, self.c)
+        self._step = _closed_form_step(self)
         self.order = 0
 
     def solve_to(self, order: int) -> PremiseSolution:
         """The solution at ``order``, extending the one already reached."""
-        lo, hi = self.order + 1, order + 1
-        F, c = self.F, self.c
-        self._fill_target(lo, hi)
+        n = order + 1
         # a diverging solve overflows to inf/nan; its residual reports that
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo, hi in newton_steps(self.order + 1, n):
+                self._target_step(lo, hi)
+                self._step(lo, hi)
+            p = PowerSeries(self.c[:n])
             if self.m == 0.0:
-                c[lo:hi] = F[lo:hi] / self.pivots[lo:hi]
                 u = None
+            elif self.m == 1.0:
+                u = p
+            elif self.m == 2.0:
+                u = p * p
             else:
-                G, u, pivots, own = self.G, self.u, self.pivots, self.own
-                G[lo:hi] = F[lo:hi]
-                for n in range(lo, hi):
-                    c[n] = (F[n] + np.dot(G[1:n], u[n - 1 : 0 : -1])) / pivots[n]
-                    G[n] -= own * c[n]
-                    self._extend_power(n)
-                u = PowerSeries(u[:hi])
-            p = PowerSeries(c[:hi])
+                u = p.power(self.m)
             residual = _premise_residual(self.beta, p,
-                                         PowerSeries(F[:hi]) - (p if self.own else 1.0), u)
+                                         PowerSeries(self.F[:n]) - (p if self.own else 1.0), u)
         self.order = order
         return PremiseSolution(p, residual, order,
                                p.tail_bound(max(DEFAULTS.radii)) < DEFAULTS.tail_tol)
 
 
+def _closed_form_step(state: _PremiseState):
+    """The Newton step lo -> hi that sets c_lo..c_{hi-1} of the state's
+    solution from its closed form in I = integral of (F - 1)/s, I_n = F_n/n
+    (the module docstring)."""
+    F, c, pivots, beta, m = state.F, state.c, state.pivots, state.beta, state.m
+    n = c.size
+    if m == 0.0:                         # c_n = F_n/(beta n + own)
+        def step(lo, hi):
+            c[lo:hi] = F[lo:hi] / pivots[lo:hi]
+        return step
+    zf, h = newton_arrays(n)             # z f' of the exponent f, and 1/exp(f)
+    zf[0] = 0.0
+    if m == 1.0 and not state.own:       # c = exp(I/beta)
+        def step(lo, hi):
+            zf[lo:hi] = F[lo:hi] / beta
+            exp_step(zf, c, h, lo, hi)
+        return step
+    if m == 1.0:                         # c = E/S, E = exp(I/beta), S_n = E_n/(beta n + 1)
+        E, S, hS = newton_arrays(n, 3)
+
+        def step(lo, hi):
+            zf[lo:hi] = F[lo:hi] / beta
+            exp_step(zf, E, h, lo, hi)
+            S[lo:hi] = E[lo:hi] / pivots[lo:hi]
+            divide_step(E, S, c, hS, lo, hi)
+        return step
+    if state.own:                        # L7: Newton on the operator
+        return _convective_square_step(state)
+    g, = newton_arrays(n, 1)             # g = 1 + ((1 - m)/beta) I = c^(1 - m)
+    if m == 2.0:                         # c = 1/g
+        def step(lo, hi):
+            g[lo:hi] = -F[lo:hi] / pivots[lo:hi]
+            recip_step(g, c, lo, hi)
+        return step
+    # c = g^(1/(1 - m)) = exp(f) with z f' = (F - 1)/(beta g)
+    num, hg = newton_arrays(n)
+    num[0] = 0.0
+
+    def step(lo, hi):
+        g[lo:hi] = (1.0 - m) * F[lo:hi] / pivots[lo:hi]
+        num[lo:hi] = F[lo:hi] / beta
+        divide_step(num, g, zf, hg, lo, hi)
+        exp_step(zf, c, h, lo, hi)
+    return step
+
+
+def _convective_square_step(state: _PremiseState):
+    """L7's step: Newton on Phi(v) = beta v z v' + F v - 1 for v = 1/p.
+
+    The correction d solves the linear beta z d' + a d = -Phi(v)/v with
+    a = (beta z v' + F)/v, a_0 = 1, by the integrating factor
+    Psi = exp(J), z J' = (a - 1)/beta: T = d Psi has
+    T_n = (Psi (-Phi/v))_n/(beta n + 1).  Phi(v) vanishes below lo, so d
+    needs a, Psi and 1/Psi only to hi - lo <= lo coefficients: they are
+    extended to lo first, from the v already known.  The solution p = 1/v
+    is v's reciprocal, extended with it.
+    """
+    F, p, pivots, beta = state.F, state.c, state.pivots, state.beta
+    n = p.size
+    v, psi, hpsi, zj = newton_arrays(n, 4)
+    zj[0] = 0.0
+    ns = np.arange(n)
+
+    def step(lo, hi):
+        k = (lo + 1) // 2                # psi's precision before this step
+        if lo > k:
+            zj[k:lo] = mul_mid(beta * ns[:lo] * v[:lo] + F[:lo], p, k, lo) / beta
+            exp_step(zj, psi, hpsi, k, lo)
+            recip_step(psi, hpsi, k, lo)
+        phi = mul_mid(v[:lo], beta * np.concatenate([ns[:lo] * v[:lo], np.zeros(hi - lo)])
+                      + F[:hi], lo, hi)
+        t = -mul(psi, mul(p, phi, hi - lo), hi - lo) / pivots[lo:hi]
+        v[lo:hi] = mul(hpsi, t, hi - lo)
+        recip_step(v, p, lo, hi)
+    return step
+
+
 def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                       order: int = DEFAULTS.series_order) -> PremiseSolution:
-    """Coefficient recursion for the premise-exact p at a fixed order."""
+    """Newton solve for the premise-exact p at a fixed order."""
     return _PremiseState(lemma, params, w, order).solve_to(order)
-
-
-def _growing_power(m: float, c: np.ndarray):
-    """u = p^m as an array that grows with c, and the step that sets u_n
-    once c_n is known; m = 1 shares c itself."""
-    if m == 1.0:
-        return c, lambda n: None
-    u = np.zeros_like(c)
-    u[0] = 1.0
-    if m == 2.0:
-        def extend(n: int) -> None:
-            u[n] = 2.0 * c[n] + np.dot(c[1:n], c[n - 1 : 0 : -1])
-    else:
-        jc = np.zeros_like(c)                # jc_j = j c_j
-        ku = np.zeros_like(c)                # ku_k = k u_k
-
-        def extend(n: int) -> None:
-            jc[n] = n * c[n]
-            euler_power_step(m, c, jc, u, ku, n)
-    return u, extend
 
 
 def _premise_residual(beta: float, p: PowerSeries, G: PowerSeries,
                       u: PowerSeries | None) -> float:
-    """Max coefficient of beta z p' - G u, with G = F - theta(p) and the
-    solve's u = p^m (None for m = 0, where u = 1)."""
+    """Max coefficient of beta z p' - G u, with G = F - theta(p) and
+    u = p^m (None for m = 0, where u = 1), by a direct Cauchy product."""
     return (beta * p.zderiv() - (G if u is None else G * u)).max_abs_coeff()
 
 
@@ -295,11 +367,11 @@ def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
     The tail certificate at the outermost sampling radius often is not
     attainable within the cap for targets with circle singularities, in
     which case the solution at the cap is returned with
-    ``tail_certified=False``.  The residual is met by construction unless
-    the recursion diverges.  Each doubling extends one solve, computing
-    only the new coefficients: a higher order repeats the first N
-    coefficients bit for bit, so its residual can only be larger, and the
-    first order whose residual fails raises.
+    ``tail_certified=False``.  The residual stays at rounding level unless
+    the solution diverges.  Each doubling is one more Newton step on one
+    solve, computing only the new coefficients: a higher order repeats the
+    first N coefficients bit for bit, so its residual can only be larger,
+    and the first order whose residual fails raises.
     """
     n = DEFAULTS.series_order if order is None else order
     cap = DEFAULTS.max_series_order

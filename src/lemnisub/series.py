@@ -6,12 +6,15 @@ A :class:`PowerSeries` stores complex coefficients ``c[0] .. c[N]`` of
 
 and supports the calculus needed by the verification engine: Cauchy
 products, division, real powers, ``sqrt``/``log``/``exp``, the operator
-``z d/dz`` and evaluation.  The arithmetic is computed
-by O(N^2) coefficient recursions, which is ample at the default order
-N = 64 and keeps each step numerically transparent.  Arbitrary points
-are evaluated by Horner's rule, O(N) per point; the M equispaced points
-of a circle are one inverse FFT of the coefficients folded modulo M
-(``eval_on_circle``), O(N + M log M) in place of O(N M).
+``z d/dz`` and evaluation.  ``*`` is the direct Cauchy product
+(``np.convolve``), O(N^2).  Division, ``sqrt``, ``exp``, ``log`` and
+powers are Newton iterations on coefficient arrays (the kernels at the
+end of this module), each a few products per doubling of the order:
+below ``FFT_CROSSOVER`` coefficients a product is ``np.convolve``, above
+it a zero-padded FFT, O(N log N).  Arbitrary points are evaluated by
+Horner's rule, O(N) per point; the M equispaced points of a circle are
+one inverse FFT of the coefficients folded modulo M (``eval_on_circle``),
+O(N + M log M) in place of O(N M).
 
 Arithmetic between two series truncates the result at the smaller of the
 two orders.  Values are immutable once constructed; instances may be
@@ -27,6 +30,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Union
 
 import numpy as np
@@ -42,6 +46,9 @@ from .errors import (
 Scalar = Union[int, float, complex]
 
 _DIV_PIVOT_TOL = 1e-14
+# products whose shorter factor has at most this many coefficients are
+# taken by np.convolve, longer ones by FFT (mul_mid)
+FFT_CROSSOVER = 256
 
 
 class PowerSeries:
@@ -152,43 +159,45 @@ class PowerSeries:
     # --- analytic operations ---
 
     def power(self, exponent: float) -> "PowerSeries":
-        """p**a for real a, by the Euler coefficient recursion; needs c0 = 1."""
+        """p**a for real a; needs c0 = 1.
+
+        For a >= 1, p**a = p**j exp((a - j) log p) with j = floor(a), p**j
+        by repeated squaring: exp's Newton step multiplies by 1/p**(a - j),
+        whose coefficients grow with n where p nears 0 on the circle unless
+        a - j < 1.
+        """
         _require_constant_one(self._c)
-        a = float(exponent)
-        jc = self._c * np.arange(self._c.size)
-        u = np.zeros(self._c.size, dtype=complex)
-        ku = np.zeros(self._c.size, dtype=complex)
-        u[0] = 1.0
-        for n in range(1, u.size):
-            euler_power_step(a, self._c, jc, u, ku, n)
+        c, a = self._c, float(exponent)
+        whole = math.floor(a) if a >= 1.0 else 0
+        u = exp_of((a - whole) * _zlog(c))
+        while whole:
+            if whole & 1:
+                u = mul(u, c, c.size)
+            whole >>= 1
+            if whole:
+                c = mul(c, c, c.size)
         return PowerSeries(u)
 
     def sqrt(self) -> "PowerSeries":
         """Square root with value 1 at the origin; needs c0 = 1."""
-        s = np.zeros(self._c.size, dtype=complex)
-        sqrt_fill(self._c, s, 0, s.size)
+        _require_constant_one(self._c)
+        s, h = newton_arrays(self._c.size)
+        for lo, hi in newton_steps(1, s.size):
+            sqrt_step(self._c, s, h, lo, hi)
         return PowerSeries(s)
 
     def log(self) -> "PowerSeries":
         """Logarithm vanishing at the origin; needs c0 = 1."""
         _require_constant_one(self._c)
-        d = _divide(self.zderiv(), self)
-        out = np.zeros(self.order + 1, dtype=complex)
-        ns = np.arange(1, self.order + 1)
-        out[1:] = d._c[1:] / ns
-        return PowerSeries(out)
+        zl = _zlog(self._c)
+        zl[1:] /= np.arange(1, zl.size)
+        return PowerSeries(zl)
 
     def exp(self) -> "PowerSeries":
         """Exponential; needs c0 = 0."""
         if abs(self._c[0]) > DEFAULTS.coeff_tol:
             raise ConstantTermNotZero(f"constant term is {self._c[0]!r}, expected 0")
-        n = self.order
-        e = np.zeros(n + 1, dtype=complex)
-        e[0] = 1.0
-        zp = self._c * np.arange(n + 1)  # coefficients of z p'
-        for m in range(1, n + 1):
-            e[m] = np.dot(zp[1 : m + 1], e[m - 1 :: -1][: m]) / m
-        return PowerSeries(e)
+        return PowerSeries(exp_of(self._c * np.arange(self._c.size)))
 
     def zderiv(self) -> "PowerSeries":
         """The operator z d/dz: c_n -> n c_n."""
@@ -221,65 +230,175 @@ class PowerSeries:
         return float(np.max(np.abs(self._c)))
 
 
-def euler_power_step(a: float, c: np.ndarray, jc: np.ndarray, u: np.ndarray,
-                     ku: np.ndarray, n: int) -> None:
-    """Set u_n and ku_n = n u_n of u = p**a; needs c_0 = 1.
-
-    Reads c_1..c_n of p with jc_j = j c_j, and u_0..u_{n-1} with
-    ku_k = k u_k.  Euler's recursion reads p z u' = a u z p'
-    coefficientwise, n u_n = sum_{j=1}^{n} (a j - (n - j)) c_j u_{n-j},
-    which splits into two dot products over the running arrays:
-    n u_n = a sum_j jc_j u_{n-j} - sum_j c_j ku_{n-j}.
-    """
-    u[n] = (a * np.dot(jc[1 : n + 1], u[n - 1 :: -1])
-            - np.dot(c[1 : n + 1], ku[n - 1 :: -1])) / n
-    ku[n] = n * u[n]
-
-
 def _require_constant_one(c: np.ndarray) -> None:
     if abs(c[0] - 1.0) > DEFAULTS.coeff_tol:
         raise ConstantTermNotOne(f"constant term is {c[0]!r}, expected 1")
 
 
+def _require_pivot(b: np.ndarray) -> None:
+    if abs(b[0]) < _DIV_PIVOT_TOL:
+        raise DivisionByZeroConstantTerm(
+            f"denominator constant term {b[0]!r} below {_DIV_PIVOT_TOL}"
+        )
+
+
 def _divide(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    out = np.zeros(min(a.order, b.order) + 1, dtype=complex)
-    divide_fill(a._c, b._c, out, 0, out.size)
-    return PowerSeries(out)
+    return PowerSeries(divide_of(a._c, b._c, min(a.order, b.order) + 1))
 
 
-# The recursions below set the coefficients lo..hi-1 of their result in
-# place from the lower ones, so a caller may extend a result it already
-# holds to a higher order without recomputing it: each coefficient reads
-# the same values whichever order the result is built to.  A fill from
-# lo = 0 checks the constant term and sets the result's.
+def _zlog(c: np.ndarray) -> np.ndarray:
+    """z (log p)' = z p'/p for the coefficients c of p."""
+    return divide_of(c * np.arange(c.size), c, c.size)
 
-def sqrt_fill(a: np.ndarray, s: np.ndarray, lo: int, hi: int) -> None:
-    """Set s_lo..s_{hi-1} of s = sqrt(a), the root with s_0 = 1; needs a_0 = 1.
 
-    Squaring reads a_m = 2 s_m + sum_{j=1}^{m-1} s_j s_{m-j} for m >= 1.
+# --- Newton kernels on coefficient arrays -----------------------------------
+#
+# Each kernel doubles the number of correct coefficients per step (Newton
+# iteration on power series; Brent & Kung, J. ACM 25(4), 1978).  A step
+# ``lo -> hi`` (hi <= 2 lo) sets coefficients lo..hi-1 of its result in
+# place, reading the coefficients below hi of its inputs and the ones below
+# lo of its result, so a caller may hold a result and extend it to a higher
+# order later.  The precisions of an n-coefficient result are fixed by n
+# alone: ``newton_ladder(n)`` halves n, rounding up, down to 1.  The ladder
+# to 2n - 1 coefficients is the ladder to n plus one step, so a result at
+# order N = 2^j n0 extended to 2N is bit for bit the result built to 2N
+# from scratch.  Kernels with a coupled inverse (division, sqrt, exp) also
+# keep h, the reciprocal of their divisor or result, one step behind: at
+# the start of the step lo -> hi it holds ceil(lo/2) coefficients.
+
+def _smooth_sizes(limit: int) -> np.ndarray:
+    out = [1]
+    for p in (2, 3, 5):
+        out = [v * p ** e for v in out for e in range(limit.bit_length())
+               if v * p ** e <= limit]
+    return np.array(sorted(set(out)))
+
+
+# FFT lengths up to twice the largest order's size, then powers of two
+_FFT_SIZES = _smooth_sizes(2 * DEFAULTS.max_order + 2)
+
+
+def _fft_len(n: int) -> int:
+    """The smallest 5-smooth length >= n (a power of two beyond the table)."""
+    if n > _FFT_SIZES[-1]:
+        return 1 << (n - 1).bit_length()
+    return int(_FFT_SIZES[np.searchsorted(_FFT_SIZES, n)])
+
+
+def mul_mid(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi-1 of the product of the series a and b.
+
+    A product whose shorter factor has at most ``FFT_CROSSOVER``
+    coefficients is taken directly by ``np.convolve``.  A longer one is a
+    cyclic convolution by FFT, of the smallest 5-smooth length that holds
+    coefficients lo..hi-1 clear of the wrapped ones: length L takes index
+    k >= L to k - L, below lo when L >= len(a) + len(b) - 1 - lo.  The
+    FFT's rounding is relative to the norms of its operands, so their
+    constant terms are split off and added back exactly,
+    a0 b + b0 a - a0 b0: for the series 1 + (small) of a premise solve at
+    large beta each coefficient's error then follows the small part.
     """
+    a, b = a[:hi], b[:hi]
+    if min(a.size, b.size) <= FFT_CROSSOVER:
+        return _window(np.convolve(a, b), lo, hi)
+    size = _fft_len(max(hi, a.size + b.size - 1 - lo))
+    a0, b0 = a[0], b[0]
+    a, b = a.copy(), b.copy()
+    a[0] = b[0] = 0.0
+    out = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[lo:hi]
+    out += a0 * _window(b, lo, hi) + b0 * _window(a, lo, hi)
     if lo == 0:
-        _require_constant_one(a)
-        s[0] = 1.0
-        lo = 1
-    for m in range(lo, hi):
-        acc = np.dot(s[1:m], s[m - 1 : 0 : -1]) if m > 1 else 0.0
-        s[m] = (a[m] - acc) / 2.0
+        out[0] = a0 * b0
+    return out
 
 
-def divide_fill(a: np.ndarray, b: np.ndarray, out: np.ndarray, lo: int,
-                hi: int) -> None:
-    """Set out_lo..out_{hi-1} of out = a/b; needs b_0 away from 0.
+def _window(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x_lo..x_{hi-1}, zero beyond the end of x."""
+    out = x[lo:hi]
+    if out.size < hi - lo:
+        out = np.concatenate([out, np.zeros(hi - lo - out.size, dtype=x.dtype)])
+    return out
 
-    Multiplying back reads a_m = sum_{j=0}^{m} out_j b_{m-j}.
+
+def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of a b."""
+    return mul_mid(a, b, 0, n)
+
+
+def newton_ladder(n: int) -> list:
+    """The precisions 1 < ... < n of a Newton solve to n coefficients."""
+    out = [n]
+    while out[-1] > 1:
+        out.append((out[-1] + 1) // 2)
+    return out[::-1]
+
+
+def newton_steps(done: int, n: int) -> list:
+    """The steps (lo, hi) that extend a result of ``done`` coefficients to
+    n; from 1 when ``done`` is not on the ladder to n."""
+    ladder = newton_ladder(n)
+    start = ladder.index(done) if done in ladder else 0
+    return list(zip(ladder[start:-1], ladder[start + 1:]))
+
+
+def newton_arrays(n: int, count: int = 2) -> list:
+    """``count`` arrays of n coefficients with constant term 1."""
+    out = [np.zeros(n, dtype=complex) for _ in range(count)]
+    for arr in out:
+        arr[0] = 1.0
+    return out
+
+
+def recip_step(b: np.ndarray, g: np.ndarray, lo: int, hi: int) -> None:
+    """Set g_lo..g_{hi-1} of g = 1/b: g + g (1 - b g)."""
+    if hi <= lo:
+        return
+    e = mul_mid(b, g[:lo], lo, hi)
+    g[lo:hi] = -mul(g, e, hi - lo)
+
+
+def divide_step(a: np.ndarray, b: np.ndarray, q: np.ndarray, h: np.ndarray,
+                lo: int, hi: int) -> None:
+    """Set q_lo..q_{hi-1} of q = a/b, h = 1/b: q + h (a - b q)."""
+    recip_step(b, h, (lo + 1) // 2, lo)
+    r = a[lo:hi] - mul_mid(b, q[:lo], lo, hi)
+    q[lo:hi] = mul(h, r, hi - lo)
+
+
+def sqrt_step(a: np.ndarray, s: np.ndarray, h: np.ndarray, lo: int,
+              hi: int) -> None:
+    """Set s_lo..s_{hi-1} of s = sqrt(a), h = 1/s: s + h (a - s^2)/2."""
+    recip_step(s, h, (lo + 1) // 2, lo)
+    r = a[lo:hi] - mul_mid(s[:lo], s[:lo], lo, hi)
+    s[lo:hi] = mul(h, r, hi - lo) / 2.0
+
+
+def exp_step(zf: np.ndarray, e: np.ndarray, h: np.ndarray, lo: int,
+             hi: int) -> None:
+    """Set e_lo..e_{hi-1} of e = exp(f), h = 1/e, from zf = z f'.
+
+    e + e (f - log e): with t = z e' - e z f', which vanishes below lo,
+    z (log e)' = z f' + h t, so (f - log e)_n = -(h t)_n / n.
     """
-    if lo == 0:
-        if abs(b[0]) < _DIV_PIVOT_TOL:
-            raise DivisionByZeroConstantTerm(
-                f"denominator constant term {b[0]!r} below {_DIV_PIVOT_TOL}"
-            )
-        out[0] = a[0] / b[0]
-        lo = 1
-    for m in range(lo, hi):
-        acc = np.dot(out[:m], b[m:0:-1])
-        out[m] = (a[m] - acc) / b[0]
+    recip_step(e, h, (lo + 1) // 2, lo)
+    t = mul_mid(e[:lo], zf, lo, hi)          # -t above lo: e z f' alone
+    d = mul(h, t, hi - lo) / np.arange(lo, hi)
+    e[lo:hi] = mul(e, d, hi - lo)
+
+
+def divide_of(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """n coefficients of a/b; needs b_0 away from 0."""
+    _require_pivot(b)
+    q, h = newton_arrays(n)
+    q[0], h[0] = a[0] / b[0], 1.0 / b[0]
+    for lo, hi in newton_steps(1, n):
+        divide_step(a, b, q, h, lo, hi)
+    return q
+
+
+def exp_of(zf: np.ndarray) -> np.ndarray:
+    """exp(f) to the length of zf = z f'."""
+    e, h = newton_arrays(zf.size)
+    for lo, hi in newton_steps(1, zf.size):
+        exp_step(zf, e, h, lo, hi)
+    return e

@@ -70,6 +70,7 @@ from .catalog import (
     feasibility_check,
     h_minus_one_at,
     h_minus_one_on_circle,
+    h_minus_one_sizes,
     margin_on_circle,
     poly_mul,
     premise_region,
@@ -100,6 +101,7 @@ _PROBE_RTOL = 4.0 * np.finfo(float).eps   # a probe must read lower by more, rel
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
 _TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
+_SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
 _FD_STEP = 1e-6                 # largest step of the derivative cross-check
 _FD_RTOL = 1e-5                 # its relative tolerance
 # angles of the derivative cross-check
@@ -368,20 +370,51 @@ def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
                      _circle_product(p1, p1)])
 
 
-def _margin_ratio(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
+def _margin_ratio(lemma: LemmaId, params: LemmaParams,
+                  scales: tuple = (1.0, 1.0)) -> Optional[tuple]:
     """(P, R) with margin^2 = P/R on the unit circle, or None when h - 1
-    has no rational form."""
+    has no rational form; polynomials in beta / (U / V) for the
+    ``scales`` (U, V) of ``_beta_scales``."""
     form = rational_h_minus_one(lemma, params)
     if form is None:
         return None
+    U, V = scales
     N0, N1, D = form
     region = premise_region(lemma, params)
     if isinstance(region, Janowski):
         X, Y = region.A, region.B
-        return _affine_abs2(N0, N1), _affine_abs2((X - Y) * D - Y * N0, -Y * N1)
+        return (_affine_abs2(N0 / U, N1 / V),
+                _affine_abs2(((X - Y) * D - Y * N0) / U, -Y * N1 / V))
     d2 = _circle_product(D, D)[None, :]
-    return (poly_mul(_affine_abs2(N0, N1), _affine_abs2(2.0 * D + N0, N1)),
+    return (poly_mul(_affine_abs2(N0, N1 / V), _affine_abs2(2.0 * D + N0, N1 / V)),
             poly_mul(d2, d2))
+
+
+def _beta_scales(lemma: LemmaId, params: LemmaParams) -> tuple:
+    """Powers of two (U, V) that bring h - 1 = a + beta b to unit size
+    before any |.|^2 is formed, where a or b may be as small as A - B.
+
+    The squared margin is |a + beta b|^2 / |(X-Y) - Y (a + beta b)|^2
+    (Mobius premise), homogeneous in its four terms, so a and (X-Y) - Y a
+    are divided by U and b by V, and the criterion is solved in
+    beta / (U / V); the lemniscate premise |w|^2 |2 + w|^2 is not
+    homogeneous, so only b is scaled (U = 1).  Each is the power of
+    2^_SCALE_BITS nearest the size of its terms (``h_minus_one_sizes``),
+    so both are 1 unless a size is beyond 2^(+-_SCALE_BITS/2), and
+    squares of the scaled terms neither underflow nor overflow.
+    """
+    a, b = h_minus_one_sizes(lemma, params)
+    region = premise_region(lemma, params)
+    U = 1.0
+    if isinstance(region, Janowski):
+        U = _nearest_scale(max(a, abs(region.A - region.B)))
+    return U, _nearest_scale(b)
+
+
+def _nearest_scale(size: float) -> float:
+    if size == 0.0:
+        return 1.0
+    return 2.0 ** (_SCALE_BITS * round(math.log2(size) / _SCALE_BITS))
 
 
 def _criterion_polynomial(P: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -753,12 +786,16 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
     floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
     betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
-    polynomial = _margin_polynomials(lemma, params)
-    ratio = _margin_ratio(lemma, params)
+    # solved in beta / sigma, a power of two: exact, and 1 unless A - B
+    # or X - Y is extreme
+    scales = _beta_scales(lemma, params)
+    sigma = scales[0] / scales[1]
+    polynomial = _margin_polynomials(lemma, params, scales)
+    ratio = _margin_ratio(lemma, params, scales)
     if ratio is None:
-        return _grid_threshold(polynomial, t, sing, betas, grid_size)
-    return _exact_threshold(polynomial, _criterion_polynomial(*ratio), t, sing,
-                            betas)
+        return sigma * _grid_threshold(polynomial, t, sing, betas / sigma, grid_size)
+    return sigma * _exact_threshold(polynomial, _criterion_polynomial(*ratio), t,
+                                    sing, betas / sigma)
 
 
 # --- the threshold from the criterion polynomial F(x; beta) -------------------
@@ -862,8 +899,9 @@ def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                      q.real * q.real + q.imag * q.imag])
 
 
-def _margin_polynomials(lemma: LemmaId, params: LemmaParams):
-    """Per-angle polynomials in beta whose ratio is the squared margin.
+def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
+    """Per-angle polynomials in beta whose ratio is the squared margin,
+    in beta / (U / V) for the ``scales`` (U, V) of ``_beta_scales``.
 
     Returns a function of the angles t giving coefficient arrays
     ``(num, den)``, each of shape (deg+1, t.size) in ascending powers of
@@ -875,14 +913,17 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams):
     """
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
     region = premise_region(lemma, params)
+    U, V = scales
 
     def coefficients(t: np.ndarray) -> tuple:
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
-        w2 = _abs2_coeffs(a, b)
         if isinstance(region, Janowski):
             X, Y = region.A, region.B
-            return w2, _abs2_coeffs((X - Y) - Y * a, -Y * b)
+            return (_abs2_coeffs(a / U, b / V),
+                    _abs2_coeffs(((X - Y) - Y * a) / U, -Y * b / V))
+        b = b / V
+        w2 = _abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
             num[i:i + 3] += factor * w2

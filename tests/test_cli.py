@@ -360,6 +360,19 @@ def test_threshold_l9_degenerate_row(tmp_path):
     assert float(row["beta_numeric"]) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("extra", [["--lemma", "L1", "--k", "1"],
+                                   ["--lemma", "L9", "--D", "0.5", "--E", "0.2"]])
+def test_threshold_with_a_tiny_a_minus_b_is_feasible(tmp_path, extra):
+    # |N1|^2 and |(A - B) D|^2 once underflowed to 0 here
+    out = tmp_path / "tiny.csv"
+    assert run(["threshold", "--A", "0", "--B=-4.386647895761767e-236", *extra,
+                "--csv", str(out)]) == 0
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert row["status"] == "Feasible"
+    assert float(row["beta_numeric"]) == pytest.approx(float(row["beta_star_closed"]),
+                                                       rel=1e-8)
+
+
 def test_threshold_l1_near_b_one_row_is_feasible(tmp_path):
     # 1 - |B| = 5e-10, yet A - B <= 1 - B keeps beta* = 4 finite
     out = tmp_path / "l1.csv"

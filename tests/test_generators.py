@@ -216,8 +216,8 @@ def test_solve_premise_rejects_non_finite_residual(order):
 
 
 def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
-    # the residual at order 64 is 4.0e87; a higher order repeats those
-    # coefficients, so doubling (to NaN at 256) would only cost more work
+    # the residual at order 64 is 5.2e92; a higher order repeats those
+    # coefficients, so doubling would only cost more work
     reached = []
     solve_to = generate._PremiseState.solve_to
 
@@ -226,7 +226,7 @@ def test_adaptive_solve_stops_at_first_failing_residual(monkeypatch):
         return solve_to(state, order)
 
     monkeypatch.setattr(generate._PremiseState, "solve_to", recording)
-    with pytest.raises(TruncationInsufficient, match=r"residual 3\.97\d*e\+87 at order 64"):
+    with pytest.raises(TruncationInsufficient, match=r"residual 5\.21\d*e\+92 at order 64"):
         solve_premise(LemmaId.L4, LemmaParams(A=0.5, B=0.0, beta=0.01), monomial(1))
     assert [order for _, order in reached] == [64]
     state = reached[0][0]
@@ -287,17 +287,17 @@ def test_compose_target_extends_the_target_series(region):
     assert p.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
-# u = p*p convolves where the solve adds one dot product per coefficient;
-# the two differ by rounding of coefficients of modulus about 1
+# the bound a solve that formed u = p*p by its own dot products needed; the
+# solve's u for m = 2 is now the direct product p * p itself
 SQUARE_RESIDUAL_TOL = 1e-15
 
 
 @pytest.mark.parametrize("lemma", ALL)
 def test_residual_reuses_the_solve_power_exactly(lemma):
     # the residual is max |beta z p' - (F - theta(p)) u| with the solve's own
-    # u = p^m: none for m = 0, p itself for m = 1, and for any other m but 2
-    # p.power(m), the same Euler step on the same coefficients, so these
-    # agree bit for bit
+    # u = p^m: none for m = 0, p itself for m = 1, p * p for m = 2 and
+    # p.power(m) for any other m, the same kernels on the same coefficients,
+    # so these agree bit for bit
     rng = np.random.default_rng(zlib.crc32((lemma.value + "u").encode()))
     row = CATALOG[lemma]
     for order in (64, 256):

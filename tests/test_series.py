@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import lemnisub.series
+from lemnisub import series
 from lemnisub import PowerSeries
 from lemnisub.errors import (
     ConstantTermNotOne,
@@ -169,18 +170,33 @@ def test_truncation_order_tracking():
 
 
 def test_fills_extend_a_result_bit_for_bit(rng):
-    # sqrt and division set coefficients lo..hi-1 from the lower ones, so
-    # filling in pieces gives what one call to order 40 gives
-    a = PowerSeries(np.concatenate([[1.0], 0.3 * (rng.normal(size=40)
-                                                  + 1j * rng.normal(size=40))]))
-    b = PowerSeries(np.concatenate([[0.7 - 0.2j], 0.3 * rng.normal(size=40)]))
-    s = np.zeros(41, dtype=complex)
-    q = np.zeros(41, dtype=complex)
-    for lo, hi in ((0, 1), (1, 5), (5, 17), (17, 41)):
-        lemnisub.series.sqrt_fill(a.coeffs, s, lo, hi)
-        lemnisub.series.divide_fill(a.coeffs, b.coeffs, q, lo, hi)
-        assert s[:hi].tobytes() == a.pad_to(hi - 1).sqrt().coeffs.tobytes()
-        assert q[:hi].tobytes() == (a / b.pad_to(hi - 1)).coeffs.tobytes()
+    # a Newton step sets coefficients lo..hi-1 from the lower ones, and the
+    # ladder to 2n - 1 coefficients is the ladder to n plus one step, so
+    # extending a result order by order gives what one call to each order
+    # gives, across the FFT crossover too
+    a = PowerSeries(np.concatenate([[1.0], 0.3 * (rng.normal(size=640)
+                                                  + 1j * rng.normal(size=640))]))
+    b = PowerSeries(np.concatenate([[0.7 - 0.2j], 0.3 * rng.normal(size=640)]))
+    s, hs = series.newton_arrays(641)
+    q, hq = series.newton_arrays(641)
+    q[0], hq[0] = a[0] / b[0], 1.0 / b[0]
+    done = 1
+    for n in (5, 9, 17, 81, 161, 321, 641):
+        for lo, hi in series.newton_steps(done, n):
+            series.sqrt_step(a.coeffs, s, hs, lo, hi)
+            series.divide_step(a.coeffs, b.coeffs, q, hq, lo, hi)
+        done = n
+        assert s[:n].tobytes() == a.pad_to(n - 1).sqrt().coeffs.tobytes()
+        assert q[:n].tobytes() == (a / b.pad_to(n - 1)).coeffs.tobytes()
+
+
+def test_newton_ladder_nests_and_restarts_off_the_ladder():
+    assert series.newton_ladder(65) == [1, 2, 3, 5, 9, 17, 33, 65]
+    assert series.newton_ladder(129)[:-1] == series.newton_ladder(65)
+    assert series.newton_steps(65, 129) == [(65, 129)]
+    # 65 is not on the ladder to 101, so the steps start again from 1
+    assert series.newton_steps(65, 101) == series.newton_steps(1, 101)
+    assert series.newton_steps(1, 1) == []
 
 
 def test_error_cases():

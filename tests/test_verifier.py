@@ -344,6 +344,31 @@ def test_numeric_threshold_scan_scales_below_its_floor(B, beta_star):
     assert b == pytest.approx(beta_star, rel=1e-9, abs=0.0)
 
 
+# A - B tiny: h - 1 (or its Mobius denominator) is of the size of A - B,
+# and the squares of the margin criterion underflowed below about 1e-154
+TINY_AB = [
+    (LemmaId.L1, dict(k=1.0)),            # exact path, beta* ~ A - B
+    (LemmaId.L1, dict(k=0.5)),            # grid path
+    (LemmaId.L2, {}),                     # lemniscate premise, beta* ~ 1/(A - B)
+    (LemmaId.L8, {}),
+    (LemmaId.L9, dict(D=0.5, E=0.2)),     # Mobius premise, beta* ~ 1/(A - B)
+    (LemmaId.L11, dict(D=0.5, E=0.2)),
+]
+
+
+@pytest.mark.parametrize("lemma,extra", TINY_AB)
+@pytest.mark.parametrize("B", [-4.386647895761767e-236, -1e-200])
+def test_numeric_threshold_scales_with_a_tiny_a_minus_b(lemma, extra, B):
+    # each rule is homogeneous in (A - B) beta or (A - B)/beta, so
+    # beta_numeric/beta_star_closed does not depend on A - B
+    def ratio(B):
+        params = LemmaParams(A=0.0, B=B, **extra)
+        return (numeric_threshold(lemma, params)
+                / closed_form_threshold(lemma, params).beta_star)
+
+    assert ratio(B) == pytest.approx(ratio(-1e-100), rel=1e-9, abs=0.0)
+
+
 def test_numeric_threshold_rejects_infeasible():
     with pytest.raises(InfeasibleParameters):
         numeric_threshold(LemmaId.L10, LemmaParams(A=1.0, B=-1.0, D=1.0, E=-1.0))
