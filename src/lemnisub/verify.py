@@ -911,18 +911,19 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
     den = |(X-Y) - Y w|^2 (quadratics; den is linear when |Y| = 1), and
     the lemniscate inverse num = |w|^2 |2 + w|^2 (a quartic) over den = 1.
     """
-    at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
-    region = premise_region(lemma, params)
     U, V = scales
+    # b / V is h - 1 at beta = 1/V less a
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
+    region = premise_region(lemma, params)
 
     def coefficients(t: np.ndarray) -> tuple:
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
         if isinstance(region, Janowski):
             X, Y = region.A, region.B
-            return (_abs2_coeffs(a / U, b / V),
-                    _abs2_coeffs(((X - Y) - Y * a) / U, -Y * b / V))
-        b = b / V
+            a = a / U
+            return (_abs2_coeffs(a, b),
+                    _abs2_coeffs((X - Y) / U - Y * a, -Y * b))
         w2 = _abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
