@@ -287,8 +287,8 @@ def test_compose_target_extends_the_target_series(region):
     assert p.coeffs.tobytes() == fresh.coeffs.tobytes()
 
 
-# the bound a solve that formed u = p*p by its own dot products needed; the
-# solve's u for m = 2 is now the direct product p * p itself
+# m = 2: the solve's u is p * p, the same direct product; the bound allows
+# for a u formed by other products of coefficients of modulus about 1
 SQUARE_RESIDUAL_TOL = 1e-15
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-import lemnisub.series
 from lemnisub import series
 from lemnisub import PowerSeries
 from lemnisub.errors import (
@@ -30,7 +29,7 @@ def binom_half(n_terms):
 
 
 def test_module_examples_run():
-    result = doctest.testmod(lemnisub.series)
+    result = doctest.testmod(series)
     assert result.failed == 0 and result.attempted == 4
 
 
