@@ -65,6 +65,7 @@ from .series import (
     PowerSeries,
     divide_step,
     exp_step,
+    exp_update,
     mul,
     mul_mid,
     newton_arrays,
@@ -324,7 +325,8 @@ def _convective_square_step(state: _PremiseState):
     Psi = exp(J), z J' = (a - 1)/beta: T = d Psi has
     T_n = (Psi (-Phi/v))_n/(beta n + 1).  Phi(v) vanishes below lo, so d
     needs a, Psi and 1/Psi only to hi - lo <= lo coefficients: they are
-    extended to lo first, from the v already known.  The solution p = 1/v
+    extended to lo first, from the v already known, 1/Psi by hand, since
+    the correction needs it at Psi's own precision.  The solution p = 1/v
     is v's reciprocal, extended with it.
     """
     F, p, pivots, beta = state.F, state.c, state.pivots, state.beta
@@ -337,7 +339,7 @@ def _convective_square_step(state: _PremiseState):
         k = (lo + 1) // 2                # psi's precision before this step
         if lo > k:
             zj[k:lo] = mul_mid(beta * ns[:lo] * v[:lo] + F[:lo], p, k, lo) / beta
-            exp_step(zj, psi, hpsi, k, lo)
+            exp_update(zj, psi, hpsi, k, lo)     # 1/psi is held to k
             recip_step(psi, hpsi, k, lo)
         phi = mul_mid(v[:lo], beta * np.concatenate([ns[:lo] * v[:lo], np.zeros(hi - lo)])
                       + F[:hi], lo, hi)

@@ -381,6 +381,13 @@ def exp_step(zf: np.ndarray, e: np.ndarray, h: np.ndarray, lo: int,
     z (log e)' = z f' + h t, so (f - log e)_n = -(h t)_n / n.
     """
     recip_step(e, h, (lo + 1) // 2, lo)
+    exp_update(zf, e, h, lo, hi)
+
+
+def exp_update(zf: np.ndarray, e: np.ndarray, h: np.ndarray, lo: int,
+               hi: int) -> None:
+    """``exp_step`` for a caller that already holds h to hi - lo
+    coefficients."""
     t = mul_mid(e[:lo], zf, lo, hi)          # -t above lo: e z f' alone
     d = mul(h, t, hi - lo) / np.arange(lo, hi)
     e[lo:hi] = mul(e, d, hi - lo)
