@@ -56,11 +56,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                        help=f"parameter {name} (threshold: comma list sweeps)")
     p.add_argument("--grid", type=int, default=DEFAULTS.margin_grid,
                    help="angular grid size. verify samples the boundary "
-                        "margin on it and solves the minima between samples "
-                        "exactly; threshold uses min(--grid, 2048) angles, "
-                        "which seed its exact solve. For L1 at k other "
-                        "than 1 and 3 both refine the grid's local minima "
-                        "by parabolic steps instead")
+                        "margin on it and refines its local minima by "
+                        "parabolic steps; threshold uses min(--grid, 2048) "
+                        "angles, which seed its solve")
     p.add_argument("--radii", default=",".join(str(r) for r in DEFAULTS.radii),
                    help="subordination radius schedule")
     p.add_argument("--order", type=int, default=None,

@@ -10,16 +10,10 @@ module measures that margin on a dense angular grid and semi-decides
 subordination of concrete power series by sampling an exhaustion of the
 disk.
 
-For every margin rule but L1 at non-integer kappa = (k+1)/2 (every k
-but 1 and 3), h - 1 is rational in z with real coefficients and affine
-in beta, so on the circle the squared margin is P/R for polynomials P,
-R in beta and x = cos t, and margin >= 1 is F = P - R >= 0.  The margin
-minima between grid samples are then the stationary points of P/R, and
-the threshold's scan minima and binding angle are solved from F; values
-are still taken per angle, where they keep their relative accuracy.  L1
-at non-integer kappa is transcendental in x and keeps grid sampling; the
-grid's local minima are refined by safeguarded parabolic steps
-(``_parabolic_refine``).
+The margin profile takes one path for every rule: the grid's smallest
+local minima are refined by safeguarded parabolic steps
+(``_parabolic_refine``), and those at a V-shaped zero of the margin are
+polished from the smooth squared margin (``_polish_zeros``).
 
 The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
 quantity's real part is, in x = cos t, a constant plus terms
@@ -33,9 +27,9 @@ margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
 the criterion is a polynomial inequality in beta: a quadratic for the
 Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
-bracket that a coarse beta scan of the minimum margin confirms; the
-binding angle solves F = dF/dx = 0 (parabolic steps over t for L1 at
-non-integer kappa).
+bracket that a coarse beta scan of the minimum margin confirms; where
+h - 1 is rational in z (every rule but L1 at non-integer kappa) the scan
+minima and the binding angle are solved in x = cos t.
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -51,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -97,6 +91,7 @@ _INSET_RADIUS = 1.0 - 1e-6      # winding diagnostic circle
 _REFINE_SEEDS = 8               # local minima refined, the smallest first
 _REFINE_STEPS = 100             # cap on a refinement's steps
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0   # golden section of a bracket side
+_ZERO_CURVATURE = 1e-12         # least relative curvature a polish trusts
 _PROBE_RTOL = 4.0 * np.finfo(float).eps   # a probe must read lower by more, relative
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
@@ -128,8 +123,8 @@ def _parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
     parabola through the column's three best points, or takes a golden
     section of the larger side when the vertex leaves the bracket or
     does not halve the step before last.  A step below ``xtol`` probes
-    x +- xtol instead, and the column stops when neither probe reads
-    lower by more than rounding; it keeps the lowest point it evaluated.
+    x +- xtol instead, and the column stops at x when neither probe reads
+    lower by more than rounding; x only ever moves to a lower reading.
     A column whose x is not below both ends returns its better end.
     ``f(points, columns)`` is called on the unsettled columns only.
     Returns the minimising points and the minima.
@@ -168,7 +163,7 @@ def _parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
         u[probe], fu[probe] = np.where(right, hi, lo), np.where(right, f_hi, f_lo)
         done = probe & ~(fu < fx - _PROBE_RTOL * np.abs(fx))
         # the bracket keeps the best point inside; x, w, v are the three best
-        better, left = fu <= fx, u < x
+        better, left = (fu < fx) & ~done, u < x
         a = np.where(better != left, np.where(better, x, u), a)
         b = np.where(better == left, np.where(better, x, u), b)
         second = ~better & ((fu <= fw) | (w == x))
@@ -186,15 +181,18 @@ def _parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
     return x_out, f_out
 
 
-def _punctured_grid(grid_size: int, sing: tuple) -> np.ndarray:
-    t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    if not sing:
-        return t
+def _outside_punctures(t: np.ndarray, sing: tuple) -> np.ndarray:
+    """Where t is farther than the puncture radius from each singular angle."""
     keep = np.ones(t.shape, dtype=bool)
     for s in sing:
         for image in (s - _TWO_PI, s, s + _TWO_PI):
             keep &= np.abs(t - image) > DEFAULTS.puncture_radius
-    return t[keep]
+    return keep
+
+
+def _punctured_grid(grid_size: int, sing: tuple) -> np.ndarray:
+    t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    return t[_outside_punctures(t, sing)] if sing else t
 
 
 def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
@@ -418,47 +416,11 @@ def _nearest_scale(size: float) -> float:
 
 
 def _criterion_polynomial(P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """F = P - R, which is >= 0 exactly where margin >= 1."""
-    F = np.zeros(np.maximum(P.shape, R.shape))
+    """F = P - R, which is >= 0 exactly where margin^2 = P/R >= 1."""
+    F = np.zeros((max(P.shape[0], R.shape[0]), max(P.shape[1], R.shape[1])))
     F[:P.shape[0], :P.shape[1]] += P
     F[:R.shape[0], :R.shape[1]] -= R
     return F
-
-
-def _at_beta(C: np.ndarray, beta: float) -> np.ndarray:
-    """sum_j beta^j C_j in powers of x, up to a positive factor.
-
-    The factor scales the largest term beta^j C_j to size 1, so no beta
-    the rules accept (1e-300 to 1e100) overflows or underflows the
-    result; P/R keeps its stationary points.
-    """
-    j = np.arange(C.shape[0])
-    size = np.max(np.abs(C), axis=1)
-    with np.errstate(divide="ignore"):
-        log_term = j * math.log(abs(beta)) + np.log(size)   # -inf for zero rows
-    w = np.exp(log_term - np.max(log_term)) * np.sign(beta) ** j
-    return np.sum(w[:, None] * C / np.where(size > 0.0, size, 1.0)[:, None], axis=0)
-
-
-def _stationary_minima(P: np.ndarray, R: np.ndarray, beta: float,
-                       ends: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Angles in [-pi, pi) of the local minima of P/R over x in cos(ends).
-
-    Inside, they are the roots of S = P'R - PR' where S rises through 0,
-    since (P/R)' = S/R^2.  Each is bracketed by a sign change of S
-    between the grid's x values and polished by Newton steps.  An end
-    counts when P/R does not rise toward it.
-    """
-    p, r = _at_beta(P, beta), _at_beta(R, beta)
-    s = poly_mul(_derivative(p), r) - poly_mul(p, _derivative(r))
-    x = np.cos(np.concatenate([ends[1:], t[(t < ends[1]) & (t > ends[0])][::-1],
-                               ends[:1]]))                 # ascending
-    v = _poly_at(s, x)
-    rise = np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))
-    left, right = x[rise], x[rise + 1]
-    roots = _newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
-    tp = np.concatenate([np.arccos(roots), ends[np.array([v[-1] <= 0.0, v[0] >= 0.0])]])
-    return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])
 
 
 # --- margin profiles ---------------------------------------------------------
@@ -486,6 +448,31 @@ class MarginProfile:
         return float(np.max(self.margins) - np.min(self.margins)) <= 1e-12 * scale
 
 
+def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
+    """Refined minima x of a margin f, lowered at V-shaped zeros.
+
+    Where h passes through 1 (or -1, lemniscate premise) f is |t - t0|
+    times a smooth factor and parabolic steps leave f of size xtol.  The
+    vertex of the smooth f^2's parabola through x and x +- xtol is taken
+    where its relative curvature clears rounding (``_ZERO_CURVATURE``),
+    it lies within xtol of x outside the punctures, and f reads lower.
+    """
+    xtol = DEFAULTS.angle_xtol
+    fl, fr = np.split(f(np.concatenate([x - xtol, x + xtol])), 2)
+    scale = np.fmax(np.fmax(fl, fr), fx)      # f^2 / scale^2 cannot overflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yl, y, yr = (fl / scale) ** 2, (fx / scale) ** 2, (fr / scale) ** 2
+        curvature = yl - 2.0 * y + yr
+        shift = 0.5 * xtol * (yl - yr) / curvature
+    vertex = x + shift
+    take = ((curvature > _ZERO_CURVATURE) & (np.abs(shift) <= xtol)
+            & _outside_punctures(vertex, sing))
+    fv = np.full(x.size, np.inf)
+    fv[take] = f(vertex[take])
+    lower = fv < fx
+    return np.where(lower, vertex, x), np.where(lower, fv, fx)
+
+
 def _select_argmin(ts: np.ndarray, ms: np.ndarray) -> tuple:
     """Minimum with ties broken toward the smallest |t| (then t >= 0)."""
     mmin = float(np.min(ms))
@@ -501,11 +488,10 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     """Boundary margin of the superordination criterion on a uniform grid.
 
     Singular angles of h are excluded with a puncture of radius 1e-6.
-    When h - 1 is rational in z, the local minima of margin^2 = P/R in
-    x = cos t are solved exactly (``_stationary_minima``); otherwise (L1
-    at non-integer kappa) the smallest local minima of the samples are
-    refined by parabolic steps to angular resolution 1e-8.  Either way
-    the margins at the added angles come from ``margin_on_circle``.
+    The smallest local minima of the samples are refined by parabolic
+    steps to angular resolution 1e-8, and those at a V-shaped zero are
+    polished to rounding (``_polish_zeros``); the margins at the added
+    angles come from ``margin_on_circle``.
     """
     validate(lemma, params)
     if not CATALOG[lemma].margin_criterion:
@@ -516,21 +502,14 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
 
     sing = singular_angles(lemma, params)
     t = _punctured_grid(grid_size, sing)
-    margins = margin_on_circle(lemma, params, t)
-
-    ratio = _margin_ratio(lemma, params)
-    if ratio is not None:
-        xb = _stationary_minima(*ratio, params.beta, _end_angles(sing), t)
-        fb = margin_on_circle(lemma, params, xb)
-    else:
-        xb, fb = _refine_minima(lambda x: margin_on_circle(lemma, params, x),
-                                t[_local_minima(margins)], grid_size, sing)
-        xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
+    margin = partial(margin_on_circle, lemma, params)
+    margins = margin(t)
+    xb, fb = _refine_minima(margin, t[_local_minima(margins)], grid_size, sing)
+    xb, fb = _polish_zeros(margin, xb, fb, sing)
+    xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
     cand_t = np.concatenate([t, xb])
-    cand_m = np.concatenate([margins, fb])
-
     order = np.argsort(cand_t)
-    cand_t, cand_m = cand_t[order], cand_m[order]
+    cand_t, cand_m = cand_t[order], np.concatenate([margins, fb])[order]
     min_margin, argmin_t = _select_argmin(cand_t, cand_m)
     profile = MarginProfile(cand_t, cand_m, min_margin, argmin_t,
                             bool(xb.size), tuple(sing))
@@ -802,7 +781,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
 
 def _last_crossings(polynomial, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The largest crossing in [lo, hi] at each angle, -inf where none."""
-    return np.fmax.reduce(_crossings(_crossing_coeffs(*polynomial(t)), lo, hi),
+    return np.fmax.reduce(_crossings(_criterion_polynomial(*polynomial(t)), lo, hi),
                           axis=0, initial=-np.inf)
 
 
@@ -933,23 +912,16 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
     return coefficients
 
 
-def _crossing_coeffs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Coefficients of F = num - den, which is >= 0 exactly where margin >= 1."""
-    c = num.copy()
-    c[:den.shape[0]] -= den
-    return c
-
-
 def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
                  betas: np.ndarray, grid_size: int) -> tuple:
     """Minimum squared margin over the circle at each scan beta.
 
     As in ``boundary_margin_profile``, the minimum over the grid is
-    refined around the smallest local minima of the samples, so a dip
-    between grid points counts.  Refinement can only lower a
-    minimum, so it runs only at the betas whose grid minimum reaches 1,
-    all of them in one batch.  Returns the minima, the refined angles
-    and the index of the scan beta each angle belongs to.
+    refined around the smallest local minima of the samples (zeros need
+    no polish here), so a dip between grid points counts.  Refinement
+    can only lower a minimum, so it runs only at the betas whose grid
+    minimum reaches 1, all of them in one batch.  Returns the minima,
+    the refined angles and the index of the scan beta each belongs to.
     """
     num, den = coeffs
     minima = np.empty(betas.size)
@@ -977,7 +949,7 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
 
 def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
                     grid_size: int) -> float:
-    """``numeric_threshold`` from the per-angle polynomials on the grid.
+    """``numeric_threshold`` on the grid, for L1 at non-integer kappa.
 
     The scan minima are refined as in ``boundary_margin_profile``; the
     largest crossing over the grid and the scan's refined angles at the
@@ -994,8 +966,8 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     probes = probes[owner == i0]
     n = t.size
     t = np.concatenate([t, probes])
-    coeffs = np.concatenate([_crossing_coeffs(num, den),
-                             _crossing_coeffs(*polynomial(probes))], axis=1)
+    coeffs = np.concatenate([_criterion_polynomial(num, den),
+                             _criterion_polynomial(*polynomial(probes))], axis=1)
     last = np.fmax.reduce(_crossings(coeffs, lo, hi), axis=0, initial=-np.inf)
     best = max(lo, float(np.max(last)))
 
@@ -1006,7 +978,7 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     order = peaks[np.argsort(-last[peaks], kind="stable")[:_REFINE_SEEDS]]
 
     def negated_crossing(x, guess):
-        root = _newton_in_bracket(_crossing_coeffs(*polynomial(x)), lo, hi, guess)
+        root = _newton_in_bracket(_criterion_polynomial(*polynomial(x)), lo, hi, guess)
         return np.where(np.isnan(root), np.inf, -root)
 
     _, fb, _ = _refine_minima(negated_crossing, t[order], grid_size, sing,

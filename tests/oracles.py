@@ -1,14 +1,24 @@
-"""Coefficient-recursion oracles for the Newton kernels of ``lemnisub``.
+"""Slow, independent oracles for the fast paths of ``lemnisub``.
 
-Each recursion sets one coefficient per Python iteration from the lower
-ones by one or two dot products, O(N^2) in all.  They round differently
-from the Newton kernels, which take products by FFT above a crossover,
-so the tests compare the two within a tolerance set from float64, never
-bit for bit.
+The coefficient recursions are oracles for the Newton kernels.  Each
+sets one coefficient per Python iteration from the lower ones by one or
+two dot products, O(N^2) in all.  They round differently from the
+Newton kernels, which take products by FFT above a crossover, so the
+tests compare the two within a tolerance set from float64, never bit
+for bit.
+
+``stationary_minima`` is the oracle for the boundary margin profile's
+refined minima.  Where h - 1 is rational in z it solves the stationary
+points of margin^2 = P/R in x = cos t; the profile refines the grid's
+local minima by parabolic steps instead.
 """
+
+import math
 
 import numpy as np
 
+from lemnisub import verify
+from lemnisub.catalog import poly_mul
 from lemnisub.errors import ConstantTermNotOne, DivisionByZeroConstantTerm
 
 
@@ -114,3 +124,42 @@ def premise_recursion(F, beta, m, own):
             jc[n] = n * c[n]
             euler_power_step(m, c, jc, u, ku, n)
     return c
+
+
+# --- the boundary margin's minima, solved exactly in x = cos t ---------------
+
+def at_beta(C, beta):
+    """sum_j beta^j C_j in powers of x, up to a positive factor.
+
+    The factor scales the largest term beta^j C_j to size 1, so no beta
+    the rules accept (1e-300 to 1e100) overflows or underflows the
+    result; P/R keeps its stationary points.
+    """
+    j = np.arange(C.shape[0])
+    size = np.max(np.abs(C), axis=1)
+    with np.errstate(divide="ignore"):
+        log_term = j * math.log(abs(beta)) + np.log(size)   # -inf for zero rows
+    w = np.exp(log_term - np.max(log_term)) * np.sign(beta) ** j
+    return np.sum(w[:, None] * C / np.where(size > 0.0, size, 1.0)[:, None], axis=0)
+
+
+def stationary_minima(P, R, beta, ends, t):
+    """Angles in [-pi, pi) of the local minima of P/R over x in cos(ends).
+
+    P and R are ``verify._margin_ratio``'s polynomials in beta and
+    x = cos t with margin^2 = P/R.  Inside, the minima are the roots of
+    S = P'R - PR' where S rises through 0, since (P/R)' = S/R^2.  Each is
+    bracketed by a sign change of S between the grid's x values and
+    polished by Newton steps.  An end counts when P/R does not rise
+    toward it.
+    """
+    p, r = at_beta(P, beta), at_beta(R, beta)
+    s = poly_mul(verify._derivative(p), r) - poly_mul(p, verify._derivative(r))
+    x = np.cos(np.concatenate([ends[1:], t[(t < ends[1]) & (t > ends[0])][::-1],
+                               ends[:1]]))                 # ascending
+    v = verify._poly_at(s, x)
+    rise = np.flatnonzero((v[:-1] < 0.0) & (v[1:] >= 0.0))
+    left, right = x[rise], x[rise + 1]
+    roots = verify._newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
+    tp = np.concatenate([np.arccos(roots), ends[np.array([v[-1] <= 0.0, v[0] >= 0.0])]])
+    return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])

@@ -1,11 +1,13 @@
 """The grid path's parabolic refinement against the golden section it replaced.
 
-L1's dominant curve has the exponent (k + 1)/2, so for every k but 1
-and 3 its margin is not rational in x = cos t, and ``boundary_margin_profile``
-and ``numeric_threshold`` refine the grid's local minima with
-``verify._parabolic_refine``.  The oracle is the same two functions with
-that refiner replaced by the golden-section refinement the grid path
-used before, run to angular resolution 1e-13 instead of 1e-8.
+``boundary_margin_profile`` refines the grid's local minima with
+``verify._parabolic_refine`` for every rule.  L1's dominant curve has
+the exponent (k + 1)/2, so for every k but 1 and 3 its margin is not
+rational in x = cos t, and ``numeric_threshold`` refines the grid the
+same way.  The oracle is the same two functions with that refiner
+replaced by the golden-section refinement the grid path used before,
+run to angular resolution 1e-13 instead of 1e-8.  The draws here are
+L1 only; ``test_margin_exact`` checks the profile of the other rules.
 """
 
 import dataclasses

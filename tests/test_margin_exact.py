@@ -1,14 +1,18 @@
-"""The exact margin layer in x = cos t against the grid path it replaced.
+"""The margin layer in x = cos t against the grid path, both ways round.
 
-When h - 1 is rational in z, ``boundary_margin_profile`` solves the
-stationary points of margin^2 = P/R and ``numeric_threshold`` the scan
-minima and the binding angle from polynomials in x = cos t.  The oracle
-is the same two functions with ``rational_h_minus_one`` monkeypatched to
+When h - 1 is rational in z, ``numeric_threshold`` solves the scan
+minima and the binding angle from polynomials in x = cos t.  Its oracle
+is the same function with ``rational_h_minus_one`` monkeypatched to
 return None, which sends every rule down the grid path that L1 at every
-k but 1 and 3 still takes: the grid's local minima refined by parabolic
-steps.  Its refinement runs to angular resolution 1e-13 instead of 1e-8:
-where h passes through +-1 the margin has a V-shaped zero, and 1e-8 in t
-leaves up to 7e-11 there.
+k but 1 and 3 takes: the grid's local minima refined by parabolic steps,
+here to angular resolution 1e-13 instead of 1e-8.
+
+``boundary_margin_profile`` takes the grid path for every rule, and
+polishes the V-shaped zeros of the margin, where h passes through 1 (or
+-1, lemniscate premise) and 1e-8 in t leaves up to about 1e-9.  Its
+oracle is the exact profile it replaced: the least margin over the
+punctured grid and the stationary points of margin^2 = P/R
+(``oracles.stationary_minima``).
 """
 
 import dataclasses
@@ -20,19 +24,20 @@ import pytest
 
 from lemnisub import (DEFAULTS, LemmaId, LemmaParams, boundary_margin_profile,
                       closed_form_threshold, numeric_threshold, verify)
-from lemnisub.catalog import (h_minus_one_on_circle, rational_h_minus_one,
-                              singular_angles)
+from lemnisub.catalog import (h_minus_one_on_circle, margin_on_circle,
+                              rational_h_minus_one, singular_angles)
 from lemnisub.errors import LemnisubError
 
 from conftest import draw_valid_params
+from oracles import stationary_minima
 from test_verifier import NEAR_POLE_L9
 
-ORACLE_XTOL = 1e-13      # the oracle's angular resolution
+ORACLE_XTOL = 1e-13      # the threshold oracle's angular resolution
 AGREE_RTOL = 1e-12       # exact and grid values agree to this, relative
 # the exact minimum may sit above the grid one by rounding only: the grid
 # path keeps the least of several evaluations around a minimum, each with
 # a few ulps of rounding in margin_on_circle (at t = +-pi, |2 + w|
-# cancels), and the exact path evaluates it once
+# cancels), and the exact oracle evaluates it once
 ABOVE_RTOL = 4e-15
 DRAWS = 5
 
@@ -90,6 +95,17 @@ def _on_grid_path(monkeypatch, f, *args):
         return f(*args)
 
 
+def _exact_minimum(lemma, params):
+    """The least margin over the punctured grid and the stationary points
+    of margin^2 = P/R, each set evaluated as the exact profile did."""
+    sing = singular_angles(lemma, params)
+    t = verify._punctured_grid(DEFAULTS.margin_grid, sing)
+    x = stationary_minima(*verify._margin_ratio(lemma, params), params.beta,
+                          verify._end_angles(sing), t)
+    return min(float(np.min(margin_on_circle(lemma, params, t))),
+               float(np.min(margin_on_circle(lemma, params, x), initial=np.inf)))
+
+
 def _betas(lemma, params):
     star = closed_form_threshold(lemma, params).beta_star or 1.0
     rng = np.random.default_rng(zlib.crc32(repr(params).encode()))
@@ -106,13 +122,13 @@ def test_exact_margin_layer_matches_grid_path(monkeypatch, lemma, params):
         assert abs(value - grid_value) <= AGREE_RTOL * grid_value, (value, grid_value)
     for beta in _betas(lemma, params):
         at = params.with_beta(beta)
-        exact = boundary_margin_profile(lemma, at)
-        grid = _on_grid_path(monkeypatch, boundary_margin_profile, lemma, at)
+        exact = _exact_minimum(lemma, at)
+        grid = boundary_margin_profile(lemma, at)
         scale = max(1.0, abs(grid.min_margin))
-        where = f"beta {beta!r}: {exact.min_margin!r} vs {grid.min_margin!r}"
-        assert abs(exact.min_margin - grid.min_margin) <= AGREE_RTOL * scale, where
-        assert exact.min_margin - grid.min_margin <= ABOVE_RTOL * scale, where
-        assert -math.pi <= exact.argmin_t < math.pi
+        where = f"beta {beta!r}: {exact!r} vs {grid.min_margin!r}"
+        assert abs(exact - grid.min_margin) <= AGREE_RTOL * scale, where
+        assert exact - grid.min_margin <= ABOVE_RTOL * scale, where
+        assert -math.pi <= grid.argmin_t < math.pi
 
 
 def test_points_cover_the_rules_and_the_domain_ends():

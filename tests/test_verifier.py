@@ -106,6 +106,16 @@ def test_profile_l2_at_threshold():
     assert abs(p.argmin_t) == pytest.approx(math.pi, abs=1e-6)
 
 
+def test_profile_minimum_at_pi_stays_on_the_grid_angle():
+    # the minimum sits at t = -pi, a grid angle; the refinement's last
+    # probes at -pi +- 1e-8 read lower by rounding only and must not move it
+    params = LemmaParams(A=-0.12142613934027158, B=-0.8211965118679712,
+                         beta=12.918965768846798)
+    p = boundary_margin_profile(LemmaId.L2, params)
+    assert p.argmin_t == -math.pi
+    assert p.min_margin == pytest.approx(1.9778590719019833, rel=1e-12)
+
+
 def test_profile_l1_cosine_margin():
     # A=1, B=0, k=1: margin(t) = beta/(4 cos(t/2)); at beta=4 it is 1/cos(t/2)
     p = boundary_margin_profile(LemmaId.L1,
