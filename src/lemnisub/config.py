@@ -22,7 +22,7 @@ class Defaults:
     feasibility_slack: float = 1e-12
     angle_xtol: float = 1e-8      # angular resolution of the grid refinement
     puncture_radius: float = 1e-6  # excluded neighbourhood of singular angles
-    tail_tol: float = 1e-9        # series tail certificate |c_N| r^N / (1-r)
+    tail_tol: float = 1e-9        # tail estimate |c_N| r^N / (1-r), not a bound
 
     # grids
     margin_grid: int = 4096

@@ -188,7 +188,8 @@ def compose_target(region: TargetRegion, w: SchwarzFunction) -> PowerSeries:
     Because q(w) is exactly subordinate to q, these series exercise the
     subordination checker on functions that approach the target boundary.
     The truncation starts at 1024 and is doubled until the geometric tail
-    certificate at the outermost sampling radius passes; near-inner w
+    estimate at the outermost sampling radius (a heuristic, see
+    ``PowerSeries.tail_bound``) falls below ``tail_tol``; near-inner w
     (boundary sup close to 1) pushes the branch point of sqrt(1+w) toward
     the circle, which is why the cap sits well above the generator default.
     Each doubling is one more Newton step on the coefficients already
@@ -366,14 +367,19 @@ def solve_premise(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
                   order: int | None = None) -> PremiseSolution:
     """Adaptive-order solve: double N while the tail fails, capped.
 
-    The tail certificate at the outermost sampling radius often is not
-    attainable within the cap for targets with circle singularities, in
-    which case the solution at the cap is returned with
-    ``tail_certified=False``.  The residual stays at rounding level unless
-    the solution diverges.  Each doubling is one more Newton step on one
-    solve, computing only the new coefficients: a higher order repeats the
-    first N coefficients bit for bit, so its residual can only be larger,
-    and the first order whose residual fails raises.
+    The tail estimate |c_N| r^N/(1-r) at the outermost sampling radius
+    bounds nothing unless the coefficients decrease, so
+    ``tail_certified`` is a heuristic flag, not a certificate.  For
+    targets with circle singularities it often stays above ``tail_tol``
+    within the cap, in which case the solution at the cap is returned
+    with ``tail_certified=False``.  The residual stays at rounding level
+    unless the solution diverges.  Each doubling is one more Newton step
+    on one solve, computing only the new coefficients: a higher order
+    repeats the first N coefficients of p bit for bit, so its residual
+    can only be larger, up to rounding (for L1 at k outside {0, 1, 2}
+    the residual's p^k is a Newton solve of its own, whose first
+    coefficients move in the last bits with the order), and the first
+    order whose residual fails raises.
     """
     n = DEFAULTS.series_order if order is None else order
     cap = DEFAULTS.max_series_order

@@ -14,7 +14,9 @@ below ``FFT_CROSSOVER`` coefficients a product is ``np.convolve``, above
 it a zero-padded FFT, O(N log N).  Arbitrary points are evaluated by
 Horner's rule, O(N) per point; the M equispaced points of a circle are
 one inverse FFT of the coefficients folded modulo M (``eval_on_circle``),
-O(N + M log M) in place of O(N M).
+O(N + M log M) in place of O(N M).  Its scale vector (-r)^n and fold
+index n mod M are built once per radius, order and grid size, and kept
+in bounded caches of read-only arrays.
 
 Arithmetic between two series truncates the result at the smaller of the
 two orders.  Values are immutable once constructed; instances may be
@@ -31,6 +33,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Union
 
 import numpy as np
@@ -212,22 +215,50 @@ class PowerSeries:
 
         The grid is that of ``np.linspace(-pi, pi, samples, endpoint=False)``.
         With z_k = -radius e^{2 pi i k / samples}, p(z_k) is the inverse DFT
-        of the coefficients c_n (-radius)^n folded modulo ``samples``.
+        of the coefficients c_n (-radius)^n folded modulo ``samples``.  The
+        scale vector (-radius)^n and the fold index n mod ``samples`` are
+        built once per shape (``_circle_scale``, ``_circle_fold``).
         """
-        scaled = self._c * (-float(radius)) ** np.arange(self._c.size)
-        k = np.arange(self._c.size) % samples
+        n = self._c.size
+        scaled = self._c * _circle_scale(float(radius), n)
+        k = _circle_fold(n, samples)
         folded = (np.bincount(k, weights=scaled.real, minlength=samples)
                   + 1j * np.bincount(k, weights=scaled.imag, minlength=samples))
         return samples * np.fft.ifft(folded)
 
     def tail_bound(self, radius: float) -> float:
-        """Crude geometric tail certificate |c_N| r^N / (1 - r)."""
+        """Geometric tail estimate |c_N| r^N / (1 - r).
+
+        It sums the tail as if |c_n| <= |c_N| for every n > N, so it
+        bounds nothing unless the coefficients decrease; a heuristic, not
+        a certificate.
+        """
         if radius >= 1.0:
             return float("inf")
         return float(abs(self._c[-1]) * radius ** self.order / (1.0 - radius))
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self._c)))
+
+
+# A falsify trial evaluates one order on the same few circles again and
+# again; rebuilding (-r)^n costs one libm pow per coefficient, most of an
+# evaluation at order 2048.  The tables are read-only and shared.
+
+@lru_cache(maxsize=64)
+def _circle_scale(radius: float, n: int) -> np.ndarray:
+    """(-radius)^0 .. (-radius)^(n-1), for ``eval_on_circle``."""
+    table = (-radius) ** np.arange(n)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _circle_fold(n: int, samples: int) -> np.ndarray:
+    """0 .. n-1 modulo ``samples``, for ``eval_on_circle``."""
+    table = np.arange(n) % samples
+    table.flags.writeable = False
+    return table
 
 
 def _require_constant_one(c: np.ndarray) -> None:

@@ -992,7 +992,7 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
 
 @dataclass(frozen=True)
 class SubordinationResult:
-    """Sampled-exhaustion containment certificate (a semi-decision)."""
+    """Sampled-exhaustion containment test (a semi-decision, not a proof)."""
 
     margin: float
     worst_radius: float
@@ -1005,11 +1005,11 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
                         radii: tuple = DEFAULTS.radii) -> SubordinationResult:
     """Minimum of ``membership_margins`` on p(r e^{it}) over the radius schedule.
 
-    A positive result certifies containment at the sampled exhaustion
-    only.  The geometric tail certificate |c_N| r^N/(1-r) grows with r,
-    so it is taken once, at the largest radius; when it reaches
-    ``DEFAULTS.tail_tol`` every radius is still evaluated but the result
-    is flagged uncertified.
+    A positive result shows containment at the sampled points only.  The
+    geometric tail estimate |c_N| r^N/(1-r) bounds nothing unless the
+    coefficients decrease; it grows with r, so it is taken once, at the
+    largest radius, and when it reaches ``DEFAULTS.tail_tol`` every
+    radius is still evaluated but the result is flagged uncertified.
     """
     if abs(complex(p.coeffs[0]) - 1.0) > 1e-9:
         raise ConstantTermMismatch(

@@ -127,6 +127,47 @@ def test_eval_on_circle_matches_horner(samples, radius):
         assert np.max(np.abs(got - npoly.polyval(z, c))) <= 1e-13 * scale
 
 
+def test_eval_on_circle_tables_change_no_bit():
+    # the cached scale and fold tables against the formula built per call;
+    # each case is taken twice (the second a cache hit), in shuffled order
+    # so that sizes and radii change from one case to the next
+    rng = np.random.default_rng(20480)
+    tables = (series._circle_scale, series._circle_fold)
+    for cached in tables:
+        cached.cache_clear()
+    cases = [(samples, order, radius)
+             for radius in (0.9, 0.99, 0.999, 1.0, 0.37)
+             for samples in (64, 1000, 2048, 4096)
+             for order in (0, 1, samples - 1, samples, samples + 1, 4 * samples)]
+    for i in rng.permutation(len(cases)):
+        samples, order, radius = cases[i]
+        c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        scaled = c * (-float(radius)) ** np.arange(c.size)
+        k = np.arange(c.size) % samples
+        folded = (np.bincount(k, weights=scaled.real, minlength=samples)
+                  + 1j * np.bincount(k, weights=scaled.imag, minlength=samples))
+        want = samples * np.fft.ifft(folded)
+        p = PowerSeries(c)
+        assert np.array_equal(p.eval_on_circle(radius, samples), want)
+        hits = [f.cache_info().hits for f in tables]
+        assert np.array_equal(p.eval_on_circle(radius, samples), want)
+        assert [f.cache_info().hits for f in tables] == [h + 1 for h in hits]
+
+
+def test_eval_on_circle_tables_are_read_only_and_bounded():
+    for table in (series._circle_scale(0.9, 8), series._circle_fold(8, 3)):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    for cached in (series._circle_scale, series._circle_fold):
+        cached.cache_clear()
+    for n in range(1, 201):
+        PowerSeries(np.ones(n)).eval_on_circle(0.5, n + 1)
+    for cached in (series._circle_scale, series._circle_fold):
+        info = cached.cache_info()
+        assert info.misses == 200
+        assert 0 < info.currsize <= info.maxsize < 200
+
+
 def test_convolution_identity_at_random_points(rng):
     for _ in range(10):
         a = PowerSeries(rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17))
