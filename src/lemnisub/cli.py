@@ -12,8 +12,8 @@ verification verdict is negative, 2 on invalid configuration.  Identical
 configuration and seed give byte-identical data sections.
 
 ``main`` may be called many times in one process: the parser is built on
-the first call, ``jsonschema`` is imported with the first JSON report and
-``svg`` with the first figure.
+the first call and ``svg`` is imported with the first figure.  Reports
+are not validated at run time; the test suite checks them against the schema.
 """
 
 from __future__ import annotations

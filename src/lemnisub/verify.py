@@ -60,7 +60,6 @@ from .catalog import (
     admissibility_slope,
     closed_form_threshold,
     conclusion_region,
-    dominant_Q_on_circle,
     feasibility_check,
     h_minus_one_at,
     h_minus_one_on_circle,
@@ -70,15 +69,12 @@ from .catalog import (
     premise_region,
     rational_h_minus_one,
     singular_angles,
-    singular_points,
     validate,
-    zhprime_over_q_circle,
 )
 from .config import DEFAULTS
 from .errors import (
     ConstantTermMismatch,
     InfeasibleParameters,
-    LemnisubError,
     NoThresholdInBracket,
     NonMonotoneMargin,
 )
@@ -97,10 +93,6 @@ _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
 _TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
 _SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
-_FD_STEP = 1e-6                 # largest step of the derivative cross-check
-_FD_RTOL = 1e-5                 # its relative tolerance
-# angles of the derivative cross-check
-_CROSS_CHECK_ANGLES = np.linspace(-math.pi, math.pi, 64, endpoint=False)
 _WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
 
 
@@ -561,59 +553,16 @@ def admissibility_min(lemma: LemmaId, params: LemmaParams,
     The quantities come from closed-form derivatives of the catalog's Q
     and h, evaluated at the at most three angles where the minimum can
     sit (``_candidate_angles``); at radius 1 the singular angles are
-    punctured with radius 1e-6.  A central finite difference along the
-    circle cross-checks the derivative quantities at 64 angles (relative
-    tolerance 1e-5, step at most 1e-6, see ``_derivative_cross_check``).
+    punctured with radius 1e-6.  The test suite checks the derivative
+    quantities against a central difference along the circle
+    (``tests/oracles.derivative_cross_check``).
     """
     validate(lemma, params)
     if not (0.0 < radius <= 1.0):
         raise ValueError("radius must lie in (0, 1]")
-    if quantity is not AdmissibilityQuantity.RE_PHI_OF_Q:
-        _derivative_cross_check(lemma, params, quantity, radius)
     t = _candidate_angles(lemma, params, quantity, radius)
     vals = ADMISSIBILITY_EVALUATORS[quantity](lemma, params, t, radius).real
     return float(np.min(vals))
-
-
-def _derivative_cross_check(lemma: LemmaId, params: LemmaParams,
-                            quantity: AdmissibilityQuantity,
-                            radius: float) -> None:
-    """Verify z f'(z)/Q(z) against a central difference along the circle.
-
-    The step shrinks to 1e-3 of each sample's distance to the nearest
-    pole or branch point of h and Q, which keeps the truncation error of
-    the difference near 1e-6 relative however close a pole sits to the
-    circle; deviations are measured relative to max(1, |closed form|).
-    """
-    sub = _CROSS_CHECK_ANGLES
-    # keep clear of punctures where derivatives blow up; singular angles
-    # are 0 or pi, so |t| measures the distance to them
-    for s in singular_angles(lemma, params):
-        sub = sub[np.abs(np.abs(sub) - s) > 1e-2]
-    if sub.size == 0:
-        return
-    z = radius * np.exp(1j * sub)
-    dist = np.full(sub.shape, np.inf)
-    for s in singular_points(lemma, params):
-        dist = np.minimum(dist, np.abs(z - s))
-    h = np.minimum(_FD_STEP, 1e-3 * dist)
-    Q = dominant_Q_on_circle(lemma, params, sub, radius)
-    if quantity is AdmissibilityQuantity.RE_ZQP_OVER_Q:
-        fplus = dominant_Q_on_circle(lemma, params, sub + h, radius)
-        fminus = dominant_Q_on_circle(lemma, params, sub - h, radius)
-        closed = ADMISSIBILITY_EVALUATORS[quantity](lemma, params, sub, radius)
-    else:
-        fplus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub + h)))
-        fminus = 1.0 + h_minus_one_at(lemma, params, radius * np.exp(1j * (sub - h)))
-        closed = zhprime_over_q_circle(lemma, params, sub, radius)
-    # d/dt f(r e^{it}) = i z f'(z), so z f'/Q = -i (df/dt)/Q
-    fd = -1j * (fplus - fminus) / (2.0 * h) / Q
-    dev = float(np.max(np.abs(fd.real - closed.real)
-                       / np.maximum(1.0, np.abs(closed))))
-    if dev > _FD_RTOL:
-        raise LemnisubError(
-            f"{lemma.value}/{quantity.value}: derivative cross-check deviates "
-            f"by {dev:.3e} relative (tolerance {_FD_RTOL})")
 
 
 # --- verdicts ----------------------------------------------------------------

@@ -11,15 +11,29 @@ for bit.
 refined minima.  Where h - 1 is rational in z it solves the stationary
 points of margin^2 = P/R in x = cos t; the profile refines the grid's
 local minima by parabolic steps instead.
+
+``derivative_cross_check`` is the oracle for the closed-form admissibility
+quantities: a central difference of Q or h along the circle.
 """
 
 import math
 
 import numpy as np
 
-from lemnisub import verify
-from lemnisub.catalog import poly_mul
+from lemnisub import AdmissibilityQuantity, verify
+from lemnisub.catalog import (
+    ADMISSIBILITY_EVALUATORS,
+    dominant_Q_on_circle,
+    h_minus_one_at,
+    poly_mul,
+    singular_angles,
+    singular_points,
+)
 from lemnisub.errors import ConstantTermNotOne, DivisionByZeroConstantTerm
+
+FD_STEP = 1e-6     # largest step of the derivative cross-check
+FD_RTOL = 1e-5     # its relative tolerance
+CROSS_CHECK_ANGLES = np.linspace(-math.pi, math.pi, 64, endpoint=False)
 
 
 def sqrt_fill(a, s, lo, hi):
@@ -163,3 +177,46 @@ def stationary_minima(P, R, beta, ends, t):
     roots = verify._newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
     tp = np.concatenate([np.arccos(roots), ends[np.array([v[-1] <= 0.0, v[0] >= 0.0])]])
     return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])
+
+
+# --- the admissibility quantities against a central difference ----------------
+
+def derivative_cross_check(lemma, params, quantity, radius):
+    """Largest deviation of z f'(z)/Q(z) from a central difference along
+    |z| = radius, relative to max(1, |closed form|), over 64 angles.
+
+    f is Q for ``RE_ZQP_OVER_Q`` and h for ``RE_ZHP_OVER_Q``; the closed
+    form is the catalog's evaluator.  Angles within 1e-2 of a singular
+    angle are left out, and the step shrinks to 1e-3 of each sample's
+    distance to the nearest pole or branch point of h and Q, which keeps
+    the truncation error near 1e-6 relative however close a pole sits
+    to the circle.  Compare the result with ``FD_RTOL``.
+
+    The quotient can be trusted only where A - B and beta are well above
+    rounding.  Near it, Q and h - 1 can fall among the subnormal numbers
+    (A - B = 1e-300 with beta = 1e-15 puts Q near 1e-315), where
+    f(t + h) - f(t - h) keeps few or no digits and the quotient deviates
+    however right the closed form is.  ``tests/test_cli.py`` pins such
+    points against ``bench/reference.py`` instead.
+    """
+    sub = CROSS_CHECK_ANGLES
+    # singular angles are 0 or pi, so |t| measures the distance to them
+    for s in singular_angles(lemma, params):
+        sub = sub[np.abs(np.abs(sub) - s) > 1e-2]
+    if sub.size == 0:
+        return 0.0
+    z = radius * np.exp(1j * sub)
+    dist = np.full(sub.shape, np.inf)
+    for s in singular_points(lemma, params):
+        dist = np.minimum(dist, np.abs(z - s))
+    h = np.minimum(FD_STEP, 1e-3 * dist)
+    if quantity is AdmissibilityQuantity.RE_ZQP_OVER_Q:
+        f = lambda t: dominant_Q_on_circle(lemma, params, t, radius)
+    else:
+        f = lambda t: h_minus_one_at(lemma, params, radius * np.exp(1j * t))
+    closed = ADMISSIBILITY_EVALUATORS[quantity](lemma, params, sub, radius)
+    # d/dt f(r e^{it}) = i z f'(z), so z f'/Q = -i (df/dt)/Q
+    fd = -1j * (f(sub + h) - f(sub - h)) / (2.0 * h) / dominant_Q_on_circle(
+        lemma, params, sub, radius)
+    return float(np.max(np.abs(fd.real - closed.real)
+                        / np.maximum(1.0, np.abs(closed))))

@@ -2,7 +2,9 @@
 
 ``admissibility_min`` evaluates each quantity at t = 0, pi and at most
 one stationary angle solved in closed form.  The oracle below is the
-grid-plus-golden-section minimum it replaced, at grid 8192.
+grid-plus-golden-section minimum it replaced, at grid 8192.  The closed
+forms themselves are checked against a central difference of Q and h
+(``oracles.derivative_cross_check``).
 """
 
 import math
@@ -29,6 +31,7 @@ from lemnisub.catalog import (
 from lemnisub.verify import _candidate_angles
 
 from conftest import draw_valid_params
+from oracles import FD_RTOL, derivative_cross_check
 from test_verifier import NEAR_POLE_L9
 
 RADII = (0.5, 0.9, 1.0 - 1e-6, 1.0)
@@ -117,6 +120,16 @@ def test_exact_minimum_matches_grid_oracle(lemma, params):
             where = f"{quantity.value} at r = {radius}: {exact!r} vs {oracle!r}"
             assert abs(exact - oracle) <= AGREE_RTOL * scale, where
             assert exact - oracle <= ABOVE_RTOL * scale, where
+
+
+@pytest.mark.parametrize("lemma,params", CASES, ids=map(_case_id, CASES))
+def test_closed_forms_match_central_difference(lemma, params):
+    for quantity in CATALOG[lemma].verdict_quantities:
+        if quantity is _PHI:
+            continue
+        for radius in (1.0, DEFAULTS.verdict_radius):
+            dev = derivative_cross_check(lemma, params, quantity, radius)
+            assert dev <= FD_RTOL, f"{quantity.value} at r = {radius}: {dev!r}"
 
 
 def test_every_rule_and_verdict_quantity_is_covered():

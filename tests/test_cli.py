@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -68,6 +70,44 @@ def test_verify_exit_one_on_hypothesis_failure(tmp_path):
 def test_verify_exit_one_on_criterion_failure():
     assert run(["verify", "--lemma", "L2", "--A", "1", "--B", "0",
                 "--beta", "2"]) == 1
+
+
+def _bench_reference():
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# valid points with A - B or beta near rounding, where a central difference
+# of Q or h cancels and cannot check the closed forms; the minima are
+# checked against the benchmark's reference mathematics instead
+NEAR_ROUNDING = [
+    ["--lemma", "L8", "--A=-0.21031164214643394", "--B=-0.21031164314643394",
+     "--beta=1e-08"],
+    ["--lemma", "L8", "--A=0", "--B=-1e-300", "--beta=1000"],
+    ["--lemma", "L2", "--A=0", "--B=-1e-300", "--beta=1e-15"],
+    ["--lemma", "L11", "--A=0", "--B=-1e-300", "--D=-0.02986284092505742",
+     "--E=-0.9999999", "--beta=1.8065012347400875e-15"],
+]
+
+
+@pytest.mark.parametrize("params", NEAR_ROUNDING, ids=lambda p: p[1])
+def test_near_rounding_point_fails_the_criterion_quietly(tmp_path, params):
+    out = tmp_path / "r.json"
+    # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
+    proc = fresh_python(["-m", "lemnisub.cli", "verify", *params, "--json", str(out)])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "CriterionFails" in proc.stdout
+    doc = json.loads(out.read_text())
+    assert doc["verdict"] == "CriterionFails"
+    point = dict(arg.lstrip("-").split("=") for arg in params[2:])
+    point = {name: float(value) for name, value in point.items()}
+    reference = _bench_reference()
+    for key, value in doc["results"]["admissibility"].items():
+        want = reference.admissibility_min(params[1], point, key)
+        assert abs(value - want) <= 1e-7 * max(1.0, abs(want)), (key, value, want)
 
 
 def test_verify_l5_admissibility_route(tmp_path):
@@ -140,17 +180,43 @@ def _fuzz_value(bound):
     return st.sampled_from(_EDGE_VALUES) | st.floats(-bound, bound)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(lemma=st.sampled_from([f"L{i}" for i in range(1, 12)]),
-       values=st.fixed_dictionaries({**{name: _fuzz_value(1.0) for name in
-                                        ("A", "B", "D", "E")},
-                                     "k": _fuzz_value(3.0),
-                                     "beta": _fuzz_value(20.0)}))
-def test_verify_fuzz_exits_cleanly(lemma, values):
-    argv = ["verify", "--lemma", lemma]
+_LEMMAS = st.sampled_from([f"L{i}" for i in range(1, 12)])
+_POINTS = st.fixed_dictionaries({**{name: _fuzz_value(1.0) for name in
+                                    ("A", "B", "D", "E")},
+                                 "k": _fuzz_value(3.0),
+                                 "beta": _fuzz_value(20.0)})
+
+
+@st.composite
+def _ordered_points(draw):
+    """``_POINTS``, with A >= B, D >= E and beta >= 0 in half the draws, so
+    that more of the trial and plot commands get past validation."""
+    values = draw(_POINTS)
+    if draw(st.booleans()):
+        for upper, lower in (("A", "B"), ("D", "E")):
+            pair = (values[upper], values[lower])
+            if None not in pair and not any(map(math.isnan, pair)):
+                values[upper], values[lower] = max(pair), min(pair)
+        if values["beta"] is not None:
+            values["beta"] = abs(values["beta"])
+    return values
+
+
+_SCHEMA = load_schema()
+_REPORT_VALIDATOR = jsonschema.validators.validator_for(_SCHEMA)(_SCHEMA)
+
+
+def _fuzz_argv(command, lemma, values):
+    argv = [command, "--lemma", lemma]
     for name, value in values.items():
         if value is not None:
             argv += [f"--{name}", repr(value)]
+    return argv
+
+
+def _exits_cleanly(argv):
+    """Exit code of one command run in process, checked to be 0, 1 or 2
+    with no traceback on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -159,6 +225,56 @@ def test_verify_fuzz_exits_cleanly(lemma, values):
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+def _fresh(tmp_path_factory, name):
+    """An output path, emptied for each example."""
+    path = tmp_path_factory.getbasetemp() / name
+    path.unlink(missing_ok=True)
+    return path
+
+
+def _check_report(path, code, argv):
+    """A report is written unless the command exits 2, and it fits the schema."""
+    assert path.exists() == (code != 2), (argv, code)
+    if code != 2:
+        _REPORT_VALIDATOR.validate(json.loads(path.read_text()))
+        path.unlink()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(lemma=_LEMMAS, values=_POINTS)
+def test_verify_fuzz_exits_cleanly(tmp_path_factory, lemma, values):
+    out = _fresh(tmp_path_factory, "verify-fuzz-r.json")
+    argv = _fuzz_argv("verify", lemma, values) + ["--json", str(out)]
+    _check_report(out, _exits_cleanly(argv), argv)
+
+
+# --trials and --order stay small: the fuzz is after exit codes, not work
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(lemma=_LEMMAS, values=_ordered_points(), trials=st.integers(1, 2),
+       order=st.sampled_from([None, 1, 8, 64]), seed=st.integers(0, 2**32))
+def test_falsify_fuzz_exits_cleanly(tmp_path_factory, lemma, values, trials,
+                                    order, seed):
+    out = _fresh(tmp_path_factory, "falsify-fuzz-f.json")
+    argv = _fuzz_argv("falsify", lemma, values) + [
+        "--trials", str(trials), "--seed", str(seed), "--json", str(out)]
+    if order is not None:
+        argv += ["--order", str(order)]
+    _check_report(out, _exits_cleanly(argv), argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(lemma=_LEMMAS, values=_ordered_points(),
+       order=st.sampled_from([None, 1, 8, 64]))
+def test_plot_fuzz_exits_cleanly(tmp_path_factory, lemma, values, order):
+    out = _fresh(tmp_path_factory, "plot-fuzz-p.svg")
+    argv = _fuzz_argv("plot", lemma, values) + ["--svg", str(out)]
+    if order is not None:
+        argv += ["--order", str(order)]
+    code = _exits_cleanly(argv)
+    assert out.exists() == (code == 0), (argv, code)
 
 
 # threshold sweeps: one or two values per axis.  A and D are 1, just
@@ -512,24 +628,56 @@ def test_cached_parser_keeps_no_state(tmp_path, capsys):
 
 
 def test_report_self_check_kept():
-    schema = load_schema()
-    jsonschema.validators.validator_for(schema).check_schema(schema)
-    ok = report.build_document("verify", {"lemma": "L2"}, {}, seed=0,
-                               verdict="Verified")
-    assert ok["verdict"] == "Verified"
-    with pytest.raises(jsonschema.ValidationError):
-        report.build_document("verify", {"lemma": "L2"}, {}, seed=0,
-                              verdict="Proven")
-    with pytest.raises(jsonschema.ValidationError):
-        report.build_document("prove", {"lemma": "L2"}, {}, seed=0)
+    # build_document does not validate; the schema refuses a verdict or a
+    # command the CLI does not have
+    def document(command, verdict):
+        return report.build_document(command, {"lemma": "L2"}, {}, seed=0,
+                                     verdict=verdict)
+
+    jsonschema.validate(document("verify", "Verified"), _SCHEMA)
+    for doc in (document("verify", "Proven"), document("prove", None)):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, _SCHEMA)
 
 
-def test_cli_import_skips_jsonschema_and_svg():
-    proc = fresh_python(["-c", "import sys, lemnisub.cli; "
-                         "print(sorted(m for m in sys.modules "
-                         "if m.split('.')[0] == 'jsonschema' or m == 'lemnisub.svg'))"])
+# the report kinds no other test validates: the two negative verdicts, and
+# a rule decided by admissibility alone, whose report has no margin section
+@pytest.mark.parametrize("argv,code,verdict", [
+    (["--lemma", "L2", "--A", "1", "--B", "0", "--beta", "2"], 1, "CriterionFails"),
+    (["--lemma", "L2", "--A", "1", "--B", "0", "--beta", "1"], 1, "HypothesisFails"),
+    (["--lemma", "L6", "--beta", "0.5"], 0, "Verified"),
+])
+def test_every_verdict_report_fits_the_schema(tmp_path, argv, code, verdict):
+    out = tmp_path / "r.json"
+    assert run(["verify", *argv, "--json", str(out)]) == code
+    doc = json.loads(out.read_text())
+    _REPORT_VALIDATOR.validate(doc)
+    assert doc["verdict"] == verdict
+
+
+def test_cli_import_skips_jsonschema_and_svg(tmp_path):
+    # neither importing the CLI nor writing verify and falsify reports
+    # loads jsonschema or the SVG writer
+    verify = ["verify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
+              "--json", str(tmp_path / "v.json")]
+    falsify = ["falsify", "--lemma", "L2", "--A", "1", "--B", "0", "--beta", "3",
+               "--trials", "1", "--json", str(tmp_path / "f.json")]
+    script = textwrap.dedent(f"""
+        import sys
+        from lemnisub import cli
+        def loaded():
+            print("loaded", sorted(m for m in sys.modules if m == "lemnisub.svg"
+                                   or m.split(".")[0] == "jsonschema"))
+        loaded()
+        assert cli.main({verify!r}) == 0
+        assert cli.main({falsify!r}) == 0
+        loaded()
+    """)
+    proc = fresh_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("loaded")]
+    assert lines == ["loaded []", "loaded []"]
+    assert (tmp_path / "v.json").exists() and (tmp_path / "f.json").exists()
 
 
 # --- determinism --------------------------------------------------------------------
