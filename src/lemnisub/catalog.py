@@ -565,12 +565,6 @@ def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]
     return qD - D, N1, D
 
 
-def dominant_Q_on_circle(lemma: LemmaId, params: LemmaParams,
-                         t: np.ndarray, r: float = 1.0) -> np.ndarray:
-    """Q on |z| = r, through the stable circle forms when r = 1."""
-    return _dominant_Q(_curve(lemma, params), params.beta, *_on_circle(t, r))
-
-
 def margin_on_circle(lemma: LemmaId, params: LemmaParams,
                      t: np.ndarray) -> np.ndarray:
     """|inverse(h(e^{it}))| through the premise region's inverse map."""

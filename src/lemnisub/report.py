@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -26,12 +25,6 @@ SCHEMA_VERSION = "1"
 
 CSV_COLUMNS = ["lemma", "A", "B", "D", "E", "k",
                "beta_star_closed", "beta_numeric", "gap", "status"]
-
-
-def load_schema() -> dict:
-    """A fresh copy of the report schema, ``report-v1.json``."""
-    text = resources.files("lemnisub.schemas").joinpath("report-v1.json").read_text()
-    return json.loads(text)
 
 
 def jsonable(value):
@@ -81,13 +74,6 @@ def dumps(doc: dict) -> str:
 def write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(doc))
-
-
-def data_section_bytes(doc: dict) -> bytes:
-    """Deterministic bytes of everything outside metadata.timestamp."""
-    clone = json.loads(dumps(doc))
-    clone.get("metadata", {}).pop("timestamp", None)
-    return (json.dumps(clone, indent=2, sort_keys=True) + "\n").encode()
 
 
 def format_beta(x) -> str:

@@ -29,7 +29,13 @@ Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
 bracket that a coarse beta scan of the minimum margin confirms; where
 h - 1 is rational in z (every rule but L1 at non-integer kappa) the scan
-minima and the binding angle are solved in x = cos t.
+minima and the binding angle are solved in x = cos t.  Each angle's
+largest crossing (``_last_crossing``) is read off the signs of its
+polynomial's Bernstein coefficients on the bracket where they clear a
+rounding slack: one sign means no crossing, one sign change exactly one,
+found by bracketed Newton steps.  Columns with a coefficient inside the
+slack, a NaN or inf, or more sign changes take the full derivative-root
+recursion (``_crossings``).
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -91,6 +97,7 @@ _ZERO_CURVATURE = 1e-12         # least relative curvature a polish trusts
 _PROBE_RTOL = 4.0 * np.finfo(float).eps   # a probe must read lower by more, relative
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
+_BERNSTEIN_SLACK = 64.0 * np.finfo(float).eps   # Bernstein signs trusted above, relative
 _TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
 _SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
 _WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
@@ -302,7 +309,9 @@ def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
     Returns shape (deg, n), ascending per column and NaN-padded.  The
     crossings of F' cut [lo, hi] into pieces on which F is monotone, so
-    a piece whose ends differ in sign holds exactly one crossing.
+    a piece whose ends differ in sign holds exactly one crossing.  This
+    finds every crossing; ``_last_crossing``, which wants the largest
+    only, runs it on the columns that Bernstein signs leave undecided.
     """
     deg, n = c.shape[0] - 1, c.shape[1]
     if deg == 0:
@@ -314,6 +323,58 @@ def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     left, right = cuts[:-1], cuts[1:]
     return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
                    axis=0)
+
+
+def _bernstein_weights(deg: int, lo: float, width: float) -> list:
+    """w[i][k], the weight of c_k in the i-th Bernstein coefficient on
+    [lo, lo + width] of sum_k c_k x^k.
+
+    With x = lo + width u, sum_k c_k x^k = sum_j a_j u^j where
+    a_j = width^j sum_k C(k, j) lo^(k-j) c_k, and the Bernstein
+    coefficients on u in [0, 1] are b_i = sum_{j<=i} C(i, j)/C(deg, j) a_j.
+    """
+    return [[sum(math.comb(i, j) / math.comb(deg, j) * math.comb(k, j)
+                 * lo ** (k - j) * width ** j for j in range(min(i, k) + 1))
+             for k in range(deg + 1)] for i in range(deg + 1)]
+
+
+def _last_crossing(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The largest crossing of each column's F in [lo, hi], -inf where none.
+
+    On [lo, hi] F = sum_i b_i B_i is a weighted mean of its Bernstein
+    coefficients b_i, and it has at most as many roots inside as the b_i
+    have sign changes, of the same parity (Descartes' rule in the
+    Bernstein basis; Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, ch. 10).  Each b_i is a sum of terms of at most
+    sum_k |c_k| r^k, r = |lo| + hi - lo, in size, and so is the Horner
+    value of F anywhere in [lo, hi]; a coefficient is trusted when it
+    clears ``_BERNSTEIN_SLACK`` times that size, far above both rounding
+    errors.  A column whose b_i all clear it with one sign has no
+    crossing, and one whose signs change once has exactly one simple
+    root, reached by ``_newton_in_bracket`` from the midpoint.  Every
+    other column (a coefficient within the slack, a NaN or inf, or more
+    than one sign change) takes the full ``_crossings``.  The weights
+    are scalars, so no step calls BLAS.
+    """
+    deg, n = c.shape[0] - 1, c.shape[1]
+    weights = _bernstein_weights(deg, lo, hi - lo)
+    r = abs(lo) + (hi - lo)
+    with np.errstate(invalid="ignore", over="ignore"):   # such columns fall back
+        b = np.array([sum(w * ck for w, ck in zip(row, c)) for row in weights])
+        slack = _BERNSTEIN_SLACK * sum(np.abs(ck) * r ** k for k, ck in enumerate(c))
+    pos, neg = b > slack, b < -slack
+    clear = np.all(pos | neg, axis=0)          # NaN and inf never clear
+    changes = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
+    out = np.full(n, -np.inf)
+    one = np.flatnonzero(clear & (changes == 1))
+    if one.size:
+        out[one] = _newton_in_bracket(c[:, one], lo, hi,
+                                      np.full(one.size, 0.5 * (lo + hi)))
+    rest = np.flatnonzero(~clear | (changes > 1))
+    if rest.size:
+        out[rest] = np.fmax.reduce(_crossings(c[:, rest], lo, hi), axis=0,
+                                   initial=-np.inf)
+    return out
 
 
 # --- the margin criterion as a polynomial in x = cos t -------------------------
@@ -730,8 +791,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
 
 def _last_crossings(polynomial, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The largest crossing in [lo, hi] at each angle, -inf where none."""
-    return np.fmax.reduce(_crossings(_criterion_polynomial(*polynomial(t)), lo, hi),
-                          axis=0, initial=-np.inf)
+    return _last_crossing(_criterion_polynomial(*polynomial(t)), lo, hi)
 
 
 def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
@@ -917,7 +977,7 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     t = np.concatenate([t, probes])
     coeffs = np.concatenate([_criterion_polynomial(num, den),
                              _criterion_polynomial(*polynomial(probes))], axis=1)
-    last = np.fmax.reduce(_crossings(coeffs, lo, hi), axis=0, initial=-np.inf)
+    last = _last_crossing(coeffs, lo, hi)
     best = max(lo, float(np.max(last)))
 
     # sharpen over t around the best candidate angles; each probe follows

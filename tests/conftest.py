@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lemnisub import LemmaId, LemmaParams
+from lemnisub import LemmaId, LemmaParams, closed_form_threshold
+from lemnisub.catalog import ThresholdStatus
 
 
 def draw_valid_params(lemma: LemmaId, rng: np.random.Generator) -> LemmaParams:
@@ -29,6 +30,17 @@ def draw_valid_params(lemma: LemmaId, rng: np.random.Generator) -> LemmaParams:
         A, B = pair()
         D, E = pair()
     return LemmaParams(A=A, B=B, D=D, E=E, k=k)
+
+
+def feasible_draws(lemma: LemmaId, seed: int, count: int) -> list:
+    """``count`` seeded draws whose closed-form threshold is feasible."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = draw_valid_params(lemma, rng)
+        if closed_form_threshold(lemma, params).status is ThresholdStatus.FEASIBLE:
+            out.append(params)
+    return out
 
 
 def decaying_series_coeffs(rng: np.random.Generator, order: int,

@@ -14,6 +14,11 @@ local minima by parabolic steps instead.
 
 ``derivative_cross_check`` is the oracle for the closed-form admissibility
 quantities: a central difference of Q or h along the circle.
+
+``last_crossing`` is the oracle for ``verify._last_crossing``: the
+largest of all crossings that the full derivative-root recursion
+``verify._crossings`` finds, which is what the threshold solve reduced
+before Bernstein signs decided most columns.
 """
 
 import math
@@ -23,13 +28,14 @@ import numpy as np
 from lemnisub import AdmissibilityQuantity, verify
 from lemnisub.catalog import (
     ADMISSIBILITY_EVALUATORS,
-    dominant_Q_on_circle,
     h_minus_one_at,
     poly_mul,
     singular_angles,
     singular_points,
 )
 from lemnisub.errors import ConstantTermNotOne, DivisionByZeroConstantTerm
+
+from support import dominant_Q_on_circle
 
 FD_STEP = 1e-6     # largest step of the derivative cross-check
 FD_RTOL = 1e-5     # its relative tolerance
@@ -177,6 +183,13 @@ def stationary_minima(P, R, beta, ends, t):
     roots = verify._newton_in_bracket(s[:, None], left, right, 0.5 * (left + right))
     tp = np.concatenate([np.arccos(roots), ends[np.array([v[-1] <= 0.0, v[0] >= 0.0])]])
     return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])
+
+
+# --- the largest crossing of each column, from every crossing ----------------
+
+def last_crossing(F, lo, hi):
+    """The largest crossing of each column of F in [lo, hi], -inf where none."""
+    return np.fmax.reduce(verify._crossings(F, lo, hi), axis=0, initial=-np.inf)
 
 
 # --- the admissibility quantities against a central difference ----------------

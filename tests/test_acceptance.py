@@ -42,9 +42,9 @@ from lemnisub import (
 from lemnisub.catalog import ThresholdStatus, _affine_bound_terms
 from lemnisub.cli import main as cli_main
 from lemnisub.generate import compose_target
-from lemnisub.report import data_section_bytes
 
 from conftest import decaying_series_coeffs, draw_valid_params
+from support import data_section_bytes
 
 SQRT2 = math.sqrt(2.0)
 

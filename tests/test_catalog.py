@@ -16,7 +16,6 @@ from lemnisub import (
 )
 from lemnisub.catalog import (
     _affine_bound_terms,
-    dominant_Q_on_circle,
     h_minus_one_at,
     h_minus_one_on_circle,
     margin_on_circle,
@@ -26,6 +25,7 @@ from lemnisub.catalog import (
 from lemnisub.errors import InvalidParameters
 
 from conftest import draw_valid_params
+from support import dominant_Q_on_circle
 
 SQRT2 = math.sqrt(2.0)
 

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import lemnisub
 from lemnisub.cli import main
 from lemnisub import report
-from lemnisub.report import data_section_bytes, load_schema
+
+from support import data_section_bytes, load_schema
 
 
 def run(argv):

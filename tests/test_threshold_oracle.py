@@ -14,11 +14,10 @@ import pytest
 
 from lemnisub import (CATALOG, LemmaId, LemmaParams, boundary_margin_profile,
                       catalog, closed_form_threshold, numeric_threshold, verify)
-from lemnisub.catalog import ThresholdStatus
 from lemnisub.errors import LemnisubError
 from lemnisub.verify import _analyze_scan
 
-from conftest import draw_valid_params
+from conftest import feasible_draws
 
 BISECT_TOL = 1e-6
 MARGIN_LEMMAS = [l for l in LemmaId if CATALOG[l].margin_criterion]
@@ -55,19 +54,9 @@ def _outcome(solver, lemma, params, grid_size):
         return type(exc).__name__, None
 
 
-def _feasible_draws(lemma, seed, count):
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        params = draw_valid_params(lemma, rng)
-        if closed_form_threshold(lemma, params).status is ThresholdStatus.FEASIBLE:
-            out.append(params)
-    return out
-
-
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_exact_solve_agrees_with_bisection_oracle(lemma):
-    for params in _feasible_draws(lemma, 91_000 + list(LemmaId).index(lemma), 6):
+    for params in feasible_draws(lemma, 91_000 + list(LemmaId).index(lemma), 6):
         status, exact = _outcome(numeric_threshold, lemma, params, 512)
         oracle_status, oracle = _outcome(bisection_threshold, lemma, params, 512)
         assert status == oracle_status, params
