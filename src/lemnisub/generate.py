@@ -42,8 +42,9 @@ the series the closed form passes through and of p, a few products per
 step, O(N log N) in all above the FFT crossover.  The reported residual
 is the largest coefficient of beta z p' - (F - theta(p)) u after the
 fact, with u = p^m (p for m = 1, p*p for m = 2, ``PowerSeries.power``
-otherwise) and one direct Cauchy product (``np.convolve``), which does
-not share the kernels' rounding.  It is the defect of the premise
+otherwise) and one direct short product (``PowerSeries.__mul__``, blocks
+of ``np.convolve`` cut to order N), which does not share the kernels'
+FFT rounding.  It is the defect of the premise
 functional, theta(p) + beta z p'/p^m - F, times u.
 
 A Newton step sets the coefficients lo..hi-1 of every array from the ones
@@ -363,7 +364,9 @@ def solve_premise_ode(lemma: LemmaId, params: LemmaParams, w: SchwarzFunction,
 def _premise_residual(beta: float, p: PowerSeries, G: PowerSeries,
                       u: PowerSeries | None) -> float:
     """Max coefficient of beta z p' - G u, with G = F - theta(p) and
-    u = p^m (None for m = 0, where u = 1), by a direct Cauchy product."""
+    u = p^m (None for m = 0, where u = 1).  G u is the direct short
+    product ``PowerSeries.__mul__``: one ``np.convolve`` up to order 512,
+    blocks of 513 coefficients above."""
     return (beta * p.zderiv() - (G if u is None else G * u)).max_abs_coeff()
 
 

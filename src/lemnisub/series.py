@@ -6,12 +6,18 @@ A :class:`PowerSeries` stores complex coefficients ``c[0] .. c[N]`` of
 
 and supports the calculus needed by the verification engine: Cauchy
 products, division, real powers, ``sqrt``/``log``/``exp``, the operator
-``z d/dz`` and evaluation.  ``*`` is the direct Cauchy product
-(``np.convolve``), O(N^2).  Division, ``sqrt``, ``exp``, ``log`` and
+``z d/dz`` and evaluation.  ``*`` is the direct short product, O(N^2):
+``np.convolve`` on blocks of ``SHORT_BLOCK`` coefficients of the second
+factor (``_short_product``), which forms the coefficients 0..N that it
+returns and, above them, only one ramp per block.  Up to ``SHORT_BLOCK`` coefficients, every order
+of the adaptive solve, that is one ``np.convolve``, bit for bit the
+full product truncated.  Division, ``sqrt``, ``exp``, ``log`` and
 powers are Newton iterations on coefficient arrays (the kernels at the
 end of this module), each a few products per doubling of the order:
 below ``FFT_CROSSOVER`` coefficients a product is ``np.convolve``, above
-it a zero-padded FFT, O(N log N).  Arbitrary points are evaluated by
+it a zero-padded FFT, O(N log N).  A direct product that reads only a
+middle window of coefficients forms just that window, as a "valid"
+convolution (``mul_mid``).  Arbitrary points are evaluated by
 Horner's rule, O(N) per point; the M equispaced points of a circle are
 one inverse FFT of the coefficients folded modulo M (``eval_on_circle``),
 O(N + M log M) in place of O(N M).  Its scale vector (-r)^n and fold
@@ -52,6 +58,9 @@ _DIV_PIVOT_TOL = 1e-14
 # products whose shorter factor has at most this many coefficients are
 # taken by np.convolve, longer ones by FFT (mul_mid)
 FFT_CROSSOVER = 256
+# PowerSeries.__mul__ takes the second factor in blocks of this many
+# coefficients: every adaptive order is one np.convolve
+SHORT_BLOCK = DEFAULTS.max_series_order + 1
 
 
 class PowerSeries:
@@ -139,10 +148,11 @@ class PowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The Cauchy product to the smaller order (``_short_product``), or
+        the product with a scalar."""
         if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            full = np.convolve(self._c[: n + 1], other._c[: n + 1])
-            return PowerSeries(full[: n + 1])
+            n = min(self.order, other.order) + 1
+            return PowerSeries(_short_product(self._c, other._c, n))
         return PowerSeries(self._c * complex(other))
 
     __rmul__ = __mul__
@@ -261,6 +271,25 @@ def _circle_fold(n: int, samples: int) -> np.ndarray:
     return table
 
 
+def _short_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients 0..n-1 of a b, a short product (Mulders, AAECC 2000).
+
+    b is taken in blocks of ``SHORT_BLOCK`` coefficients: block s adds
+    ``np.convolve(a[:n-s], b[s:s+SHORT_BLOCK])[:n-s]`` into coefficients
+    s..n-1.  Above the ones it keeps a block forms a ramp of at most
+    ``SHORT_BLOCK`` - 1 coefficients, where the full product of the
+    truncations forms n - 1.  For n <= ``SHORT_BLOCK`` this is the one
+    call ``np.convolve(a[:n], b[:n])[:n]``, bit for bit.  Above it
+    every coefficient is still a direct sum of the products a_i b_j,
+    grouped by block, so it moves only in the last bits.
+    """
+    a, b = a[:n], b[:n]
+    out = np.convolve(a, b[:SHORT_BLOCK])[:n]
+    for s in range(SHORT_BLOCK, n, SHORT_BLOCK):
+        out[s:] += np.convolve(a[: n - s], b[s : s + SHORT_BLOCK])[: n - s]
+    return out
+
+
 def _require_constant_one(c: np.ndarray) -> None:
     if abs(c[0] - 1.0) > DEFAULTS.coeff_tol:
         raise ConstantTermNotOne(f"constant term is {c[0]!r}, expected 1")
@@ -320,7 +349,15 @@ def mul_mid(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Coefficients lo..hi-1 of the product of the series a and b.
 
     A product whose shorter factor has at most ``FFT_CROSSOVER``
-    coefficients is taken directly by ``np.convolve``.  A longer one is a
+    coefficients is taken directly by ``np.convolve``.  When the window
+    lies where every output sums ``short`` products (lo > 0,
+    short - 1 <= lo, hi <= the longer size), that is the "valid"
+    convolution, which forms no coefficient of the two ramps: a middle
+    product (Hanrot, Quercia & Zimmermann, AAECC 2004).  numpy makes the
+    same dot call per output in "full" and "valid" mode, so the window is
+    bit for bit that of the full product; the argument order is kept,
+    because with equal sizes the sum runs in the order of the first one.
+    Other windows are cut from the full product.  A longer product is a
     cyclic convolution by FFT, of the smallest 5-smooth length that holds
     coefficients lo..hi-1 clear of the wrapped ones: length L takes index
     k >= L to k - L, below lo when L >= len(a) + len(b) - 1 - lo.  The
@@ -330,7 +367,10 @@ def mul_mid(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     large beta each coefficient's error then follows the small part.
     """
     a, b = a[:hi], b[:hi]
-    if min(a.size, b.size) <= FFT_CROSSOVER:
+    short = min(a.size, b.size)
+    if short <= FFT_CROSSOVER:
+        if 0 < lo and short - 1 <= lo and hi <= max(a.size, b.size):
+            return np.convolve(a, b, mode="valid")[lo - short + 1 : hi - short + 1]
         return _window(np.convolve(a, b), lo, hi)
     size = _fft_len(max(hi, a.size + b.size - 1 - lo))
     a0, b0 = a[0], b[0]

@@ -101,6 +101,9 @@ _BERNSTEIN_SLACK = 64.0 * np.finfo(float).eps   # Bernstein signs trusted above,
 _TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
 _SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
 _WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
+# |t| of two refined minima closer than this count as a tie: the mirrored
+# pair of one refinement differs by up to about angle_xtol
+_TIE_TTOL = 2.0 * DEFAULTS.angle_xtol
 
 
 # --- small numerics ---------------------------------------------------------
@@ -527,12 +530,17 @@ def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
 
 
 def _select_argmin(ts: np.ndarray, ms: np.ndarray) -> tuple:
-    """Minimum with ties broken toward the smallest |t| (then t >= 0)."""
+    """Minimum with ties broken toward the smallest |t| (then t >= 0).
+
+    |t| values within ``_TIE_TTOL`` of the smallest count as equal, so
+    the sign decides between the two angles of a mirrored pair.
+    """
     mmin = float(np.min(ms))
     scale = max(1.0, abs(mmin))
     near = np.abs(ms - mmin) <= 1e-12 * scale
-    cand = ts[near]
-    order = np.lexsort((cand < 0, np.abs(cand)))
+    mag = np.abs(ts[near])
+    cand = ts[near][mag <= mag.min() + _TIE_TTOL]
+    order = np.lexsort((np.abs(cand), cand < 0))
     return mmin, float(cand[order[0]])
 
 

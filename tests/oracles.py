@@ -19,13 +19,18 @@ quantities: a central difference of Q or h along the circle.
 largest of all crossings that the full derivative-root recursion
 ``verify._crossings`` finds, which is what the threshold solve reduced
 before Bernstein signs decided most columns.
+
+``full_window_mul_mid`` is the oracle for ``series.mul_mid``'s middle
+products: every direct product cut from the full ``np.convolve``, as
+before the "valid" convolution formed only the window.  They must agree
+bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from lemnisub import AdmissibilityQuantity, verify
+from lemnisub import AdmissibilityQuantity, series, verify
 from lemnisub.catalog import (
     ADMISSIBILITY_EVALUATORS,
     h_minus_one_at,
@@ -190,6 +195,24 @@ def stationary_minima(P, R, beta, ends, t):
 def last_crossing(F, lo, hi):
     """The largest crossing of each column of F in [lo, hi], -inf where none."""
     return np.fmax.reduce(verify._crossings(F, lo, hi), axis=0, initial=-np.inf)
+
+
+# --- direct products cut from the full convolution ----------------------------
+
+# bound at import, so that a test may patch the oracle in as series.mul_mid
+_MUL_MID = series.mul_mid
+
+
+def full_window_mul_mid(a, b, lo, hi):
+    """Coefficients lo..hi-1 of a b, zero beyond the product's end; a direct
+    product is the window of the full ``np.convolve``, a product above
+    ``series.FFT_CROSSOVER`` goes to ``series.mul_mid``'s FFT."""
+    a, b = a[:hi], b[:hi]
+    if min(a.size, b.size) > series.FFT_CROSSOVER:
+        return _MUL_MID(a, b, lo, hi)
+    full = np.convolve(a, b)
+    pad = np.zeros(max(0, hi - max(lo, full.size)), dtype=full.dtype)
+    return np.concatenate([full[lo:hi], pad])
 
 
 # --- the admissibility quantities against a central difference ----------------

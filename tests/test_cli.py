@@ -51,6 +51,18 @@ def test_verify_exit_zero_on_verified(tmp_path, capsys):
     assert doc["results"]["margin"]["min_margin"] == pytest.approx(3.0, abs=1e-9)
 
 
+def test_verify_reports_the_positive_angle_of_a_mirrored_minimum(tmp_path):
+    # the two refined minima at +-2.31525 differ in |t| by less than the
+    # refinement's resolution; the report names t >= 0
+    out = tmp_path / "r.json"
+    assert run(["verify", "--lemma", "L2", "--A=-0.14290866977824024",
+                "--B=-0.7140064561127962", "--beta=7.680523771793103",
+                "--json", str(out)]) == 1
+    margin = json.loads(out.read_text())["results"]["margin"]
+    assert margin["argmin_t"] > 0.0
+    assert margin["min_margin"] == pytest.approx(0.6335479386102942, rel=1e-12)
+
+
 @pytest.mark.parametrize("tol", [None, "0.5"])
 def test_report_echoes_the_margin_tolerance_applied(tmp_path, tol):
     out = tmp_path / "r.json"

@@ -36,6 +36,7 @@ from lemnisub.regions import membership_margins
 from lemnisub.verify import (
     _analyze_scan,
     _parabolic_refine,
+    _select_argmin,
     winding_number,
 )
 
@@ -114,6 +115,28 @@ def test_profile_minimum_at_pi_stays_on_the_grid_angle():
     p = boundary_margin_profile(LemmaId.L2, params)
     assert p.argmin_t == -math.pi
     assert p.min_margin == pytest.approx(1.9778590719019833, rel=1e-12)
+
+
+def test_profile_mirrored_minima_report_the_positive_angle():
+    # the refined minima of the mirrored pair read the same margin and
+    # differ in |t| below the refinement's resolution; t >= 0 decides
+    params = LemmaParams(A=-0.14290866977824024, B=-0.7140064561127962,
+                         beta=7.680523771793103)
+    p = boundary_margin_profile(LemmaId.L2, params)
+    assert p.argmin_t == pytest.approx(2.3152500868, abs=1e-9)
+    assert np.any(np.abs(p.t_samples + p.argmin_t) <= 2.0 * DEFAULTS.angle_xtol)
+
+
+def test_select_argmin_ties_within_the_angle_resolution():
+    xtol = DEFAULTS.angle_xtol
+    ms = np.array([0.5, 0.5, 0.7])
+    # |t| within 2 xtol: a tie, so t >= 0 wins
+    assert _select_argmin(np.array([-1.0, 1.0 + 1.5 * xtol, 0.0]), ms) == (0.5, 1.0 + 1.5 * xtol)
+    assert _select_argmin(np.array([-1.0 - 1.5 * xtol, 1.0, 0.0]), ms) == (0.5, 1.0)
+    # farther apart, the smaller |t| wins whatever its sign
+    assert _select_argmin(np.array([-1.0, 1.0 + 3.0 * xtol, 0.0]), ms) == (0.5, -1.0)
+    # the smallest margin decides first
+    assert _select_argmin(np.array([-1.0, 1.0, 0.0]), np.array([0.5, 0.6, 0.7])) == (0.5, -1.0)
 
 
 def test_profile_l1_cosine_margin():
