@@ -35,7 +35,10 @@ polynomial's Bernstein coefficients on the bracket where they clear a
 rounding slack: one sign means no crossing, one sign change exactly one,
 found by bracketed Newton steps.  Columns with a coefficient inside the
 slack, a NaN or inf, or more sign changes take the full derivative-root
-recursion (``_crossings``).
+recursion (``_crossings``).  Where h - 1 has no rational form the scan
+walks beta upward and, when every angle's polynomial has one positive
+root (Descartes' rule of signs), stops at the first beta whose refined
+minimum reaches 1: each angle's margin stays >= 1 from its root on.
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -767,7 +770,12 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     angle is solved in x = cos t (``_exact_threshold``); the punctured
     grid's angles only seed that solve.  Otherwise (L1 at non-integer
     kappa, every k but 1 and 3) the scan minima and the binding angle are
-    refined from the grid by parabolic steps (``_grid_threshold``).
+    refined from the grid by parabolic steps (``_grid_threshold``).  That
+    scan stops at the first beta whose refined minimum reaches 1 when
+    every angle's F has one positive root, since each angle's margin then
+    stays >= 1 above its root.  L1's F is the quadratic
+    (1 - B^2)|b|^2 beta^2 + 2(A - B) B Re(b) beta - (A - B)^2 with
+    -1 < B < A, so it has one at every angle where b != 0.
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
@@ -929,49 +937,78 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
     return coefficients
 
 
+def _one_positive_root(F: np.ndarray) -> bool:
+    """Whether every column of F, ascending in beta, has one positive root.
+
+    By Descartes' rule of signs (Basu, Pollack & Roy, Algorithms in Real
+    Algebraic Geometry, ch. 2) a real polynomial has as many positive
+    roots as its nonzero coefficients have sign changes, less an even
+    number, so one change means exactly one root.  The test asks for
+    finite coefficients, F(0) < 0 and a positive coefficient with no
+    negative one above it: then F < 0 below the root and F > 0 above.
+    """
+    if not (np.isfinite(F).all() and (F[0] < 0.0).all()):
+        return False
+    positive = np.logical_or.accumulate(F > 0.0, axis=0)
+    return bool(positive[-1].all() and not (positive & (F < 0.0)).any())
+
+
 def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
                  betas: np.ndarray, grid_size: int) -> tuple:
     """Minimum squared margin over the circle at each scan beta.
 
-    As in ``boundary_margin_profile``, the minimum over the grid is
-    refined around the smallest local minima of the samples (zeros need
-    no polish here), so a dip between grid points counts.  Refinement
-    can only lower a minimum, so it runs only at the betas whose grid
-    minimum reaches 1, all of them in one batch.  Returns the minima,
-    the refined angles and the index of the scan beta each belongs to.
+    The betas are read in ascending order.  As in
+    ``boundary_margin_profile``, the minimum over the grid is refined
+    around the smallest local minima of the samples (zeros need no
+    polish here), so a dip between grid points counts.  Refinement can
+    only lower a minimum, so it runs only at the betas whose grid minimum
+    reaches 1, each in its own call as soon as it is read.
+
+    When every grid column of F = num - den has one positive root
+    (``_one_positive_root``), each angle's margin stays >= 1 from its
+    root on, so once the refined minimum reaches 1 it does at every
+    larger beta: the walk stops at the first such beta and the minima
+    above it read +inf.  Otherwise every beta is read, so that
+    ``_analyze_scan`` sees a margin that is lost again.  Returns the
+    minima, the refined angles and the index of the scan beta each
+    belongs to.
     """
     num, den = coeffs
-    minima = np.empty(betas.size)
-    seeds, owner = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
-        for j, beta in enumerate(betas):
-            m2 = _poly_at(num, beta) / _poly_at(den, beta)
-            minima[j] = m2.min()
-            if minima[j] >= 1.0:
-                seeds.append(t[_local_minima(m2)])
-                owner.append(np.full(seeds[-1].size, j))
-    if not seeds:
-        return minima, np.empty(0), np.empty(0, dtype=int)
+    stop = _one_positive_root(_criterion_polynomial(num, den))
 
-    def margin2(x, owner):
+    def margin2(beta, x):
         n, d = polynomial(x)
         with np.errstate(divide="ignore"):
-            return _poly_at(n, betas[owner]) / _poly_at(d, betas[owner])
+            return _poly_at(n, beta) / _poly_at(d, beta)
 
-    xb, fb, owner = _refine_minima(margin2, np.concatenate(seeds), grid_size,
-                                   sing, np.concatenate(owner))
-    np.minimum.at(minima, owner, fb)
-    return minima, xb, owner
+    minima = np.full(betas.size, np.inf)
+    probes, owner = [np.empty(0)], [np.empty(0, dtype=int)]
+    for j, beta in enumerate(betas):
+        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
+            m2 = _poly_at(num, beta) / _poly_at(den, beta)
+        minima[j] = m2.min()
+        if minima[j] >= 1.0:
+            xb, fb = _refine_minima(partial(margin2, beta), t[_local_minima(m2)],
+                                    grid_size, sing)
+            minima[j] = np.min(fb, initial=minima[j])
+            probes.append(xb)
+            owner.append(np.full(xb.size, j))
+            if stop and minima[j] >= 1.0:
+                break
+    return minima, np.concatenate(probes), np.concatenate(owner)
 
 
 def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
                     grid_size: int) -> float:
     """``numeric_threshold`` on the grid, for L1 at non-integer kappa.
 
-    The scan minima are refined as in ``boundary_margin_profile``; the
-    largest crossing over the grid and the scan's refined angles at the
-    bracket's lower end is sharpened over t around its best local maxima
-    on the grid and those refined angles.
+    The scan minima are refined as in ``boundary_margin_profile``, and
+    the scan stops early where every grid angle's criterion has one
+    positive root (``_scan_minima``): each angle's margin is then reached
+    for good at its root, so the betas above could only confirm the
+    bracket.  The largest crossing over the grid and the scan's refined
+    angles at the bracket's lower end is sharpened over t around its
+    best local maxima on the grid and those refined angles.
     """
     num, den = polynomial(t)
     minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,

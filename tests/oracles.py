@@ -24,6 +24,12 @@ before Bernstein signs decided most columns.
 products: every direct product cut from the full ``np.convolve``, as
 before the "valid" convolution formed only the window.  They must agree
 bit for bit.
+
+``full_scan_minima`` is the oracle for ``verify._scan_minima``: the
+grid path's threshold scan as it was before it stopped early, every
+scan beta read and the refinements of all betas whose grid minimum
+reaches 1 taken in one batch.  Up to the beta where the early-stopped
+scan stops, the two must agree bit for bit.
 """
 
 import math
@@ -39,6 +45,7 @@ from lemnisub.catalog import (
     singular_points,
 )
 from lemnisub.errors import ConstantTermNotOne, DivisionByZeroConstantTerm
+from lemnisub.verify import _local_minima, _poly_at, _refine_minima
 
 from support import dominant_Q_on_circle
 
@@ -213,6 +220,43 @@ def full_window_mul_mid(a, b, lo, hi):
     full = np.convolve(a, b)
     pad = np.zeros(max(0, hi - max(lo, full.size)), dtype=full.dtype)
     return np.concatenate([full[lo:hi], pad])
+
+
+# --- the grid path's threshold scan, every beta read --------------------------
+
+def full_scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
+                     betas: np.ndarray, grid_size: int) -> tuple:
+    """Minimum squared margin over the circle at each scan beta.
+
+    As in ``boundary_margin_profile``, the minimum over the grid is
+    refined around the smallest local minima of the samples (zeros need
+    no polish here), so a dip between grid points counts.  Refinement
+    can only lower a minimum, so it runs only at the betas whose grid
+    minimum reaches 1, all of them in one batch.  Returns the minima,
+    the refined angles and the index of the scan beta each belongs to.
+    """
+    num, den = coeffs
+    minima = np.empty(betas.size)
+    seeds, owner = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
+        for j, beta in enumerate(betas):
+            m2 = _poly_at(num, beta) / _poly_at(den, beta)
+            minima[j] = m2.min()
+            if minima[j] >= 1.0:
+                seeds.append(t[_local_minima(m2)])
+                owner.append(np.full(seeds[-1].size, j))
+    if not seeds:
+        return minima, np.empty(0), np.empty(0, dtype=int)
+
+    def margin2(x, owner):
+        n, d = polynomial(x)
+        with np.errstate(divide="ignore"):
+            return _poly_at(n, betas[owner]) / _poly_at(d, betas[owner])
+
+    xb, fb, owner = _refine_minima(margin2, np.concatenate(seeds), grid_size,
+                                   sing, np.concatenate(owner))
+    np.minimum.at(minima, owner, fb)
+    return minima, xb, owner
 
 
 # --- the admissibility quantities against a central difference ----------------

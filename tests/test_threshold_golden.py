@@ -1,12 +1,14 @@
-"""``threshold --csv`` bytes pinned on 40 fixed commands.
+"""``threshold --csv`` bytes pinned on 60 fixed commands.
 
 The data sections of the CSV stay byte-identical unless a correctness
 fix changes a number (ROADMAP), so a faster threshold solve must leave
 these files as they were.  The commands are the six exact anchors of
 acceptance criteria 1-3, four seeded draws of each of the eight margin
 rules (exact path, and L1's grid path at non-integer k), one explicit
-L1 point at k = 1.7 and the point where A - B = 4.4e-236 once
-underflowed.
+L1 point at k = 1.7, the point where A - B = 4.4e-236 once
+underflowed, and 20 edge points of L1's grid path: A - B down to 1e-3,
+B down to -0.999999, k at both ends of (-1, 3), some on the 64-point
+grid.
 
 ``data/threshold_golden.json`` holds each command with its CSV text.
 Rebuild it only from a commit whose numbers are trusted:
@@ -36,6 +38,19 @@ EXTRA = [
     ["--lemma", "L1", "--A=0.5", "--B=-0.3", "--k=1.7"],
     ["--lemma", "L1", "--A=0", "--B=-4.386647895761767e-236", "--k=1"],
 ]
+# L1 grid-path edge points (A, B, k, --grid); None keeps the default grid
+EDGES = [
+    (1.0, -0.999999, -0.999, None), (1.0, -0.999999, 2.999, None),
+    (1.0, -0.999999, 0.5, 64), (1.0, 0.999, -0.999, None),
+    (1.0, 0.999, 2.999, 64), (1.0, 0.5, 0.0, None),
+    (0.9, -0.999999, 1.5, None), (0.9, -0.999999, 2.5, 64),
+    (0.9, 0.899, 0.25, None), (0.9, -0.9, 2.0, None), (0.9, -0.9, 2.0, 64),
+    (0.0, -0.999999, -0.999, None), (0.0, -0.999999, 2.999, 64),
+    (0.0, -0.001, 1.2, None), (0.0, -0.5, -0.5, 64),
+    (-0.5, -0.999999, 0.0, None), (-0.5, -0.999999, 2.999, None),
+    (-0.5, -0.501, -0.999, 64), (-0.5, -0.9, 1.9999, None),
+    (-0.5, -0.75, 0.75, 64),
+]
 DRAWS_PER_RULE = 4
 
 
@@ -51,7 +66,10 @@ def commands():
                        + [f"--{n}={v!r}" for n, v in
                           (("A", p.A), ("B", p.B), ("D", p.D), ("E", p.E), ("k", p.k))
                           if v is not None])
-    return out + [["threshold", *a] for a in EXTRA]
+    out += [["threshold", *a] for a in EXTRA]
+    return out + [["threshold", "--lemma", "L1", f"--A={A!r}", f"--B={B!r}",
+                   f"--k={k!r}", *([f"--grid={grid}"] if grid else [])]
+                  for A, B, k, grid in EDGES]
 
 
 def csv_bytes(argv, path):
@@ -65,7 +83,7 @@ def _golden():
 
 def test_golden_file_covers_the_pinned_commands():
     cases = _golden()
-    assert len(cases) == 40
+    assert len(cases) == 60
     assert [c["argv"] for c in cases] == commands()
     statuses = {c["csv"].splitlines()[1].split(",")[-1] for c in cases}
     assert "Feasible" in statuses
