@@ -2,9 +2,10 @@
 
 The JSON layout separates a ``metadata`` block (timestamp, seed, config
 echo) from the ``results`` block; byte-for-byte comparisons of two runs
-are meaningful on everything outside ``metadata.timestamp``.  All
-numbers are converted to plain Python types before serialisation and
-beta values are rounded to 9 significant digits at the formatting layer.
+are meaningful on everything outside ``metadata.timestamp``.  The
+commands hand over plain Python values only (``json`` writes tuples as
+arrays).  CSV cells are formatted per column: beta values to 9
+significant digits, parameters to 6.
 
 Documents are not validated when they are built: the test suite
 validates a document of every kind the CLI writes against the schema.
@@ -17,29 +18,9 @@ import io
 import json
 import time
 
-import numpy as np
-
 from .config import DEFAULTS
 
 SCHEMA_VERSION = "1"
-
-CSV_COLUMNS = ["lemma", "A", "B", "D", "E", "k",
-               "beta_star_closed", "beta_numeric", "gap", "status"]
-
-
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays and tuples to JSON types."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
 
 
 def build_document(command: str, config: dict, results: dict,
@@ -50,7 +31,7 @@ def build_document(command: str, config: dict, results: dict,
         "command": command,
         "metadata": {
             "seed": seed,
-            "config": jsonable(config),
+            "config": config,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             # tolerance annotations for every numeric field downstream
             "tolerances": {
@@ -61,7 +42,7 @@ def build_document(command: str, config: dict, results: dict,
                 "tail": DEFAULTS.tail_tol,
             },
         },
-        "results": jsonable(results),
+        "results": results,
         "verdict": verdict,
     }
     return doc
@@ -84,22 +65,19 @@ def _format_param(x) -> str:
     return "" if x is None else f"{float(x):.6g}"
 
 
+# each CSV column and the formatter of its cell, in output order
+_CSV_CELLS = {"lemma": str, "A": _format_param, "B": _format_param,
+              "D": _format_param, "E": _format_param, "k": _format_param,
+              "beta_star_closed": format_beta, "beta_numeric": format_beta,
+              "gap": format_beta, "status": str}
+CSV_COLUMNS = list(_CSV_CELLS)
+
+
 def sweep_rows_to_csv(rows: list) -> str:
     """Rows are dicts keyed by CSV_COLUMNS; deterministic text output."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row["lemma"],
-            _format_param(row.get("A")),
-            _format_param(row.get("B")),
-            _format_param(row.get("D")),
-            _format_param(row.get("E")),
-            _format_param(row.get("k")),
-            format_beta(row.get("beta_star_closed")),
-            format_beta(row.get("beta_numeric")),
-            format_beta(row.get("gap")),
-            row["status"],
-        ])
+    writer.writerows([cell(row.get(name)) for name, cell in _CSV_CELLS.items()]
+                     for row in rows)
     return buf.getvalue()

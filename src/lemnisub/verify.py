@@ -27,18 +27,20 @@ margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
 the criterion is a polynomial inequality in beta: a quadratic for the
 Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
 The threshold is the largest crossing over all angles inside the
-bracket that a coarse beta scan of the minimum margin confirms; where
-h - 1 is rational in z (every rule but L1 at non-integer kappa) the scan
-minima and the binding angle are solved in x = cos t.  Each angle's
-largest crossing (``_last_crossing``) is read off the signs of its
-polynomial's Bernstein coefficients on the bracket where they clear a
-rounding slack: one sign means no crossing, one sign change exactly one,
-found by bracketed Newton steps.  Columns with a coefficient inside the
-slack, a NaN or inf, or more sign changes take the full derivative-root
-recursion (``_crossings``).  Where h - 1 has no rational form the scan
-walks beta upward and, when every angle's polynomial has one positive
-root (Descartes' rule of signs), stops at the first beta whose refined
-minimum reaches 1: each angle's margin stays >= 1 from its root on.
+bracket where an upward walk of a coarse beta scan of the minimum margin
+(``_scan``) first reaches 1; the walk raises where 1 is lost again.
+Where h - 1 is rational in z (every rule but L1 at non-integer kappa)
+the scan minima and the binding angle are solved in x = cos t.  Each
+angle's largest crossing (``_last_crossing``) is read off the signs of
+its polynomial's Bernstein coefficients on the bracket where they clear
+a rounding slack: one sign means no crossing, one sign change exactly
+one, found by bracketed Newton steps.  Columns with a coefficient inside
+the slack, a NaN or inf, or more sign changes take the full
+derivative-root recursion (``_crossings``).  Where h - 1 has no rational
+form the scan minima are computed one beta at a time and, when every
+angle's polynomial has one positive root (Descartes' rule of signs),
+stop at the first beta whose refined minimum reaches 1: each angle's
+margin stays >= 1 from its root on.
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -593,8 +595,9 @@ def _candidate_angles(lemma: LemmaId, params: LemmaParams,
     terms (``admissibility_slope``).  One term keeps its sign, so the
     minimum sits at t = 0 or pi; two terms of opposite sign cancel only
     where D(s1, x) = rho D(s2, x), rho = sqrt(-k1/k2), which is linear in
-    x.  On the unit circle the candidates are clipped out of the
-    punctures around singular angles (which are 0 or pi).
+    x.  On the unit circle the candidates are clipped into
+    ``_end_angles``, out of the punctures around singular angles (which
+    are 0 or pi).
     """
     terms = admissibility_slope(lemma, params, quantity, radius)
     if len(terms) > 2:
@@ -610,10 +613,7 @@ def _candidate_angles(lemma: LemmaId, params: LemmaParams,
             if -1.0 < x < 1.0:
                 t.append(math.acos(x))
     if radius == 1.0:
-        sing = singular_angles(lemma, params)
-        puncture = DEFAULTS.puncture_radius
-        t = np.clip(t, puncture if 0.0 in sing else 0.0,
-                    math.pi - puncture if math.pi in sing else math.pi)
+        t = np.clip(t, *_end_angles(singular_angles(lemma, params)))
     return np.asarray(t, dtype=float)
 
 
@@ -729,27 +729,30 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
 
 # --- numeric thresholds ------------------------------------------------------
 
-def _analyze_scan(margins: np.ndarray) -> int:
-    """Index of the single upcrossing of 1; raises otherwise."""
-    reached = np.asarray(margins) >= 1.0
-    if not reached.any():
+def _scan(minima, betas: np.ndarray) -> tuple:
+    """The scan interval holding the upcrossing of 1, and the angles at its
+    lower end.
+
+    ``minima`` yields one (least squared margin, angles where it sits)
+    pair per scan beta, ascending.  The first value >= 1 marks the
+    upcrossing, and a later value below 1 raises at once.  Returns
+    [beta_{j-1}, beta_j] with the angles yielded at beta_{j-1}, or
+    [1e-6 beta_0, beta_0] and no angles when the first beta reaches 1.
+    """
+    below, up = np.empty(0), None
+    for j, (least, angles) in enumerate(minima):
+        if least >= 1.0:
+            up = j if up is None else up
+        elif up is not None:
+            raise NonMonotoneMargin(
+                f"margin drops back below 1 after beta index {j - 1}; "
+                "no threshold claimed")
+        else:
+            below = angles
+    if up is None:
         raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
-    down = np.nonzero(reached[:-1] & ~reached[1:])[0]
-    if down.size:
-        raise NonMonotoneMargin(
-            f"margin drops back below 1 after beta index {int(down[0])}; "
-            "no threshold claimed")
-    if reached[0]:
-        return -1   # already above 1 at the bracket start
-    return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
-
-
-def _bracket(i0: int, betas: np.ndarray) -> tuple:
-    """The scan interval holding the upcrossing found by ``_analyze_scan``;
-    below the scan it reaches down to 1e-6 of the scan's first beta."""
-    if i0 < 0:
-        return 1e-6 * float(betas[0]), float(betas[0])
-    return float(betas[i0]), float(betas[i0 + 1])
+    lo = float(betas[up - 1]) if up else 1e-6 * float(betas[0])
+    return lo, float(betas[up]), below
 
 
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
@@ -757,8 +760,9 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     """Smallest beta above which the boundary margin stays >= 1.
 
     The minimum margin over the circle at ``DEFAULTS.scan_points`` betas
-    in [1e-6, 10 beta*] (from 1e-6 beta* when 10 beta* <= 1e-6) brackets
-    the last upcrossing of the level 1 and confirms it is not lost again.
+    in [1e-6, 10 beta*] (from 1e-6 beta* when 10 beta* <= 1e-6), walked
+    upward by ``_scan``, brackets the upcrossing of the level 1 and
+    raises at the first beta where the margin is lost again.
     At each angle margin >= 1 is F(beta) >= 0 for a polynomial F of
     degree 2 (Mobius premise) or 4 (lemniscate premise) in beta, and the
     threshold is the largest crossing of any angle's F inside that
@@ -804,11 +808,6 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
 
 
 # --- the threshold from the criterion polynomial F(x; beta) -------------------
-
-def _last_crossings(polynomial, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The largest crossing in [lo, hi] at each angle, -inf where none."""
-    return _last_crossing(_criterion_polynomial(*polynomial(t)), lo, hi)
-
 
 def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
                     x_lo: float, x_hi: float) -> np.ndarray:
@@ -868,15 +867,14 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     at = np.tile(betas, angles.shape[0])
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
         m2 = (_poly_at(num, at) / _poly_at(den, at)).reshape(angles.shape)
-    i0 = _analyze_scan(m2.min(axis=0))
-    lo, hi = _bracket(i0, betas)
+    least = angles[np.argmin(m2, axis=0), np.arange(betas.size)]
+    lo, hi, below = _scan(zip(m2.min(axis=0), least), betas)
 
     # F is even in t: the ends and the grid's angles between them, in order
     cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
     n = cand.size
-    if i0 >= 0:
-        cand = np.append(cand, angles[np.argmin(m2[:, i0]), i0])
-    last = _last_crossings(polynomial, cand, lo, hi)
+    cand = np.append(cand, below)
+    last = _last_crossing(_criterion_polynomial(*polynomial(cand)), lo, hi)
     best = max(lo, float(np.max(last)))
     # seeds: the peaks of the last crossing over t and the scan's least
     # angle, inside the interval and best first
@@ -889,8 +887,8 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     x = _tangent_points(F, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
     x = x[np.isfinite(x)]
     if x.size:
-        best = max(best, float(np.max(_last_crossings(polynomial, np.arccos(x),
-                                                      lo, hi))))
+        last = _last_crossing(_criterion_polynomial(*polynomial(np.arccos(x))), lo, hi)
+        best = max(best, float(np.max(last)))
     return best
 
 
@@ -954,24 +952,22 @@ def _one_positive_root(F: np.ndarray) -> bool:
 
 
 def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
-                 betas: np.ndarray, grid_size: int) -> tuple:
-    """Minimum squared margin over the circle at each scan beta.
+                 betas: np.ndarray, grid_size: int):
+    """Yields the minimum squared margin over the circle at each scan beta,
+    ascending, with the refined angles where it was sought.
 
-    The betas are read in ascending order.  As in
-    ``boundary_margin_profile``, the minimum over the grid is refined
-    around the smallest local minima of the samples (zeros need no
-    polish here), so a dip between grid points counts.  Refinement can
+    As in ``boundary_margin_profile``, the minimum over the grid is
+    refined around the smallest local minima of the samples (zeros need
+    no polish here), so a dip between grid points counts.  Refinement can
     only lower a minimum, so it runs only at the betas whose grid minimum
-    reaches 1, each in its own call as soon as it is read.
+    reaches 1; elsewhere no angles are yielded.
 
     When every grid column of F = num - den has one positive root
     (``_one_positive_root``), each angle's margin stays >= 1 from its
     root on, so once the refined minimum reaches 1 it does at every
-    larger beta: the walk stops at the first such beta and the minima
-    above it read +inf.  Otherwise every beta is read, so that
-    ``_analyze_scan`` sees a margin that is lost again.  Returns the
-    minima, the refined angles and the index of the scan beta each
-    belongs to.
+    larger beta: the stream ends right after the first such beta.
+    Otherwise it runs on, and ``_scan`` raises where the margin is lost
+    again.
     """
     num, den = coeffs
     stop = _one_positive_root(_criterion_polynomial(num, den))
@@ -981,21 +977,17 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
         with np.errstate(divide="ignore"):
             return _poly_at(n, beta) / _poly_at(d, beta)
 
-    minima = np.full(betas.size, np.inf)
-    probes, owner = [np.empty(0)], [np.empty(0, dtype=int)]
-    for j, beta in enumerate(betas):
+    for beta in betas:
         with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
             m2 = _poly_at(num, beta) / _poly_at(den, beta)
-        minima[j] = m2.min()
-        if minima[j] >= 1.0:
+        least, xb = m2.min(), np.empty(0)
+        if least >= 1.0:
             xb, fb = _refine_minima(partial(margin2, beta), t[_local_minima(m2)],
                                     grid_size, sing)
-            minima[j] = np.min(fb, initial=minima[j])
-            probes.append(xb)
-            owner.append(np.full(xb.size, j))
-            if stop and minima[j] >= 1.0:
-                break
-    return minima, np.concatenate(probes), np.concatenate(owner)
+            least = np.min(fb, initial=least)
+        yield least, xb
+        if stop and least >= 1.0:
+            return
 
 
 def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
@@ -1006,18 +998,16 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     the scan stops early where every grid angle's criterion has one
     positive root (``_scan_minima``): each angle's margin is then reached
     for good at its root, so the betas above could only confirm the
-    bracket.  The largest crossing over the grid and the scan's refined
-    angles at the bracket's lower end is sharpened over t around its
-    best local maxima on the grid and those refined angles.
+    bracket.  Otherwise ``_scan`` raises at the first beta where the
+    margin is lost again.  The largest crossing over the grid and the
+    scan's refined angles at the bracket's lower end is sharpened over t
+    around its best local maxima on the grid and those refined angles.
     """
     num, den = polynomial(t)
-    minima, probes, owner = _scan_minima(polynomial, (num, den), t, sing,
-                                         betas, grid_size)
-    i0 = _analyze_scan(minima)
-    lo, hi = _bracket(i0, betas)
     # candidate angles: the grid, and the scan's refined angles at the
     # bracket's lower end, where a dip between grid points may bind
-    probes = probes[owner == i0]
+    lo, hi, probes = _scan(_scan_minima(polynomial, (num, den), t, sing,
+                                        betas, grid_size), betas)
     n = t.size
     t = np.concatenate([t, probes])
     coeffs = np.concatenate([_criterion_polynomial(num, den),

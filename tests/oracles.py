@@ -29,7 +29,12 @@ bit for bit.
 grid path's threshold scan as it was before it stopped early, every
 scan beta read and the refinements of all betas whose grid minimum
 reaches 1 taken in one batch.  Up to the beta where the early-stopped
-scan stops, the two must agree bit for bit.
+scan stops, the two must agree bit for bit.  ``full_scan_stream`` feeds
+it to ``verify._scan`` beta by beta.
+
+``analyze_scan`` is the oracle for ``verify._scan``: the scan's verdict
+read off all of its minima at once, as the threshold solve did before it
+walked the scan.
 """
 
 import math
@@ -44,7 +49,12 @@ from lemnisub.catalog import (
     singular_angles,
     singular_points,
 )
-from lemnisub.errors import ConstantTermNotOne, DivisionByZeroConstantTerm
+from lemnisub.errors import (
+    ConstantTermNotOne,
+    DivisionByZeroConstantTerm,
+    NoThresholdInBracket,
+    NonMonotoneMargin,
+)
 from lemnisub.verify import _local_minima, _poly_at, _refine_minima
 
 from support import dominant_Q_on_circle
@@ -257,6 +267,29 @@ def full_scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
                                    sing, np.concatenate(owner))
     np.minimum.at(minima, owner, fb)
     return minima, xb, owner
+
+
+def full_scan_stream(*args):
+    """``full_scan_minima`` as the stream ``verify._scan`` walks: each
+    beta's minimum and its refined angles, every beta read."""
+    minima, probes, owner = full_scan_minima(*args)
+    for j, least in enumerate(minima):
+        yield least, probes[owner == j]
+
+
+def analyze_scan(margins: np.ndarray) -> int:
+    """Index of the single upcrossing of 1; raises otherwise."""
+    reached = np.asarray(margins) >= 1.0
+    if not reached.any():
+        raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
+    down = np.nonzero(reached[:-1] & ~reached[1:])[0]
+    if down.size:
+        raise NonMonotoneMargin(
+            f"margin drops back below 1 after beta index {int(down[0])}; "
+            "no threshold claimed")
+    if reached[0]:
+        return -1   # already above 1 at the bracket start
+    return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
 
 
 # --- the admissibility quantities against a central difference ----------------

@@ -28,7 +28,7 @@ from lemnisub.catalog import (
     phi_of_q_circle,
     singular_angles,
 )
-from lemnisub.verify import _candidate_angles
+from lemnisub.verify import _candidate_angles, _outside_punctures
 
 from conftest import draw_valid_params
 from oracles import FD_RTOL, derivative_cross_check
@@ -203,7 +203,9 @@ def test_candidates_stay_out_of_punctures():
     params = LemmaParams(A=0.5, B=-1.0, beta=10.0)
     t = _candidate_angles(LemmaId.L2, params, AdmissibilityQuantity.RE_ZQP_OVER_Q, 1.0)
     assert singular_angles(LemmaId.L2, params) == (0.0,)
-    assert t[0] == DEFAULTS.puncture_radius and t[1] == math.pi
+    # one step outside the puncture |t| <= radius, as the profile's grid
+    assert t[0] == np.nextafter(DEFAULTS.puncture_radius, 1.0) and t[1] == math.pi
+    assert _outside_punctures(t, singular_angles(LemmaId.L2, params)).all()
     inside = _candidate_angles(LemmaId.L2, params,
                                AdmissibilityQuantity.RE_ZQP_OVER_Q, 0.999)
     assert inside[0] == 0.0

@@ -1,11 +1,13 @@
 """The grid path's early-stopped threshold scan against the full scan.
 
-``verify._scan_minima`` walks the 64 scan betas upward and, where every
-angle's criterion polynomial in beta has one positive root, stops at the
-first beta whose refined minimum reaches 1.  ``oracles.full_scan_minima``
-reads every beta and refines all of them in one batch, as the grid path
-did before.  Up to the stop the two must agree bit for bit, and so must
-the thresholds: the CSV prints their last bits.
+``verify._scan_minima`` yields the 64 scan betas' minima upward and,
+where every angle's criterion polynomial in beta has one positive root,
+ends right after the first beta whose refined minimum reaches 1;
+``verify._scan`` walks that stream.  ``oracles.full_scan_minima`` reads
+every beta and refines all of them in one batch, as the grid path did
+before, and ``oracles.full_scan_stream`` feeds it to the walk.  Up to
+the stop the two must agree bit for bit, and so must the thresholds: the
+CSV prints their last bits.
 
 L1 at non-integer k takes the grid path; L1 requires -1 < B < A, so its
 criterion (1 - B^2)|b|^2 beta^2 + 2(A - B) B Re(b) beta - (A - B)^2 has
@@ -55,13 +57,16 @@ def _threshold(params, grid_size):
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Each ``_scan_minima`` call's arguments and result."""
+    """Each ``_scan_minima`` call's arguments and the pairs drawn from it."""
     record = []
     scan = verify._scan_minima
 
     def spy(*args):
-        record.append((args, scan(*args)))
-        return record[-1][1]
+        read = []
+        record.append((args, read))
+        for pair in scan(*args):
+            read.append(pair)
+            yield pair
 
     monkeypatch.setattr(verify, "_scan_minima", spy)
     return record
@@ -70,7 +75,7 @@ def scans(monkeypatch):
 @pytest.mark.parametrize("grid_size", GRIDS)
 def test_threshold_bits_match_full_scan(monkeypatch, grid_size):
     fast = [_threshold(p, grid_size) for p in POINTS]
-    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_minima)
+    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_stream)
     full = [_threshold(p, grid_size) for p in POINTS]
     assert fast == full
     assert all(v.startswith("0x") for v in fast)       # every point solved
@@ -80,17 +85,17 @@ def test_threshold_bits_match_full_scan(monkeypatch, grid_size):
 def test_scan_stops_after_the_first_reached_beta(scans, grid_size):
     for params in POINTS:
         numeric_threshold(LemmaId.L1, params, grid_size)
-        args, (minima, probes, owner) = scans[-1]
+        args, read = scans[-1]
         full_minima, full_probes, full_owner = oracles.full_scan_minima(*args)
         assert _one_positive_root(_criterion_polynomial(*args[1])), params
-        i0 = verify._analyze_scan(full_minima)
-        read = int(np.count_nonzero(np.isfinite(minima)))   # L1's margin is finite
-        assert read <= i0 + 2, params
-        assert np.all(np.isinf(minima[read:])) and np.all(full_minima[read:] >= 1.0)
-        assert minima[:read].tobytes() == full_minima[:read].tobytes(), params
-        kept = full_owner < read
-        assert owner.tobytes() == full_owner[kept].tobytes()
-        assert probes.tobytes() == full_probes[kept].tobytes()
+        i0 = oracles.analyze_scan(full_minima)
+        minima = np.array([least for least, _ in read])
+        assert len(read) <= i0 + 2, params
+        assert minima[-1] >= 1.0 and np.all(minima[:-1] < 1.0), params
+        assert np.all(full_minima[len(read):] >= 1.0)
+        assert minima.tobytes() == full_minima[:len(read)].tobytes(), params
+        for j, (_, probes) in enumerate(read):
+            assert probes.tobytes() == full_probes[full_owner == j].tobytes()
     assert len(scans) == len(POINTS)
 
 
@@ -143,16 +148,22 @@ def _grid_threshold(polynomial):
     return verify._grid_threshold(polynomial, t, (), np.linspace(1e-6, 10.0, 64), 64)
 
 
-def test_columns_crossing_twice_walk_every_beta(scans, monkeypatch):
+def test_columns_crossing_twice_raise_at_the_first_descent(scans, monkeypatch):
     # reached on [1, 2], lost on (2, 3), reached again from 3
     polynomial = _planted([1.0, 2.0, 3.0])
-    with pytest.raises(NonMonotoneMargin):
+    with pytest.raises(NonMonotoneMargin) as walked:
         _grid_threshold(polynomial)
-    (args, (minima, _, _)), = scans
+    (args, read), = scans
     assert not _one_positive_root(_criterion_polynomial(*args[1]))
-    assert np.all(np.isfinite(minima))
-    assert minima.tobytes() == oracles.full_scan_minima(*args)[0].tobytes()
-    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_minima)
+    full_minima = oracles.full_scan_minima(*args)[0]
+    with pytest.raises(NonMonotoneMargin) as full:
+        oracles.analyze_scan(full_minima)
+    assert str(walked.value) == str(full.value)
+    descent = np.flatnonzero((full_minima[:-1] >= 1.0) & (full_minima[1:] < 1.0))[0]
+    assert len(read) == descent + 2 < full_minima.size
+    minima = np.array([least for least, _ in read])
+    assert minima.tobytes() == full_minima[:len(read)].tobytes()
+    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_stream)
     with pytest.raises(NonMonotoneMargin):
         _grid_threshold(polynomial)
 
@@ -160,9 +171,8 @@ def test_columns_crossing_twice_walk_every_beta(scans, monkeypatch):
 def test_columns_with_one_root_stop_early(scans, monkeypatch):
     polynomial = _planted([2.0])
     fast = _grid_threshold(polynomial)
-    (args, (minima, _, _)), = scans
-    read = int(np.count_nonzero(np.isfinite(minima)))
-    assert read == int(np.searchsorted(args[4], 2.0)) + 1
-    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_minima)
+    (args, read), = scans
+    assert len(read) == int(np.searchsorted(args[4], 2.0)) + 1
+    monkeypatch.setattr(verify, "_scan_minima", oracles.full_scan_stream)
     assert fast.hex() == _grid_threshold(polynomial).hex()
     assert fast == pytest.approx(2.0, rel=1e-12)

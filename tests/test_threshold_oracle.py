@@ -15,9 +15,9 @@ import pytest
 from lemnisub import (CATALOG, LemmaId, LemmaParams, boundary_margin_profile,
                       catalog, closed_form_threshold, numeric_threshold, verify)
 from lemnisub.errors import LemnisubError
-from lemnisub.verify import _analyze_scan
 
 from conftest import feasible_draws
+from oracles import analyze_scan
 
 BISECT_TOL = 1e-6
 MARGIN_LEMMAS = [l for l in LemmaId if CATALOG[l].margin_criterion]
@@ -32,7 +32,7 @@ def bisection_threshold(lemma, params, scan_points=64, grid_size=2048):
     betas = np.linspace(1e-6, 10.0 * base.beta_star, scan_points)
     margins = np.array([min_margin(lemma, params.with_beta(float(b)), grid_size)
                         for b in betas])
-    i0 = _analyze_scan(margins)
+    i0 = analyze_scan(margins)
     if i0 < 0:
         lo, hi = 1e-12, float(betas[0])
     else:

@@ -34,8 +34,8 @@ from lemnisub.errors import (
 )
 from lemnisub.regions import membership_margins
 from lemnisub.verify import (
-    _analyze_scan,
     _parabolic_refine,
+    _scan,
     _select_argmin,
     winding_number,
 )
@@ -75,18 +75,66 @@ def test_parabolic_refine_keeps_the_better_end():
     assert (xb[0], fb[0]) == (0.5, 0.25)
 
 
-def test_analyze_scan_single_upcrossing():
-    assert _analyze_scan(np.array([0.2, 0.5, 0.9, 1.1, 1.5])) == 2
+SCAN_BETAS = np.linspace(0.5, 4.5, 9)
 
 
-def test_analyze_scan_detects_descent():
-    with pytest.raises(NonMonotoneMargin):
-        _analyze_scan(np.array([0.2, 1.2, 0.8, 1.4, 2.0]))
+def _planted_scan(values, read=None):
+    """A scan stream whose j-th beta yields values[j] at the angle j;
+    ``read`` collects the pairs as they are drawn."""
+    for j, value in enumerate(values):
+        if read is not None:
+            read.append(value)
+        yield value, np.array([float(j)])
 
 
-def test_analyze_scan_no_threshold():
+def test_scan_single_upcrossing():
+    lo, hi, angles = _scan(_planted_scan([0.2, 0.5, 0.9, 1.1, 1.5]), SCAN_BETAS)
+    assert (lo, hi) == (SCAN_BETAS[2], SCAN_BETAS[3])
+    assert angles.tolist() == [2.0]              # the angles yielded at lo
+
+
+def test_scan_detects_descent_at_once():
+    read = []
+    with pytest.raises(NonMonotoneMargin, match=r"after beta index 1;"):
+        _scan(_planted_scan([0.2, 1.2, 0.8, 1.4, 2.0], read), SCAN_BETAS)
+    assert read == [0.2, 1.2, 0.8]
+
+
+def test_scan_no_threshold():
     with pytest.raises(NoThresholdInBracket):
-        _analyze_scan(np.array([0.1, 0.2, 0.3]))
+        _scan(_planted_scan([0.1, 0.2, 0.3]), SCAN_BETAS)
+
+
+def test_scan_reached_at_the_first_beta():
+    lo, hi, angles = _scan(_planted_scan([1.0, 1.5, 2.0]), SCAN_BETAS)
+    assert (lo, hi) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0])
+    assert angles.size == 0
+
+
+def test_scan_stream_ending_at_its_first_reach():
+    # the grid path's early stop: nothing is yielded after the first value >= 1
+    lo, hi, angles = _scan(_planted_scan([0.3, 0.7, 1.2]), SCAN_BETAS)
+    assert (lo, hi) == (SCAN_BETAS[1], SCAN_BETAS[2])
+    assert angles.tolist() == [1.0]
+
+
+def test_scan_agrees_with_the_full_analysis():
+    # every pattern of reached (1.5), missed (0.5) and NaN minima on 6 betas
+    for pattern in np.ndindex(*(3,) * 6):
+        values = np.array([0.5, 1.5, math.nan])[list(pattern)]
+        try:
+            i0 = oracles.analyze_scan(values)
+        except (NoThresholdInBracket, NonMonotoneMargin) as exc:
+            with pytest.raises(type(exc)) as walked:
+                _scan(_planted_scan(values), SCAN_BETAS)
+            assert str(walked.value) == str(exc)
+            continue
+        lo, hi, angles = _scan(_planted_scan(values), SCAN_BETAS)
+        if i0 < 0:
+            assert (lo, hi, angles.size) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0], 0)
+        else:
+            assert (lo, hi) == (SCAN_BETAS[i0], SCAN_BETAS[i0 + 1])
+            assert angles.tolist() == [float(i0)]
 
 
 # --- margin profiles -----------------------------------------------------------
