@@ -492,9 +492,15 @@ def h_minus_one_at(lemma: LemmaId, params: LemmaParams, z):
 
 
 def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,
-                          t: np.ndarray) -> np.ndarray:
-    """h(e^{it}) - 1, vectorised and numerically stable near singular angles."""
-    return _h_minus_one(lemma, params, np.exp(1j * t), t)
+                          t: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
+    """h(e^{it}) - 1, vectorised and numerically stable near singular angles.
+
+    ``z`` is e^{it} as ``np.exp(1j * t)`` gives it, computed here when
+    None.  A caller that evaluates many curves on one grid passes the
+    grid's points (``verify._grid_points``, built once per grid), and
+    the values are bit for bit the same.
+    """
+    return _h_minus_one(lemma, params, np.exp(1j * t) if z is None else z, t)
 
 
 def h_minus_one_sizes(lemma: LemmaId, params: LemmaParams) -> tuple:
@@ -566,9 +572,10 @@ def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]
 
 
 def margin_on_circle(lemma: LemmaId, params: LemmaParams,
-                     t: np.ndarray) -> np.ndarray:
-    """|inverse(h(e^{it}))| through the premise region's inverse map."""
-    hm1 = h_minus_one_on_circle(lemma, params, t)
+                     t: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
+    """|inverse(h(e^{it}))| through the premise region's inverse map; ``z``
+    as for ``h_minus_one_on_circle``."""
+    hm1 = h_minus_one_on_circle(lemma, params, t, z)
     region = premise_region(lemma, params)
     if isinstance(region, SqrtLemniscate):
         # |h^2 - 1| = |h - 1| * |h + 1|

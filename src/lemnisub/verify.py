@@ -13,7 +13,13 @@ disk.
 The margin profile takes one path for every rule: the grid's smallest
 local minima are refined by safeguarded parabolic steps
 (``_parabolic_refine``), and those at a V-shaped zero of the margin are
-polished from the smooth squared margin (``_polish_zeros``).
+polished from the smooth squared margin (``_polish_zeros``).  Each
+angular grid and its points e^{it} depend only on the grid size and the
+punctures, so they are built once per process, on first use, and shared
+read-only (``_punctured_grid``, ``_grid_points``) by the profile, the
+grid path of the threshold solve, the winding diagnostic and the
+subordination check; every value is bit for bit what rebuilding them
+gives.
 
 The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
 quantity's real part is, in x = cos t, a constant plus terms
@@ -197,9 +203,34 @@ def _outside_punctures(t: np.ndarray, sing: tuple) -> np.ndarray:
     return keep
 
 
+# keys (grid size, punctures) kept by each grid table; the grid size may come
+# from the command line (--grid), so the tables are bounded
+_GRID_TABLES = 32
+
+
+@lru_cache(maxsize=_GRID_TABLES)
 def _punctured_grid(grid_size: int, sing: tuple) -> np.ndarray:
+    """The ``grid_size`` uniform angles of [-pi, pi) less the punctures
+    around the singular angles ``sing``.
+
+    Built once per (grid size, punctures), on first use, and shared as a
+    read-only array, so callers that rebuilt it per call read the same
+    values bit for bit.
+    """
     t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
-    return t[_outside_punctures(t, sing)] if sing else t
+    if sing:
+        t = t[_outside_punctures(t, sing)]
+    t.flags.writeable = False
+    return t
+
+
+@lru_cache(maxsize=_GRID_TABLES)
+def _grid_points(grid_size: int, sing: tuple) -> np.ndarray:
+    """e^{it} on ``_punctured_grid(grid_size, sing)``, as
+    ``catalog.h_minus_one_on_circle`` computes it; read-only."""
+    z = np.exp(1j * _punctured_grid(grid_size, sing))
+    z.flags.writeable = False
+    return z
 
 
 def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
@@ -554,10 +585,14 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     """Boundary margin of the superordination criterion on a uniform grid.
 
     Singular angles of h are excluded with a puncture of radius 1e-6.
-    The smallest local minima of the samples are refined by parabolic
-    steps to angular resolution 1e-8, and those at a V-shaped zero are
-    polished to rounding (``_polish_zeros``); the margins at the added
-    angles come from ``margin_on_circle``.
+    The grid and its points e^{it} are built once per (grid size,
+    punctures) and shared (``_punctured_grid``, ``_grid_points``).  The
+    smallest local minima of the samples are refined by parabolic steps
+    to angular resolution 1e-8, and those at a V-shaped zero are polished
+    to rounding (``_polish_zeros``); the margins at the added angles come
+    from ``margin_on_circle``.  The refined minima, at most
+    ``_REFINE_SEEDS``, are sorted and spliced into the sorted grid, so the
+    samples are the grid's and the minima's in ascending order of angle.
     """
     validate(lemma, params)
     if not CATALOG[lemma].margin_criterion:
@@ -569,13 +604,13 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     sing = singular_angles(lemma, params)
     t = _punctured_grid(grid_size, sing)
     margin = partial(margin_on_circle, lemma, params)
-    margins = margin(t)
+    margins = margin(t, _grid_points(grid_size, sing))
     xb, fb = _refine_minima(margin, t[_local_minima(margins)], grid_size, sing)
     xb, fb = _polish_zeros(margin, xb, fb, sing)
     xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
-    cand_t = np.concatenate([t, xb])
-    order = np.argsort(cand_t)
-    cand_t, cand_m = cand_t[order], np.concatenate([margins, fb])[order]
+    order = np.argsort(xb)
+    at = np.searchsorted(t, xb[order])
+    cand_t, cand_m = np.insert(t, at, xb[order]), np.insert(margins, at, fb[order])
     min_margin, argmin_t = _select_argmin(cand_t, cand_m)
     profile = MarginProfile(cand_t, cand_m, min_margin, argmin_t,
                             bool(xb.size), tuple(sing))
@@ -667,8 +702,7 @@ class VerificationReport:
 def _denominator_winding(lemma: LemmaId, params: LemmaParams) -> int:
     region = premise_region(lemma, params)
     X, Y = region.A, region.B
-    t = np.linspace(-math.pi, math.pi, _WINDING_SAMPLES, endpoint=False)
-    z = _INSET_RADIUS * np.exp(1j * t)
+    z = _INSET_RADIUS * _grid_points(_WINDING_SAMPLES, ())
     den = (X - Y) - Y * h_minus_one_at(lemma, params, z)
     return winding_number(den)
 
@@ -791,7 +825,6 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
         raise InfeasibleParameters(
             f"{lemma.value}: {base.binding_constraint}")
     sing = singular_angles(lemma, params)
-    t = _punctured_grid(grid_size, sing)
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
     floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
     betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
@@ -802,9 +835,10 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     polynomial = _margin_polynomials(lemma, params, scales)
     ratio = _margin_ratio(lemma, params, scales)
     if ratio is None:
-        return sigma * _grid_threshold(polynomial, t, sing, betas / sigma, grid_size)
-    return sigma * _exact_threshold(polynomial, _criterion_polynomial(*ratio), t,
-                                    sing, betas / sigma)
+        return sigma * _grid_threshold(polynomial, sing, betas / sigma, grid_size)
+    return sigma * _exact_threshold(polynomial, _criterion_polynomial(*ratio),
+                                    _punctured_grid(grid_size, sing), sing,
+                                    betas / sigma)
 
 
 # --- the threshold from the criterion polynomial F(x; beta) -------------------
@@ -905,22 +939,31 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
     """Per-angle polynomials in beta whose ratio is the squared margin,
     in beta / (U / V) for the ``scales`` (U, V) of ``_beta_scales``.
 
-    Returns a function of the angles t giving coefficient arrays
-    ``(num, den)``, each of shape (deg+1, t.size) in ascending powers of
-    beta, with margin^2 = num(beta) / den(beta) at every angle.  For
-    every margin rule h - 1 = a + beta*b is affine in beta, so with
+    Returns a function of the angles t (and optionally their points
+    z = e^{it}, as for ``h_minus_one_on_circle``) giving coefficient
+    arrays ``(num, den)``, each of shape (deg+1, t.size) in ascending
+    powers of beta, with margin^2 = num(beta) / den(beta) at every angle.
+    For every margin rule h - 1 = a + beta*b is affine in beta, so with
     w = h - 1 the Mobius inverse gives num = |w|^2 and
     den = |(X-Y) - Y w|^2 (quadratics; den is linear when |Y| = 1), and
     the lemniscate inverse num = |w|^2 |2 + w|^2 (a quartic) over den = 1.
+    For the affine rules (h = 1 + Q, Q proportional to beta) a is
+    identically 0 and h is evaluated once, at beta = 1/V; only the
+    convective L8 evaluates it at beta = 0 too.
     """
     U, V = scales
     # b / V is h - 1 at beta = 1/V less a
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
     region = premise_region(lemma, params)
+    affine = CATALOG[lemma].ode_style == "affine"
 
-    def coefficients(t: np.ndarray) -> tuple:
-        a = h_minus_one_on_circle(lemma, at0, t)
-        b = h_minus_one_on_circle(lemma, at1, t) - a
+    def coefficients(t: np.ndarray, z: Optional[np.ndarray] = None) -> tuple:
+        b = h_minus_one_on_circle(lemma, at1, t, z)
+        if affine:
+            a = np.zeros_like(b)
+        else:
+            a = h_minus_one_on_circle(lemma, at0, t, z)
+            b = b - a
         if isinstance(region, Janowski):
             X, Y = region.A, region.B
             a = a / U
@@ -990,10 +1033,12 @@ def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
             return
 
 
-def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
+def _grid_threshold(polynomial, sing: tuple, betas: np.ndarray,
                     grid_size: int) -> float:
     """``numeric_threshold`` on the grid, for L1 at non-integer kappa.
 
+    The grid is ``_punctured_grid(grid_size, sing)``, and its per-angle
+    polynomials are formed from the shared points ``_grid_points``.
     The scan minima are refined as in ``boundary_margin_profile``, and
     the scan stops early where every grid angle's criterion has one
     positive root (``_scan_minima``): each angle's margin is then reached
@@ -1003,7 +1048,8 @@ def _grid_threshold(polynomial, t: np.ndarray, sing: tuple, betas: np.ndarray,
     scan's refined angles at the bracket's lower end is sharpened over t
     around its best local maxima on the grid and those refined angles.
     """
-    num, den = polynomial(t)
+    t = _punctured_grid(grid_size, sing)
+    num, den = polynomial(t, _grid_points(grid_size, sing))
     # candidate angles: the grid, and the scan's refined angles at the
     # bracket's lower end, where a dip between grid points may bind
     lo, hi, probes = _scan(_scan_minima(polynomial, (num, den), t, sing,
@@ -1059,7 +1105,7 @@ def subordination_check(p: PowerSeries, region: TargetRegion,
         raise ConstantTermMismatch(
             f"p(0) = {p.coeffs[0]!r}, expected 1 to match the target centre")
     grid_size = DEFAULTS.subordination_grid
-    t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    t = _punctured_grid(grid_size, ())
     best = math.inf
     worst_r = worst_t = 0.0
     for r in radii:

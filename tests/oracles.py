@@ -35,6 +35,17 @@ it to ``verify._scan`` beta by beta.
 ``analyze_scan`` is the oracle for ``verify._scan``: the scan's verdict
 read off all of its minima at once, as the threshold solve did before it
 walked the scan.
+
+``fresh_grid``, ``argsort_margin_profile`` and
+``two_evaluation_margin_polynomials`` are the oracles for the shared grid
+tables (``verify._punctured_grid``, ``verify._grid_points``), the
+profile's splice of its refined minima and the affine rules' single
+curve evaluation.  They rebuild the grid and e^{it} on every call, sort
+the concatenated samples, and evaluate h at beta = 0 for every rule, as
+``boundary_margin_profile`` and ``verify._margin_polynomials`` did before
+the tables.  The profile must agree bit for bit; so must the polynomials,
+but for the sign of the beta^1 row's zeros of a Mobius-premise affine
+rule (its h at beta = 0 is a signed zero).
 """
 
 import math
@@ -45,7 +56,10 @@ from lemnisub import AdmissibilityQuantity, series, verify
 from lemnisub.catalog import (
     ADMISSIBILITY_EVALUATORS,
     h_minus_one_at,
+    h_minus_one_on_circle,
+    margin_on_circle,
     poly_mul,
+    premise_region,
     singular_angles,
     singular_points,
 )
@@ -55,6 +69,7 @@ from lemnisub.errors import (
     NoThresholdInBracket,
     NonMonotoneMargin,
 )
+from lemnisub.regions import Janowski
 from lemnisub.verify import _local_minima, _poly_at, _refine_minima
 
 from support import dominant_Q_on_circle
@@ -290,6 +305,57 @@ def analyze_scan(margins: np.ndarray) -> int:
     if reached[0]:
         return -1   # already above 1 at the bracket start
     return int(np.nonzero(~reached[:-1] & reached[1:])[0][0])
+
+
+# --- the margin profile and polynomials before the shared grid tables ---------
+
+def fresh_grid(grid_size, sing):
+    """The punctured grid, built anew."""
+    t = np.linspace(-math.pi, math.pi, grid_size, endpoint=False)
+    return t[verify._outside_punctures(t, sing)] if sing else t
+
+
+def argsort_margin_profile(lemma, params, grid_size):
+    """(t_samples, margins, min_margin, argmin_t, refined) of the margin
+    profile: a fresh grid, e^{it} computed per call, and the refined
+    minima placed by sorting the concatenated samples."""
+    sing = singular_angles(lemma, params)
+    t = fresh_grid(grid_size, sing)
+    margin = lambda x: margin_on_circle(lemma, params, x)
+    margins = margin(t)
+    xb, fb = _refine_minima(margin, t[_local_minima(margins)], grid_size, sing)
+    xb, fb = verify._polish_zeros(margin, xb, fb, sing)
+    xb = (xb + math.pi) % (2.0 * math.pi) - math.pi
+    cand_t = np.concatenate([t, xb])
+    order = np.argsort(cand_t)
+    cand_t, cand_m = cand_t[order], np.concatenate([margins, fb])[order]
+    min_margin, argmin_t = verify._select_argmin(cand_t, cand_m)
+    return cand_t, cand_m, min_margin, argmin_t, bool(xb.size)
+
+
+def two_evaluation_margin_polynomials(lemma, params, scales):
+    """``verify._margin_polynomials`` with h evaluated at beta = 0 and at
+    beta = 1/V for every rule, e^{it} computed from t (a z passed in is
+    not read)."""
+    U, V = scales
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
+    region = premise_region(lemma, params)
+
+    def coefficients(t, z=None):
+        a = h_minus_one_on_circle(lemma, at0, t)
+        b = h_minus_one_on_circle(lemma, at1, t) - a
+        if isinstance(region, Janowski):
+            X, Y = region.A, region.B
+            a = a / U
+            return (verify._abs2_coeffs(a, b),
+                    verify._abs2_coeffs((X - Y) / U - Y * a, -Y * b))
+        w2 = verify._abs2_coeffs(a, b)
+        num = np.zeros((5, t.size))
+        for i, factor in enumerate(verify._abs2_coeffs(2.0 + a, b)):
+            num[i:i + 3] += factor * w2
+        return num, np.ones((1, t.size))
+
+    return coefficients
 
 
 # --- the admissibility quantities against a central difference ----------------

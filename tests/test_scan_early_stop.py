@@ -133,10 +133,11 @@ def test_one_positive_root_needs_every_column():
 
 
 def _planted(roots):
-    """``polynomial`` with margin^2 = 1 + g(t) prod(beta - r), g > 0."""
+    """``polynomial`` with margin^2 = 1 + g(t) prod(beta - r), g > 0; it
+    takes the grid's points z as ``_margin_polynomials``'s does, and reads t."""
     c = np.polynomial.polynomial.polyfromroots(roots)
 
-    def polynomial(t):
+    def polynomial(t, z=None):
         num = c[:, None] * (1.5 + np.cos(3.0 * t))[None, :]
         num[0] += 1.0
         return num, np.ones((1, t.size))
@@ -144,8 +145,7 @@ def _planted(roots):
 
 
 def _grid_threshold(polynomial):
-    t = verify._punctured_grid(64, ())
-    return verify._grid_threshold(polynomial, t, (), np.linspace(1e-6, 10.0, 64), 64)
+    return verify._grid_threshold(polynomial, (), np.linspace(1e-6, 10.0, 64), 64)
 
 
 def test_columns_crossing_twice_raise_at_the_first_descent(scans, monkeypatch):

@@ -106,8 +106,9 @@ _SYNTHETIC = {
 
 def _use_curve(monkeypatch, b, form):
     """Put h - 1 = beta*b(t) in place of L2's curve, with ``form`` as its
-    rational form (None: no rational form, so the grid path runs)."""
-    def curve(lemma, params, t):
+    rational form (None: no rational form, so the grid path runs).  The
+    curve takes the grid's points z as the catalog's does, and reads t."""
+    def curve(lemma, params, t, z=None):
         return params.beta * b(np.asarray(t, dtype=float))
 
     monkeypatch.setattr(catalog, "h_minus_one_on_circle", curve)
