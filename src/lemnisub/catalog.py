@@ -503,15 +503,10 @@ def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,
     return _h_minus_one(lemma, params, np.exp(1j * t) if z is None else z, t)
 
 
-def h_minus_one_sizes(lemma: LemmaId, params: LemmaParams) -> tuple:
-    """Sizes of a and b in h - 1 = a + beta b, up to the factors (1 + c z)^e:
-    a = theta(q) - 1 (0 for affine rules, of size |A - B| for a Mobius q)
-    and b = Q/beta, whose constant is the curve's scale."""
-    curve = _curve(lemma, params)
-    a = 0.0
-    if curve.convective:
-        a = 1.0 if curve.sqrt else abs(params.A - params.B)
-    return a, abs(curve.scale)
+def h_minus_one_scale(lemma: LemmaId, params: LemmaParams) -> float:
+    """Size of b = Q/beta in h - 1 = a + beta b, up to the factors
+    (1 + c z)^e: the curve's scale."""
+    return abs(_curve(lemma, params).scale)
 
 
 def poly_mul(a, b) -> np.ndarray:

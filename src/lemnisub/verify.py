@@ -17,9 +17,8 @@ polished from the smooth squared margin (``_polish_zeros``).  Each
 angular grid and its points e^{it} depend only on the grid size and the
 punctures, so they are built once per process, on first use, and shared
 read-only (``_punctured_grid``, ``_grid_points``) by the profile, the
-grid path of the threshold solve, the winding diagnostic and the
-subordination check; every value is bit for bit what rebuilding them
-gives.
+threshold solve, the winding diagnostic and the subordination check;
+every value is bit for bit what rebuilding them gives.
 
 The Miller-Mocanu admissibility minima need no grid.  On |z| = r each
 quantity's real part is, in x = cos t, a constant plus terms
@@ -28,25 +27,25 @@ in x), or monotone in x; its minimum therefore sits at t = 0, at t = pi
 or at the one stationary angle solved in closed form, and the
 closed-form quantity is evaluated at those angles only.
 
-Empirical beta thresholds are solved exactly per angle.  For every
-margin rule h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle
-the criterion is a polynomial inequality in beta: a quadratic for the
-Mobius premises (linear when |Y| = 1) and a quartic for the lemniscate.
-The threshold is the largest crossing over all angles inside the
-bracket where an upward walk of a coarse beta scan of the minimum margin
-(``_scan``) first reaches 1; the walk raises where 1 is lost again.
-Where h - 1 is rational in z (every rule but L1 at non-integer kappa)
-the scan minima and the binding angle are solved in x = cos t.  Each
+Empirical beta thresholds take one of two routes.  For every margin rule
+h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle the
+criterion is a polynomial inequality in beta.  On a Mobius premise (L1,
+L9-L11) a = 0 and it is a quadratic with exactly one positive root,
+beta_t = (X - Y) / g(t) in closed form (Ma & Minda's starlike regions
+about 1; Miller & Mocanu, Differential Subordinations, 2000, 3.4), so
+the threshold is (X - Y) over the least g on the refined grid, with no
+beta scan (``_radial_threshold``).  On the lemniscate premise (L2-L4,
+L8) it is a quartic, and the threshold is the largest crossing over all
+angles inside the bracket where an upward walk of a coarse beta scan of
+the minimum margin (``_scan``) first reaches 1; the walk raises where 1
+is lost again.  h - 1 is rational in z there, so the scan minima and the
+binding angle are solved in x = cos t (``_exact_threshold``).  Each
 angle's largest crossing (``_last_crossing``) is read off the signs of
 its polynomial's Bernstein coefficients on the bracket where they clear
 a rounding slack: one sign means no crossing, one sign change exactly
 one, found by bracketed Newton steps.  Columns with a coefficient inside
 the slack, a NaN or inf, or more sign changes take the full
-derivative-root recursion (``_crossings``).  Where h - 1 has no rational
-form the scan minima are computed one beta at a time and, when every
-angle's polynomial has one positive root (Descartes' rule of signs),
-stop at the first beta whose refined minimum reaches 1: each angle's
-margin stays >= 1 from its root on.
+derivative-root recursion (``_crossings``).
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -80,7 +79,7 @@ from .catalog import (
     feasibility_check,
     h_minus_one_at,
     h_minus_one_on_circle,
-    h_minus_one_sizes,
+    h_minus_one_scale,
     margin_on_circle,
     poly_mul,
     premise_region,
@@ -416,15 +415,14 @@ def _last_crossing(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-# --- the margin criterion as a polynomial in x = cos t -------------------------
+# --- the lemniscate criterion as a polynomial in x = cos t ---------------------
 #
 # When h - 1 = (N0 + beta N1)/D with real polynomials N0, N1, D in z
 # (``rational_h_minus_one``), the squared margin on |z| = 1 is P/R with P
 # and R polynomials in beta and x = cos t.  They are stored as 2-D arrays
 # of ascending coefficients, beta down the rows and x along the columns,
-# and margin >= 1 holds exactly where F = P - R >= 0:
-#     Mobius premise      P = |N|^2,          R = |(X-Y) D - Y N|^2
-#     lemniscate premise  P = |N|^2 |2D + N|^2,  R = |D|^4
+# and margin >= 1 holds exactly where F = P - R >= 0.  For the lemniscate
+# premise P = |N|^2 |2D + N|^2 and R = |D|^4.
 
 def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Re(p(z) conj q(z)) on |z| = 1, as ascending coefficients in x = cos t.
@@ -460,48 +458,27 @@ def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
                      _circle_product(p1, p1)])
 
 
-def _margin_ratio(lemma: LemmaId, params: LemmaParams,
-                  scales: tuple = (1.0, 1.0)) -> Optional[tuple]:
-    """(P, R) with margin^2 = P/R on the unit circle, or None when h - 1
-    has no rational form; polynomials in beta / (U / V) for the
-    ``scales`` (U, V) of ``_beta_scales``."""
-    form = rational_h_minus_one(lemma, params)
-    if form is None:
-        return None
-    U, V = scales
-    N0, N1, D = form
-    region = premise_region(lemma, params)
-    if isinstance(region, Janowski):
-        X, Y = region.A, region.B
-        return (_affine_abs2(N0 / U, N1 / V),
-                _affine_abs2(((X - Y) * D - Y * N0) / U, -Y * N1 / V))
+def _margin_ratio(lemma: LemmaId, params: LemmaParams, V: float) -> tuple:
+    """(P, R) with margin^2 = P/R on the unit circle for a lemniscate
+    premise, as polynomials in beta V for the scale V of ``_beta_scale``."""
+    N0, N1, D = rational_h_minus_one(lemma, params)
     d2 = _circle_product(D, D)[None, :]
     return (poly_mul(_affine_abs2(N0, N1 / V), _affine_abs2(2.0 * D + N0, N1 / V)),
             poly_mul(d2, d2))
 
 
-def _beta_scales(lemma: LemmaId, params: LemmaParams) -> tuple:
-    """Powers of two (U, V) that bring h - 1 = a + beta b to unit size
-    before any |.|^2 is formed, where a or b may be as small as A - B.
+def _beta_scale(lemma: LemmaId, params: LemmaParams) -> float:
+    """A power of two V that brings b in h - 1 = a + beta b to unit size
+    before any |.|^2 is formed, where b may be as small as A - B.
 
-    The squared margin is |a + beta b|^2 / |(X-Y) - Y (a + beta b)|^2
-    (Mobius premise), homogeneous in its four terms, so a and (X-Y) - Y a
-    are divided by U and b by V, and the criterion is solved in
-    beta / (U / V); the lemniscate premise |w|^2 |2 + w|^2 is not
-    homogeneous, so only b is scaled (U = 1).  Each is the power of
-    2^_SCALE_BITS nearest the size of its terms (``h_minus_one_sizes``),
-    so both are 1 unless a size is beyond 2^(+-_SCALE_BITS/2), and
-    squares of the scaled terms neither underflow nor overflow.
+    The lemniscate premise's |w|^2 |2 + w|^2 is not homogeneous in a and
+    b, so only b is scaled, and the criterion is solved in beta V.  V is
+    the power of 2^_SCALE_BITS nearest the size of b
+    (``h_minus_one_scale``), so it is 1 unless that size is beyond
+    2^(+-_SCALE_BITS/2), and squares of the scaled terms neither underflow
+    nor overflow.
     """
-    a, b = h_minus_one_sizes(lemma, params)
-    region = premise_region(lemma, params)
-    U = 1.0
-    if isinstance(region, Janowski):
-        U = _nearest_scale(max(a, abs(region.A - region.B)))
-    return U, _nearest_scale(b)
-
-
-def _nearest_scale(size: float) -> float:
+    size = h_minus_one_scale(lemma, params)
     if size == 0.0:
         return 1.0
     return 2.0 ** (_SCALE_BITS * round(math.log2(size) / _SCALE_BITS))
@@ -513,6 +490,47 @@ def _criterion_polynomial(P: np.ndarray, R: np.ndarray) -> np.ndarray:
     F[:P.shape[0], :P.shape[1]] += P
     F[:R.shape[0], :R.shape[1]] -= R
     return F
+
+
+def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
+    return np.array([p.real * p.real + p.imag * p.imag,
+                     2.0 * (p.real * q.real + p.imag * q.imag),
+                     q.real * q.real + q.imag * q.imag])
+
+
+def _margin_polynomials(lemma: LemmaId, params: LemmaParams, V: float):
+    """Per-angle polynomials in beta V whose ratio is the squared margin,
+    for a lemniscate premise and the scale V of ``_beta_scale``.
+
+    Returns a function of the angles t (and optionally their points
+    z = e^{it}, as for ``h_minus_one_on_circle``) giving coefficient
+    arrays ``(num, den)``, each of shape (deg+1, t.size) in ascending
+    powers of beta, with margin^2 = num(beta) / den(beta) at every angle.
+    With w = h - 1 = a + beta*b, the lemniscate inverse gives
+    num = |w|^2 |2 + w|^2 (a quartic) over den = 1.  For the affine rules
+    (h = 1 + Q, Q proportional to beta) a is identically 0 and h is
+    evaluated once, at beta = 1/V; only the convective L8 evaluates it at
+    beta = 0 too.
+    """
+    # b / V is h - 1 at beta = 1/V less a
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
+    affine = CATALOG[lemma].ode_style == "affine"
+
+    def coefficients(t: np.ndarray, z: Optional[np.ndarray] = None) -> tuple:
+        b = h_minus_one_on_circle(lemma, at1, t, z)
+        if affine:
+            a = np.zeros_like(b)
+        else:
+            a = h_minus_one_on_circle(lemma, at0, t, z)
+            b = b - a
+        w2 = _abs2_coeffs(a, b)
+        num = np.zeros((5, t.size))
+        for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
+            num[i:i + 3] += factor * w2
+        return num, np.ones((1, t.size))
+
+    return coefficients
 
 
 # --- margin profiles ---------------------------------------------------------
@@ -534,10 +552,17 @@ class MarginProfile:
     punctures: tuple
 
     def is_constant(self) -> bool:
-        """All samples agree to 1e-12 relative to the largest finite one."""
-        finite = self.margins[np.isfinite(self.margins)]
-        scale = float(np.max(finite, initial=1.0))
-        return float(np.max(self.margins) - np.min(self.margins)) <= 1e-12 * scale
+        """All samples agree to 1e-12 relative to the largest finite one,
+        or to 1e-12 absolute where that is below 1."""
+        return _flat(self.margins, 1.0)
+
+
+def _flat(values: np.ndarray, floor: float) -> bool:
+    """All values agree to 1e-12 relative to the largest finite one, or to
+    ``floor`` where that is larger."""
+    finite = values[np.isfinite(values)]
+    scale = float(np.max(finite, initial=floor))
+    return float(np.max(values) - np.min(values)) <= 1e-12 * scale
 
 
 def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
@@ -590,7 +615,9 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     smallest local minima of the samples are refined by parabolic steps
     to angular resolution 1e-8, and those at a V-shaped zero are polished
     to rounding (``_polish_zeros``); the margins at the added angles come
-    from ``margin_on_circle``.  The refined minima, at most
+    from ``margin_on_circle``, each taken at the angle stored with it (a
+    refined angle outside [-pi, pi) is moved by 2 pi first).  The refined
+    minima, at most
     ``_REFINE_SEEDS``, are sorted and spliced into the sorted grid, so the
     samples are the grid's and the minima's in ascending order of angle.
     """
@@ -607,7 +634,12 @@ def boundary_margin_profile(lemma: LemmaId, params: LemmaParams,
     margins = margin(t, _grid_points(grid_size, sing))
     xb, fb = _refine_minima(margin, t[_local_minima(margins)], grid_size, sing)
     xb, fb = _polish_zeros(margin, xb, fb, sing)
-    xb = (xb + math.pi) % _TWO_PI - math.pi   # report angles in [-pi, pi)
+    # report angles in [-pi, pi): a refined angle outside moves by 2 pi,
+    # exactly, and its margin is taken again there
+    moved = np.flatnonzero((xb < -math.pi) | (xb >= math.pi))
+    if moved.size:
+        xb[moved] -= np.copysign(_TWO_PI, xb[moved])
+        fb[moved] = margin(xb[moved])
     order = np.argsort(xb)
     at = np.searchsorted(t, xb[order])
     cand_t, cand_m = np.insert(t, at, xb[order]), np.insert(margins, at, fb[order])
@@ -793,27 +825,35 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
                       grid_size: int = 2048) -> float:
     """Smallest beta above which the boundary margin stays >= 1.
 
-    The minimum margin over the circle at ``DEFAULTS.scan_points`` betas
-    in [1e-6, 10 beta*] (from 1e-6 beta* when 10 beta* <= 1e-6), walked
-    upward by ``_scan``, brackets the upcrossing of the level 1 and
-    raises at the first beta where the margin is lost again.
-    At each angle margin >= 1 is F(beta) >= 0 for a polynomial F of
-    degree 2 (Mobius premise) or 4 (lemniscate premise) in beta, and the
-    threshold is the largest crossing of any angle's F inside that
-    bracket.  Crossings at isolated smaller beta, where the margin
-    touches 1 from below between scan points, do not register on the
-    scan, so the reported threshold is the stable one.
+    At each angle t of the punctured grid h - 1 = a(t) + beta b(t) is
+    affine in beta, so margin >= 1 is a polynomial inequality
+    F_t(beta) >= 0, and the threshold is the least beta from which every
+    angle's holds.  The premise decides the route.
 
-    When h - 1 is rational in z the scan minima are exact and the binding
+    Mobius premise (L1 for every k, L9-L11): every such rule is affine,
+    h - 1 = beta b, and with s = beta |b| and u = cos arg b
+    F_t = (1 - Y^2) s^2 + 2 (X - Y) Y u s - (X - Y)^2, where -1 <= Y < X.
+    F_t(0) < 0 and F_t has exactly one positive root,
+        beta_t = (X - Y) / g(t),   g = |b| G(u),
+        G(u) = Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y)),
+    so each angle's margin stays >= 1 from beta_t on, the threshold is
+    max_t beta_t = (X - Y) / min_t g (``_radial_threshold``), and
+    ``NonMonotoneMargin`` cannot occur.  ``NoThresholdInBracket`` is
+    raised when the threshold lies above 10 beta*, or is infinite, which
+    takes min g = 0: |Y| = 1, or b = 0 at a grid angle.
+
+    Lemniscate premise (L2-L4, L8): F_t is a quartic.  The minimum margin
+    over the circle at ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*]
+    (from 1e-6 beta* when 10 beta* <= 1e-6), walked upward by ``_scan``,
+    brackets the upcrossing of the level 1 and raises
+    ``NonMonotoneMargin`` at the first beta where the margin is lost
+    again.  The threshold is the largest crossing of any angle's F inside
+    that bracket.  Crossings at isolated smaller beta, where the margin
+    touches 1 from below between scan points, do not register on the
+    scan, so the reported threshold is the stable one.  h - 1 is rational
+    in z for these rules, so the scan minima are exact and the binding
     angle is solved in x = cos t (``_exact_threshold``); the punctured
-    grid's angles only seed that solve.  Otherwise (L1 at non-integer
-    kappa, every k but 1 and 3) the scan minima and the binding angle are
-    refined from the grid by parabolic steps (``_grid_threshold``).  That
-    scan stops at the first beta whose refined minimum reaches 1 when
-    every angle's F has one positive root, since each angle's margin then
-    stays >= 1 above its root.  L1's F is the quadratic
-    (1 - B^2)|b|^2 beta^2 + 2(A - B) B Re(b) beta - (A - B)^2 with
-    -1 < B < A, so it has one at every angle where b != 0.
+    grid's angles only seed that solve.
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
@@ -825,20 +865,68 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
         raise InfeasibleParameters(
             f"{lemma.value}: {base.binding_constraint}")
     sing = singular_angles(lemma, params)
+    region = premise_region(lemma, params)
+    if isinstance(region, Janowski):
+        return _radial_threshold(lemma, params, region, sing, grid_size,
+                                 10.0 * base.beta_star)
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
     floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
     betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
-    # solved in beta / sigma, a power of two: exact, and 1 unless A - B
-    # or X - Y is extreme
-    scales = _beta_scales(lemma, params)
-    sigma = scales[0] / scales[1]
-    polynomial = _margin_polynomials(lemma, params, scales)
-    ratio = _margin_ratio(lemma, params, scales)
-    if ratio is None:
-        return sigma * _grid_threshold(polynomial, sing, betas / sigma, grid_size)
-    return sigma * _exact_threshold(polynomial, _criterion_polynomial(*ratio),
-                                    _punctured_grid(grid_size, sing), sing,
-                                    betas / sigma)
+    # solved in beta V, V a power of two: exact, and 1 unless A - B is extreme
+    V = _beta_scale(lemma, params)
+    F = _criterion_polynomial(*_margin_ratio(lemma, params, V))
+    return _exact_threshold(_margin_polynomials(lemma, params, V), F,
+                            _punctured_grid(grid_size, sing), sing, betas * V) / V
+
+
+def _radial_size(lemma: LemmaId, params: LemmaParams):
+    """g = |b| G(u) for a Mobius premise, as a function of the angles t
+    (and optionally their points z = e^{it}, as for
+    ``h_minus_one_on_circle``).
+
+    b = h - 1 at beta = 1, evaluated once.  g never forms |b|^2, and
+    where Y u < 0 it takes G = (1 - Y)(1 + Y) / (sqrt(Y^2 u^2 +
+    (1 - Y)(1 + Y)) - Y u), which does not cancel; so A - B or X - Y near
+    the underflow needs no rescaling.
+    """
+    Y = premise_region(lemma, params).B
+    spread = (1.0 - Y) * (1.0 + Y)
+    at1 = params.with_beta(1.0)
+
+    def g(t: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
+        b = h_minus_one_on_circle(lemma, at1, t, z)
+        size = np.abs(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yu = Y * (b.real / size)
+            root = np.sqrt(yu * yu + spread)
+            return size * np.where(yu < 0.0, spread / (root - yu), yu + root)
+
+    return g
+
+
+def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
+                      sing: tuple, grid_size: int, cap: float) -> float:
+    """``numeric_threshold`` for a Mobius premise: (X - Y) / min_t g.
+
+    g (``_radial_size``) is taken on the shared grid, and the grid's
+    smallest local minima are refined by parabolic steps as in
+    ``boundary_margin_profile``, unless g is constant on the grid
+    (``_flat``), where refinement would read only rounding.  A NaN g
+    (b = 0 or a pole on the grid) claims no threshold.
+    """
+    X, Y = region.A, region.B
+    g = _radial_size(lemma, params)
+    t = _punctured_grid(grid_size, sing)
+    values = g(t, _grid_points(grid_size, sing))
+    least = float(np.min(values))
+    if not _flat(values, 0.0):
+        _, fb = _refine_minima(g, t[_local_minima(values)], grid_size, sing)
+        least = float(np.min(fb, initial=least))
+    if not (least > 0.0 and (X - Y) / least <= cap):
+        raise NoThresholdInBracket(
+            f"threshold (X-Y)/min g = {X - Y!r}/{least!r} is infinite or above "
+            "10 beta*")
+    return (X - Y) / least
 
 
 # --- the threshold from the criterion polynomial F(x; beta) -------------------
@@ -923,158 +1011,6 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     if x.size:
         last = _last_crossing(_criterion_polynomial(*polynomial(np.arccos(x))), lo, hi)
         best = max(best, float(np.max(last)))
-    return best
-
-
-# --- the threshold on the grid, for curves with no rational form -------------
-
-def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
-    return np.array([p.real * p.real + p.imag * p.imag,
-                     2.0 * (p.real * q.real + p.imag * q.imag),
-                     q.real * q.real + q.imag * q.imag])
-
-
-def _margin_polynomials(lemma: LemmaId, params: LemmaParams, scales: tuple):
-    """Per-angle polynomials in beta whose ratio is the squared margin,
-    in beta / (U / V) for the ``scales`` (U, V) of ``_beta_scales``.
-
-    Returns a function of the angles t (and optionally their points
-    z = e^{it}, as for ``h_minus_one_on_circle``) giving coefficient
-    arrays ``(num, den)``, each of shape (deg+1, t.size) in ascending
-    powers of beta, with margin^2 = num(beta) / den(beta) at every angle.
-    For every margin rule h - 1 = a + beta*b is affine in beta, so with
-    w = h - 1 the Mobius inverse gives num = |w|^2 and
-    den = |(X-Y) - Y w|^2 (quadratics; den is linear when |Y| = 1), and
-    the lemniscate inverse num = |w|^2 |2 + w|^2 (a quartic) over den = 1.
-    For the affine rules (h = 1 + Q, Q proportional to beta) a is
-    identically 0 and h is evaluated once, at beta = 1/V; only the
-    convective L8 evaluates it at beta = 0 too.
-    """
-    U, V = scales
-    # b / V is h - 1 at beta = 1/V less a
-    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
-    region = premise_region(lemma, params)
-    affine = CATALOG[lemma].ode_style == "affine"
-
-    def coefficients(t: np.ndarray, z: Optional[np.ndarray] = None) -> tuple:
-        b = h_minus_one_on_circle(lemma, at1, t, z)
-        if affine:
-            a = np.zeros_like(b)
-        else:
-            a = h_minus_one_on_circle(lemma, at0, t, z)
-            b = b - a
-        if isinstance(region, Janowski):
-            X, Y = region.A, region.B
-            a = a / U
-            return (_abs2_coeffs(a, b),
-                    _abs2_coeffs((X - Y) / U - Y * a, -Y * b))
-        w2 = _abs2_coeffs(a, b)
-        num = np.zeros((5, t.size))
-        for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
-            num[i:i + 3] += factor * w2
-        return num, np.ones((1, t.size))
-
-    return coefficients
-
-
-def _one_positive_root(F: np.ndarray) -> bool:
-    """Whether every column of F, ascending in beta, has one positive root.
-
-    By Descartes' rule of signs (Basu, Pollack & Roy, Algorithms in Real
-    Algebraic Geometry, ch. 2) a real polynomial has as many positive
-    roots as its nonzero coefficients have sign changes, less an even
-    number, so one change means exactly one root.  The test asks for
-    finite coefficients, F(0) < 0 and a positive coefficient with no
-    negative one above it: then F < 0 below the root and F > 0 above.
-    """
-    if not (np.isfinite(F).all() and (F[0] < 0.0).all()):
-        return False
-    positive = np.logical_or.accumulate(F > 0.0, axis=0)
-    return bool(positive[-1].all() and not (positive & (F < 0.0)).any())
-
-
-def _scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
-                 betas: np.ndarray, grid_size: int):
-    """Yields the minimum squared margin over the circle at each scan beta,
-    ascending, with the refined angles where it was sought.
-
-    As in ``boundary_margin_profile``, the minimum over the grid is
-    refined around the smallest local minima of the samples (zeros need
-    no polish here), so a dip between grid points counts.  Refinement can
-    only lower a minimum, so it runs only at the betas whose grid minimum
-    reaches 1; elsewhere no angles are yielded.
-
-    When every grid column of F = num - den has one positive root
-    (``_one_positive_root``), each angle's margin stays >= 1 from its
-    root on, so once the refined minimum reaches 1 it does at every
-    larger beta: the stream ends right after the first such beta.
-    Otherwise it runs on, and ``_scan`` raises where the margin is lost
-    again.
-    """
-    num, den = coeffs
-    stop = _one_positive_root(_criterion_polynomial(num, den))
-
-    def margin2(beta, x):
-        n, d = polynomial(x)
-        with np.errstate(divide="ignore"):
-            return _poly_at(n, beta) / _poly_at(d, beta)
-
-    for beta in betas:
-        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
-            m2 = _poly_at(num, beta) / _poly_at(den, beta)
-        least, xb = m2.min(), np.empty(0)
-        if least >= 1.0:
-            xb, fb = _refine_minima(partial(margin2, beta), t[_local_minima(m2)],
-                                    grid_size, sing)
-            least = np.min(fb, initial=least)
-        yield least, xb
-        if stop and least >= 1.0:
-            return
-
-
-def _grid_threshold(polynomial, sing: tuple, betas: np.ndarray,
-                    grid_size: int) -> float:
-    """``numeric_threshold`` on the grid, for L1 at non-integer kappa.
-
-    The grid is ``_punctured_grid(grid_size, sing)``, and its per-angle
-    polynomials are formed from the shared points ``_grid_points``.
-    The scan minima are refined as in ``boundary_margin_profile``, and
-    the scan stops early where every grid angle's criterion has one
-    positive root (``_scan_minima``): each angle's margin is then reached
-    for good at its root, so the betas above could only confirm the
-    bracket.  Otherwise ``_scan`` raises at the first beta where the
-    margin is lost again.  The largest crossing over the grid and the
-    scan's refined angles at the bracket's lower end is sharpened over t
-    around its best local maxima on the grid and those refined angles.
-    """
-    t = _punctured_grid(grid_size, sing)
-    num, den = polynomial(t, _grid_points(grid_size, sing))
-    # candidate angles: the grid, and the scan's refined angles at the
-    # bracket's lower end, where a dip between grid points may bind
-    lo, hi, probes = _scan(_scan_minima(polynomial, (num, den), t, sing,
-                                        betas, grid_size), betas)
-    n = t.size
-    t = np.concatenate([t, probes])
-    coeffs = np.concatenate([_criterion_polynomial(num, den),
-                             _criterion_polynomial(*polynomial(probes))], axis=1)
-    last = _last_crossing(coeffs, lo, hi)
-    best = max(lo, float(np.max(last)))
-
-    # sharpen over t around the best candidate angles; each probe follows
-    # its seed's crossing by Newton steps from the seed's value
-    peaks = np.concatenate([_local_minima(-last[:n]), np.arange(n, t.size)])
-    peaks = peaks[np.isfinite(last[peaks])]
-    order = peaks[np.argsort(-last[peaks], kind="stable")[:_REFINE_SEEDS]]
-
-    def negated_crossing(x, guess):
-        root = _newton_in_bracket(_criterion_polynomial(*polynomial(x)), lo, hi, guess)
-        return np.where(np.isnan(root), np.inf, -root)
-
-    _, fb, _ = _refine_minima(negated_crossing, t[order], grid_size, sing,
-                              last[order])
-    if fb.size:
-        best = max(best, float(-np.min(fb)))
     return best
 
 

@@ -25,47 +25,60 @@ products: every direct product cut from the full ``np.convolve``, as
 before the "valid" convolution formed only the window.  They must agree
 bit for bit.
 
-``full_scan_minima`` is the oracle for ``verify._scan_minima``: the
-grid path's threshold scan as it was before it stopped early, every
-scan beta read and the refinements of all betas whose grid minimum
-reaches 1 taken in one batch.  Up to the beta where the early-stopped
-scan stops, the two must agree bit for bit.  ``full_scan_stream`` feeds
-it to ``verify._scan`` beta by beta.
+``scan_threshold`` is the oracle for ``verify.numeric_threshold`` on the
+Mobius premises (L1, L9-L11): the solve they took before the radial
+route, a 64-beta scan walked by ``verify._scan`` and the largest crossing
+of the per-angle criterion polynomials in its bracket, on the exact path
+in x = cos t where h - 1 is rational (L1 at k = 1, 3 and L9-L11) and on
+the grid otherwise (``grid_threshold``, early-stopped by Descartes' rule,
+``one_positive_root``).  With ``exact=False`` it sends any rule down the
+grid path.  On the lemniscate premises it is ``numeric_threshold`` bit for
+bit.  ``margin_ratio`` and ``margin_polynomials`` keep the Mobius
+premise's criterion polynomials in beta, with the scales of
+``beta_scales``.
+
+``fifty_digit_threshold`` is the reference for the radial route:
+max_t beta_t on a Mobius premise, computed in mpmath from the curve
+written out per rule, minimised by golden section at 50 digits.
 
 ``analyze_scan`` is the oracle for ``verify._scan``: the scan's verdict
 read off all of its minima at once, as the threshold solve did before it
 walked the scan.
 
-``fresh_grid``, ``argsort_margin_profile`` and
-``two_evaluation_margin_polynomials`` are the oracles for the shared grid
-tables (``verify._punctured_grid``, ``verify._grid_points``), the
-profile's splice of its refined minima and the affine rules' single
-curve evaluation.  They rebuild the grid and e^{it} on every call, sort
-the concatenated samples, and evaluate h at beta = 0 for every rule, as
-``boundary_margin_profile`` and ``verify._margin_polynomials`` did before
-the tables.  The profile must agree bit for bit; so must the polynomials,
-but for the sign of the beta^1 row's zeros of a Mobius-premise affine
-rule (its h at beta = 0 is a signed zero).
+``fresh_grid``, ``argsort_margin_profile``,
+``two_evaluation_margin_polynomials`` and ``two_evaluation_radial_size``
+are the oracles for the shared grid tables (``verify._punctured_grid``,
+``verify._grid_points``), the profile's splice of its refined minima and
+the affine rules' single curve evaluation.  They rebuild the grid and
+e^{it} on every call, sort the concatenated samples, and evaluate h at
+beta = 0 for every rule, as ``boundary_margin_profile`` and the threshold
+solve did before the tables.  The profile must agree bit for bit; so must
+the polynomials and the radial size g.
 """
 
 import math
 
 import numpy as np
 
-from lemnisub import AdmissibilityQuantity, series, verify
+from lemnisub import DEFAULTS, AdmissibilityQuantity, LemmaId, series, verify
 from lemnisub.catalog import (
     ADMISSIBILITY_EVALUATORS,
+    ThresholdStatus,
+    closed_form_threshold,
     h_minus_one_at,
     h_minus_one_on_circle,
+    h_minus_one_scale,
     margin_on_circle,
     poly_mul,
     premise_region,
+    rational_h_minus_one,
     singular_angles,
     singular_points,
 )
 from lemnisub.errors import (
     ConstantTermNotOne,
     DivisionByZeroConstantTerm,
+    InfeasibleParameters,
     NoThresholdInBracket,
     NonMonotoneMargin,
 )
@@ -203,7 +216,7 @@ def at_beta(C, beta):
 def stationary_minima(P, R, beta, ends, t):
     """Angles in [-pi, pi) of the local minima of P/R over x in cos(ends).
 
-    P and R are ``verify._margin_ratio``'s polynomials in beta and
+    P and R are ``margin_ratio``'s polynomials in beta and
     x = cos t with margin^2 = P/R.  Inside, the minima are the roots of
     S = P'R - PR' where S rises through 0, since (P/R)' = S/R^2.  Each is
     bracketed by a sign change of S between the grid's x values and
@@ -247,49 +260,151 @@ def full_window_mul_mid(a, b, lo, hi):
     return np.concatenate([full[lo:hi], pad])
 
 
-# --- the grid path's threshold scan, every beta read --------------------------
+# --- the threshold as a beta scan plus crossings, as before the radial route ---
 
-def full_scan_minima(polynomial, coeffs: tuple, t: np.ndarray, sing: tuple,
-                     betas: np.ndarray, grid_size: int) -> tuple:
-    """Minimum squared margin over the circle at each scan beta.
+def _nearest_scale(size):
+    if size == 0.0:
+        return 1.0
+    return 2.0 ** (verify._SCALE_BITS * round(math.log2(size) / verify._SCALE_BITS))
 
-    As in ``boundary_margin_profile``, the minimum over the grid is
-    refined around the smallest local minima of the samples (zeros need
-    no polish here), so a dip between grid points counts.  Refinement
-    can only lower a minimum, so it runs only at the betas whose grid
-    minimum reaches 1, all of them in one batch.  Returns the minima,
-    the refined angles and the index of the scan beta each belongs to.
-    """
+
+def beta_scales(lemma, params):
+    """Powers of two (U, V) that bring the terms of the squared margin to
+    unit size: U for the Mobius premise's (X-Y) (every rule with one is
+    affine, h - 1 = beta b), V for b; the criterion is solved in
+    beta / (U / V)."""
+    region = premise_region(lemma, params)
+    U = _nearest_scale(abs(region.A - region.B)) if isinstance(region, Janowski) else 1.0
+    return U, _nearest_scale(h_minus_one_scale(lemma, params))
+
+
+def margin_ratio(lemma, params, scales=(1.0, 1.0)):
+    """(P, R) with margin^2 = P/R in beta / (U / V) and x = cos t, or None
+    when h - 1 has no rational form; the lemniscate premise's is
+    ``verify._margin_ratio``."""
+    form = rational_h_minus_one(lemma, params)
+    if form is None:
+        return None
+    U, V = scales
+    region = premise_region(lemma, params)
+    if not isinstance(region, Janowski):
+        return verify._margin_ratio(lemma, params, V)
+    N0, N1, D = form
+    X, Y = region.A, region.B
+    return (verify._affine_abs2(N0 / U, N1 / V),
+            verify._affine_abs2(((X - Y) * D - Y * N0) / U, -Y * N1 / V))
+
+
+def margin_polynomials(lemma, params, scales):
+    """Per-angle (num, den) in beta / (U / V) with margin^2 = num/den: for
+    a Mobius premise num = |w|^2 and den = |(X-Y) - Y w|^2 with
+    w = beta b, h evaluated once at beta = 1/V; the lemniscate premise's
+    are ``verify._margin_polynomials``."""
+    U, V = scales
+    region = premise_region(lemma, params)
+    if not isinstance(region, Janowski):
+        return verify._margin_polynomials(lemma, params, V)
+    X, Y = region.A, region.B
+    at1 = params.with_beta(1.0 / V)
+
+    def coefficients(t, z=None):
+        b = h_minus_one_on_circle(lemma, at1, t, z)
+        a = np.zeros_like(b)
+        return (verify._abs2_coeffs(a, b),
+                verify._abs2_coeffs((X - Y) / U - Y * a, -Y * b))
+
+    return coefficients
+
+
+def one_positive_root(F):
+    """Whether every column of F, ascending in beta, has one positive root
+    by Descartes' rule of signs: finite coefficients, F(0) < 0 and a
+    positive coefficient with no negative one above it."""
+    if not (np.isfinite(F).all() and (F[0] < 0.0).all()):
+        return False
+    positive = np.logical_or.accumulate(F > 0.0, axis=0)
+    return bool(positive[-1].all() and not (positive & (F < 0.0)).any())
+
+
+def scan_minima(polynomial, coeffs, t, sing, betas, grid_size):
+    """Yields the least squared margin over the circle at each scan beta
+    with the refined angles where it was sought; refined only at the betas
+    whose grid minimum reaches 1, and ended right after the first such
+    beta when every column has one positive root."""
     num, den = coeffs
-    minima = np.empty(betas.size)
-    seeds, owner = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
-        for j, beta in enumerate(betas):
-            m2 = _poly_at(num, beta) / _poly_at(den, beta)
-            minima[j] = m2.min()
-            if minima[j] >= 1.0:
-                seeds.append(t[_local_minima(m2)])
-                owner.append(np.full(seeds[-1].size, j))
-    if not seeds:
-        return minima, np.empty(0), np.empty(0, dtype=int)
+    stop = one_positive_root(verify._criterion_polynomial(num, den))
 
-    def margin2(x, owner):
+    def margin2(beta, x):
         n, d = polynomial(x)
         with np.errstate(divide="ignore"):
-            return _poly_at(n, betas[owner]) / _poly_at(d, betas[owner])
+            return _poly_at(n, beta) / _poly_at(d, beta)
 
-    xb, fb, owner = _refine_minima(margin2, np.concatenate(seeds), grid_size,
-                                   sing, np.concatenate(owner))
-    np.minimum.at(minima, owner, fb)
-    return minima, xb, owner
+    for beta in betas:
+        with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
+            m2 = _poly_at(num, beta) / _poly_at(den, beta)
+        least, xb = m2.min(), np.empty(0)
+        if least >= 1.0:
+            xb, fb = _refine_minima(lambda x: margin2(beta, x), t[_local_minima(m2)],
+                                    grid_size, sing)
+            least = np.min(fb, initial=least)
+        yield least, xb
+        if stop and least >= 1.0:
+            return
 
 
-def full_scan_stream(*args):
-    """``full_scan_minima`` as the stream ``verify._scan`` walks: each
-    beta's minimum and its refined angles, every beta read."""
-    minima, probes, owner = full_scan_minima(*args)
-    for j, least in enumerate(minima):
-        yield least, probes[owner == j]
+def grid_threshold(polynomial, sing, betas, grid_size):
+    """The threshold on the grid: ``verify._scan`` over ``scan_minima``
+    brackets it, the largest crossing over the grid and the scan's refined
+    angles at the bracket's lower end is taken, and sharpened over t
+    around its best local maxima by Newton steps from each seed's value."""
+    t = verify._punctured_grid(grid_size, sing)
+    num, den = polynomial(t, verify._grid_points(grid_size, sing))
+    lo, hi, probes = verify._scan(scan_minima(polynomial, (num, den), t, sing,
+                                              betas, grid_size), betas)
+    n = t.size
+    t = np.concatenate([t, probes])
+    coeffs = np.concatenate([verify._criterion_polynomial(num, den),
+                             verify._criterion_polynomial(*polynomial(probes))], axis=1)
+    last = verify._last_crossing(coeffs, lo, hi)
+    best = max(lo, float(np.max(last)))
+    peaks = np.concatenate([_local_minima(-last[:n]), np.arange(n, t.size)])
+    peaks = peaks[np.isfinite(last[peaks])]
+    order = peaks[np.argsort(-last[peaks], kind="stable")[:verify._REFINE_SEEDS]]
+
+    def negated_crossing(x, guess):
+        root = verify._newton_in_bracket(
+            verify._criterion_polynomial(*polynomial(x)), lo, hi, guess)
+        return np.where(np.isnan(root), np.inf, -root)
+
+    _, fb, _ = _refine_minima(negated_crossing, t[order], grid_size, sing, last[order])
+    if fb.size:
+        best = max(best, float(-np.min(fb)))
+    return best
+
+
+def scan_threshold(lemma, params, grid_size=2048, exact=True):
+    """``numeric_threshold`` as it was before the Mobius premises took the
+    radial route: the 64-beta scan walked by ``verify._scan``, then the
+    largest crossing in its bracket, on the exact path in x = cos t where
+    h - 1 is rational and ``exact`` holds, else on the grid
+    (``grid_threshold``)."""
+    if grid_size < 64:
+        raise ValueError("grid_size must be at least 64")
+    base = closed_form_threshold(lemma, params)
+    if base.status is ThresholdStatus.INFEASIBLE:
+        raise InfeasibleParameters(f"{lemma.value}: {base.binding_constraint}")
+    sing = singular_angles(lemma, params)
+    floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
+    betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
+    scales = beta_scales(lemma, params)
+    sigma = scales[0] / scales[1]
+    polynomial = margin_polynomials(lemma, params, scales)
+    ratio = margin_ratio(lemma, params, scales) if exact else None
+    if ratio is None:
+        return sigma * grid_threshold(polynomial, sing, betas / sigma, grid_size)
+    return sigma * verify._exact_threshold(polynomial, verify._criterion_polynomial(*ratio),
+                                           verify._punctured_grid(grid_size, sing), sing,
+                                           betas / sigma)
 
 
 def analyze_scan(margins: np.ndarray) -> int:
@@ -325,7 +440,9 @@ def argsort_margin_profile(lemma, params, grid_size):
     margins = margin(t)
     xb, fb = _refine_minima(margin, t[_local_minima(margins)], grid_size, sing)
     xb, fb = verify._polish_zeros(margin, xb, fb, sing)
-    xb = (xb + math.pi) % (2.0 * math.pi) - math.pi
+    moved = np.flatnonzero((xb < -math.pi) | (xb >= math.pi))
+    xb[moved] -= np.copysign(2.0 * math.pi, xb[moved])
+    fb[moved] = margin(xb[moved])
     cand_t = np.concatenate([t, xb])
     order = np.argsort(cand_t)
     cand_t, cand_m = cand_t[order], np.concatenate([margins, fb])[order]
@@ -333,22 +450,15 @@ def argsort_margin_profile(lemma, params, grid_size):
     return cand_t, cand_m, min_margin, argmin_t, bool(xb.size)
 
 
-def two_evaluation_margin_polynomials(lemma, params, scales):
-    """``verify._margin_polynomials`` with h evaluated at beta = 0 and at
-    beta = 1/V for every rule, e^{it} computed from t (a z passed in is
-    not read)."""
-    U, V = scales
+def two_evaluation_margin_polynomials(lemma, params, V):
+    """``verify._margin_polynomials`` (lemniscate premise) with h evaluated
+    at beta = 0 and at beta = 1/V for every rule, e^{it} computed from t
+    (a z passed in is not read)."""
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
-    region = premise_region(lemma, params)
 
     def coefficients(t, z=None):
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
-        if isinstance(region, Janowski):
-            X, Y = region.A, region.B
-            a = a / U
-            return (verify._abs2_coeffs(a, b),
-                    verify._abs2_coeffs((X - Y) / U - Y * a, -Y * b))
         w2 = verify._abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(verify._abs2_coeffs(2.0 + a, b)):
@@ -356,6 +466,25 @@ def two_evaluation_margin_polynomials(lemma, params, scales):
         return num, np.ones((1, t.size))
 
     return coefficients
+
+
+def two_evaluation_radial_size(lemma, params):
+    """``verify._radial_size`` (Mobius premise) with b = h - 1 taken as
+    (h - 1 at beta = 1) less (h - 1 at beta = 0), e^{it} computed from t
+    (a z passed in is not read)."""
+    Y = premise_region(lemma, params).B
+    spread = (1.0 - Y) * (1.0 + Y)
+
+    def g(t, z=None):
+        b = (h_minus_one_on_circle(lemma, params.with_beta(1.0), t)
+             - h_minus_one_on_circle(lemma, params.with_beta(0.0), t))
+        size = np.abs(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            yu = Y * (b.real / size)
+            root = np.sqrt(yu * yu + spread)
+            return size * np.where(yu < 0.0, spread / (root - yu), yu + root)
+
+    return g
 
 
 # --- the admissibility quantities against a central difference ----------------
@@ -399,3 +528,74 @@ def derivative_cross_check(lemma, params, quantity, radius):
         lemma, params, sub, radius)
     return float(np.max(np.abs(fd.real - closed.real)
                         / np.maximum(1.0, np.abs(closed))))
+
+
+# --- the Mobius threshold max_t beta_t to fifty digits -------------------------
+
+def _radial_curve_numpy(lemma, params, t):
+    """b = h - 1 at beta = 1 on the circle, written out per rule."""
+    if lemma is LemmaId.L1:
+        # z / (2 (1 + z)^kappa) with 1 + z = 2 cos(t/2) e^{it/2}
+        kappa = (params.k + 1.0) / 2.0
+        return (np.exp(1j * t * (1.0 - kappa / 2.0))
+                / (2.0 * (2.0 * np.cos(t / 2.0)) ** kappa))
+    A, B, z = params.A, params.B, np.exp(1j * t)
+    den = {LemmaId.L9: (1.0 + B * z) ** 2, LemmaId.L10: (1.0 + A * z) * (1.0 + B * z),
+           LemmaId.L11: (1.0 + A * z) ** 2}[lemma]
+    return (A - B) * z / den
+
+
+def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
+    """max_t beta_t = (X - Y) / min_t g over the punctured circle, in mpmath
+    at the working precision (the caller sets 50 digits).
+
+    g = |b| (Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y))), u = Re b/|b|, with b
+    written out per rule (L1 through the half-angle form of 1 + z).  The
+    4 least local minima of g in double precision on a ``grid_size`` grid
+    are bracketed by a grid step each and refined by golden section in
+    mpmath to 1e-13 in t, where g is stationary, so the value is good to
+    about 1e-26 relative.  Parameters are the floats as exact rationals.
+    """
+    X, Y = (params.A, params.B) if lemma is LemmaId.L1 else (params.D, params.E)
+    Xm, Ym = mp.mpf(X), mp.mpf(Y)
+
+    def b_mp(t):
+        if lemma is LemmaId.L1:
+            kappa = (mp.mpf(params.k) + 1) / 2
+            return mp.expj(t * (1 - kappa / 2)) / (2 * (2 * mp.cos(t / 2)) ** kappa)
+        A, B, z = mp.mpf(params.A), mp.mpf(params.B), mp.expj(t)
+        den = {LemmaId.L9: (1 + B * z) ** 2, LemmaId.L10: (1 + A * z) * (1 + B * z),
+               LemmaId.L11: (1 + A * z) ** 2}[lemma]
+        return (A - B) * z / den
+
+    def g_mp(t):
+        b = b_mp(t)
+        u = mp.re(b) / abs(b)
+        return abs(b) * (Ym * u + mp.sqrt(Ym ** 2 * u ** 2 + (1 - Ym) * (1 + Ym)))
+
+    t = fresh_grid(grid_size, singular_angles(lemma, params))
+    b = _radial_curve_numpy(lemma, params, t)
+    u = b.real / np.abs(b)
+    g = np.abs(b) * (Y * u + np.sqrt(Y * Y * u * u + (1.0 - Y) * (1.0 + Y)))
+    ring = np.concatenate([g[-1:], g, g[:1]])
+    seeds = np.flatnonzero((g <= ring[:-2]) & (g <= ring[2:]))
+    seeds = seeds[np.argsort(g[seeds])[:4]]
+    step = 2.0 * math.pi / grid_size
+    shrink = (mp.sqrt(5) - 1) / 2
+    least = None
+    for i in seeds:
+        lo, hi = mp.mpf(t[i] - step), mp.mpf(t[i] + step)
+        x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        f1, f2 = g_mp(x1), g_mp(x2)
+        while hi - lo > 1e-13:
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - shrink * (hi - lo)
+                f1 = g_mp(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + shrink * (hi - lo)
+                f2 = g_mp(x2)
+        value = min(f1, f2)
+        least = value if least is None else min(least, value)
+    return (Xm - Ym) / least

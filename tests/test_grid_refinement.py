@@ -1,13 +1,14 @@
-"""The grid path's parabolic refinement against the golden section it replaced.
+"""The grid's parabolic refinement against the golden section it replaced.
 
-``boundary_margin_profile`` refines the grid's local minima with
-``verify._parabolic_refine`` for every rule.  L1's dominant curve has
-the exponent (k + 1)/2, so for every k but 1 and 3 its margin is not
-rational in x = cos t, and ``numeric_threshold`` refines the grid the
-same way.  The oracle is the same two functions with that refiner
-replaced by the golden-section refinement the grid path used before,
-run to angular resolution 1e-13 instead of 1e-8.  The draws here are
-L1 only; ``test_margin_exact`` checks the profile of the other rules.
+``boundary_margin_profile`` refines the grid's local minima of the
+margin with ``verify._parabolic_refine`` for every rule, and
+``numeric_threshold`` refines a Mobius premise's radial size g the same
+way.  L1's dominant curve has the exponent (k + 1)/2, so for every k but
+1 and 3 its margin is not rational in x = cos t and no exact solve
+stands behind either.  The oracle is the same two functions with that
+refiner replaced by the golden-section refinement the grid path used
+before, run to angular resolution 1e-13 instead of 1e-8.  The draws here
+are L1 only; ``test_margin_exact`` checks the other rules.
 """
 
 import dataclasses

@@ -3,10 +3,12 @@
 ``verify._punctured_grid`` and ``verify._grid_points`` build each angular
 grid and its points e^{it} once per (grid size, punctures);
 ``boundary_margin_profile`` splices its sorted refined minima into the
-sorted grid; ``verify._margin_polynomials`` evaluates an affine rule's
-curve once.  The oracles in ``tests/oracles.py`` rebuild the grid on every
+sorted grid; ``verify._margin_polynomials`` (lemniscate premise) and
+``verify._radial_size`` (Mobius premise) evaluate an affine rule's curve
+once.  The oracles in ``tests/oracles.py`` rebuild the grid on every
 call, sort the concatenated samples and evaluate every curve at beta = 0
-too.  Every cached table in ``src/`` is read-only and shared.
+too.  Every cached table in ``src/`` is read-only and shared, and every
+sample of a margin profile is ``margin_on_circle`` at its stored angle.
 """
 
 import importlib
@@ -137,6 +139,38 @@ def test_profile_matches_argsort_assembly(lemma, grid_size):
             assert profile.argmin_t == argmin_t
 
 
+# refined minima at t = -0.0031447373909809784 and beside it, which a wrap
+# of every refined angle into [-pi, pi) once moved by one ulp away from
+# the angle its margin was taken at
+WRAPPED = (LemmaId.L9, LemmaParams(A=0.5, B=-1.0, D=0.3, E=-0.2, beta=10.0 / 9.0), 999)
+
+
+@pytest.mark.parametrize("grid_size", GRIDS)
+@pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
+def test_every_profile_sample_is_the_margin_at_its_angle(lemma, grid_size):
+    cases = [(lemma, params, grid_size) for params in _points(lemma)]
+    if lemma is WRAPPED[0]:
+        cases.append(WRAPPED)
+    refined = 0
+    for lemma, params, size in cases:
+        profile = boundary_margin_profile(lemma, params, size)
+        again = margin_on_circle(lemma, params, profile.t_samples)
+        assert profile.margins.tobytes() == again.tobytes(), params
+        assert np.all((profile.t_samples >= -math.pi) & (profile.t_samples < math.pi))
+        grid = verify._punctured_grid(size, singular_angles(lemma, params))
+        refined += profile.t_samples.size - grid.size
+    assert refined
+
+
+def test_refined_angles_keep_their_bits_inside_the_circle():
+    lemma, params, size = WRAPPED
+    profile = boundary_margin_profile(lemma, params, size)
+    t = -0.0031447373909809784
+    at = np.flatnonzero(profile.t_samples == t)
+    assert at.size == 1
+    assert profile.margins[at[0]] == margin_on_circle(lemma, params, np.array([t]))[0]
+
+
 @pytest.mark.parametrize("grid_size", GRIDS)
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_margin_on_grid_points_matches_margin_from_angles(lemma, grid_size):
@@ -149,32 +183,32 @@ def test_margin_on_grid_points_matches_margin_from_angles(lemma, grid_size):
 
 # --- the threshold solve's polynomials and thresholds ---------------------------
 
-def _zero_sign_free(x):
-    return (x + 0.0).tobytes()      # -0.0 + 0.0 is +0.0; every other value stays
+def _mobius(lemma, params):
+    return isinstance(premise_region(lemma, params), Janowski)
 
 
 @pytest.mark.parametrize("grid_size", GRIDS)
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_margin_polynomials_match_two_evaluations(lemma, grid_size):
+    # the per-angle terms of the threshold solve: a lemniscate premise's
+    # polynomials in beta, a Mobius premise's radial size g
     draws = _points(lemma) + [p.with_beta(None) for p in _extreme(lemma)]
     for params in draws:
-        scales = verify._beta_scales(lemma, params)
         sing = singular_angles(lemma, params)
         t = verify._punctured_grid(grid_size, sing)
-        old_num, old_den = oracles.two_evaluation_margin_polynomials(
-            lemma, params, scales)(t)
-        polynomial = verify._margin_polynomials(lemma, params, scales)
-        for num, den in (polynomial(t), polynomial(t, verify._grid_points(grid_size, sing))):
+        z = verify._grid_points(grid_size, sing)
+        if _mobius(lemma, params):
+            old = oracles.two_evaluation_radial_size(lemma, params)(t)
+            g = verify._radial_size(lemma, params)
+            for new in (g(t), g(t, z)):
+                assert new.tobytes() == old.tobytes(), params
+            continue
+        V = verify._beta_scale(lemma, params)
+        old_num, old_den = oracles.two_evaluation_margin_polynomials(lemma, params, V)(t)
+        polynomial = verify._margin_polynomials(lemma, params, V)
+        for num, den in (polynomial(t), polynomial(t, z)):
             assert den.tobytes() == old_den.tobytes(), params
-            if isinstance(premise_region(lemma, params), Janowski) \
-                    and CATALOG[lemma].ode_style == "affine":
-                # the beta^1 row is 2 Re(a conj b) with a = 0: zeros, whose
-                # sign followed the signed zeros of h at beta = 0
-                assert not np.any(old_num[1]), params
-                assert num[::2].tobytes() == old_num[::2].tobytes(), params
-                assert _zero_sign_free(num[1]) == _zero_sign_free(old_num[1]), params
-            else:
-                assert num.tobytes() == old_num.tobytes(), params
+            assert num.tobytes() == old_num.tobytes(), params
 
 
 def _extreme(lemma):
@@ -203,6 +237,7 @@ def test_thresholds_match_two_evaluations(monkeypatch, lemma, grid_size):
     fast = [_outcome(lemma, p, grid_size) for p in draws]
     monkeypatch.setattr(verify, "_margin_polynomials",
                         oracles.two_evaluation_margin_polynomials)
+    monkeypatch.setattr(verify, "_radial_size", oracles.two_evaluation_radial_size)
     monkeypatch.setattr(verify, "_punctured_grid", oracles.fresh_grid)
     monkeypatch.setattr(verify, "_grid_points",
                         lambda n, sing: np.exp(1j * oracles.fresh_grid(n, sing)))

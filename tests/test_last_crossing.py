@@ -6,6 +6,12 @@ change once; ``oracles.last_crossing`` runs ``verify._crossings`` on
 every column and keeps the largest crossing.  The two must agree within
 a few units in the last place: both end in Newton steps on the same
 polynomial, from different starting points.
+
+``numeric_threshold`` hands ``_last_crossing`` the lemniscate premises'
+columns (L2-L4, L8).  The Mobius premises' quadratics (L1, L9-L11) come
+from the scan solve they took before the radial route,
+``oracles.scan_threshold``, which still runs the same kernel; they add
+the degree drop at |Y| = 1 and L1's grid-path columns.
 """
 
 import math
@@ -14,6 +20,8 @@ import numpy as np
 import pytest
 
 from lemnisub import CATALOG, LemmaId, LemmaParams, closed_form_threshold, verify
+from lemnisub.catalog import premise_region
+from lemnisub.regions import Janowski
 from lemnisub.errors import LemnisubError
 
 import oracles
@@ -34,8 +42,13 @@ def assert_same_crossings(F, lo, hi):
     return fast
 
 
+def _mobius(lemma, params):
+    return isinstance(premise_region(lemma, params), Janowski)
+
+
 def _solve_calls(monkeypatch, lemma, params):
-    """Every (F, lo, hi) that ``numeric_threshold`` hands ``_last_crossing``."""
+    """Every (F, lo, hi) that the threshold solve hands ``_last_crossing``:
+    ``numeric_threshold``'s, or the scan oracle's on a Mobius premise."""
     calls = []
     fast = verify._last_crossing
 
@@ -46,7 +59,9 @@ def _solve_calls(monkeypatch, lemma, params):
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_last_crossing", spy)
         try:
-            verify.numeric_threshold(lemma, params, grid_size=512)
+            solve = oracles.scan_threshold if _mobius(lemma, params) \
+                else verify.numeric_threshold
+            solve(lemma, params, grid_size=512)
         except LemnisubError:
             pass
     return calls
@@ -55,8 +70,8 @@ def _solve_calls(monkeypatch, lemma, params):
 def _grid_columns(lemma, params):
     """The criterion's per-angle polynomials in beta / sigma at 256 grid
     angles, and sigma."""
-    scales = verify._beta_scales(lemma, params)
-    polynomial = verify._margin_polynomials(lemma, params, scales)
+    scales = oracles.beta_scales(lemma, params)
+    polynomial = oracles.margin_polynomials(lemma, params, scales)
     t = verify._punctured_grid(256, verify.singular_angles(lemma, params))
     return verify._criterion_polynomial(*polynomial(t)), scales[0] / scales[1]
 

@@ -1,11 +1,13 @@
 """The margin layer in x = cos t against the grid path, both ways round.
 
-When h - 1 is rational in z, ``numeric_threshold`` solves the scan
-minima and the binding angle from polynomials in x = cos t.  Its oracle
-is the same function with ``rational_h_minus_one`` monkeypatched to
-return None, which sends every rule down the grid path that L1 at every
-k but 1 and 3 takes: the grid's local minima refined by parabolic steps,
-here to angular resolution 1e-13 instead of 1e-8.
+``numeric_threshold`` solves a lemniscate premise's scan minima and
+binding angle from polynomials in x = cos t, and a Mobius premise's
+threshold as (X - Y) / min g over the refined grid.  Its oracle is the
+grid path of the scan solve (``oracles.scan_threshold`` with
+``exact=False``), which L1 at every k but 1 and 3 took before the radial
+route: the scan minima and the binding angle refined from the grid's
+local minima by parabolic steps, here to angular resolution 1e-13
+instead of 1e-8.
 
 ``boundary_margin_profile`` takes the grid path for every rule, and
 polishes the V-shaped zeros of the margin, where h passes through 1 (or
@@ -28,6 +30,7 @@ from lemnisub.catalog import (h_minus_one_on_circle, margin_on_circle,
                               rational_h_minus_one, singular_angles)
 from lemnisub.errors import LemnisubError
 
+import oracles
 from conftest import draw_valid_params
 from oracles import stationary_minima
 from test_verifier import NEAR_POLE_L9
@@ -87,12 +90,14 @@ def _threshold(lemma, params):
         return type(exc).__name__, None
 
 
-def _on_grid_path(monkeypatch, f, *args):
+def _grid_path_threshold(monkeypatch, lemma, params):
     with monkeypatch.context() as m:
-        m.setattr(verify, "rational_h_minus_one", lambda lemma, params: None)
         m.setattr(verify, "DEFAULTS", dataclasses.replace(DEFAULTS,
                                                           angle_xtol=ORACLE_XTOL))
-        return f(*args)
+        try:
+            return "Feasible", oracles.scan_threshold(lemma, params, exact=False)
+        except LemnisubError as exc:
+            return type(exc).__name__, None
 
 
 def _exact_minimum(lemma, params):
@@ -100,7 +105,7 @@ def _exact_minimum(lemma, params):
     of margin^2 = P/R, each set evaluated as the exact profile did."""
     sing = singular_angles(lemma, params)
     t = verify._punctured_grid(DEFAULTS.margin_grid, sing)
-    x = stationary_minima(*verify._margin_ratio(lemma, params), params.beta,
+    x = stationary_minima(*oracles.margin_ratio(lemma, params), params.beta,
                           verify._end_angles(sing), t)
     return min(float(np.min(margin_on_circle(lemma, params, t))),
                float(np.min(margin_on_circle(lemma, params, x), initial=np.inf)))
@@ -116,7 +121,7 @@ def _betas(lemma, params):
 def test_exact_margin_layer_matches_grid_path(monkeypatch, lemma, params):
     assert rational_h_minus_one(lemma, params) is not None
     status, value = _threshold(lemma, params)
-    grid_status, grid_value = _on_grid_path(monkeypatch, _threshold, lemma, params)
+    grid_status, grid_value = _grid_path_threshold(monkeypatch, lemma, params)
     assert status == grid_status
     if value is not None:
         assert abs(value - grid_value) <= AGREE_RTOL * grid_value, (value, grid_value)
@@ -165,7 +170,7 @@ def test_criterion_polynomial_is_the_margin_test():
     t = np.linspace(0.05, math.pi - 0.05, 101)
     x = np.cos(t)
     for lemma, params in POINTS:
-        P, R = verify._margin_ratio(lemma, params)
+        P, R = oracles.margin_ratio(lemma, params)
         F = verify._criterion_polynomial(P, R)
         star = closed_form_threshold(lemma, params).beta_star or 1.0
         for beta in (0.3 * star, star, 2.0 * star):

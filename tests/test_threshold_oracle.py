@@ -1,4 +1,4 @@
-"""The threshold solve against the scan-plus-bisection oracle, on both paths.
+"""The threshold solve against the scan-plus-bisection oracle, on both routes.
 
 ``bisection_threshold`` is the solver ``numeric_threshold`` replaced: a
 64-point beta scan of full refined margin profiles brackets the last
@@ -78,36 +78,52 @@ def test_exact_solve_hits_anchors(lemma, params, exact):
     assert numeric_threshold(lemma, params) == pytest.approx(exact, rel=1e-12)
 
 
-# Synthetic curves h - 1 = beta*b(t), put in place of L2's curve for both
-# solvers at A = 1, B = 0 (beta* = 1 + sqrt 2, scan bracket up to 24.1, no
-# singular angles), reach the scan outcomes that no catalog rule reached
-# on seeded draws.  On the lemniscate premise the margin at an angle where
-# b points along the negative axis is s|2 - s| with s = beta|b|: it
-# touches 1 at s = 1, dips to 0 at s = 2 and stays >= 1 from s = 1 + sqrt 2.
+# Synthetic curves h - 1 = beta*b(t), put in place of a rule's curve for
+# both solvers, reach the scan outcomes that no catalog rule reached on
+# seeded draws.
+#
+# At L9's anchor A = 1, B = 0, D = 1, E = 0 (a Mobius premise with
+# X - Y = 1 and Y = 0, beta* = 1, scan bracket up to 10) the margin is
+# beta|b| and the threshold 1/min|b| (the radial route).
+#
+# At L2's anchor A = 1, B = 0 (a lemniscate premise, beta* = 1 + sqrt 2,
+# scan bracket up to 24.1, no singular angles) the margin at an angle
+# where b points along the negative axis is s|2 - s| with s = beta|b|: it
+# touches 1 at s = 1, dips to 0 at s = 2 and stays >= 1 from
+# s = 1 + sqrt 2.  No angle's margin can fall back on a Mobius premise,
+# so the lost margin is planted here, through the exact path: a curve of
+# constant modulus 0.3 whose direction comes within 0.2 rad of the
+# negative axis and never reaches it, b = 0.3 z^2 (1 + r z^2)/(r + z^2),
+# r = cos 0.1, since arg b = 2t + 2 arg(1 + r e^{2it}) and
+# arg(1 + r e^{i theta}) <= arcsin r.  Its margin has passed 1 at every
+# angle by s ~ 0.85, falls back below 1 around s = 1.3 where b points
+# 0.2 rad off the negative axis, and recovers by s ~ 2.2.
+_L9 = (LemmaId.L9, LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0))
+_L2 = (LemmaId.L2, LemmaParams(A=1.0, B=0.0))
 _ROOT = 1.0 + math.sqrt(2.0)
+_R = math.cos(0.1)
 _SYNTHETIC = {
-    # the margin stays below 1 on the whole scan bracket
-    "never reaches 1": (lambda t: 0.01 * np.exp(1j * t), None),
-    # b points 0.14-0.34 rad off the negative axis: the margin passes 1
-    # at s ~ 0.9, falls back below 1 around s = 2 and recovers
+    # the threshold is 100, above the scan bracket
+    "never reaches 1": (_L9, lambda t: 0.01 * np.exp(1j * t), None, None),
     "reached, then lost": (
-        lambda t: 0.3 * np.exp(1j * (math.pi - 0.14 - 0.1 * (1.0 + np.cos(t)))),
+        _L2,
+        lambda t: 0.3 * np.exp(2j * t) * (1.0 + _R * np.exp(2j * t)) / (_R + np.exp(2j * t)),
+        (np.zeros(5), 0.3 * np.array([0.0, 0.0, 1.0, 0.0, _R]),
+         np.array([_R, 0.0, 1.0, 0.0, 0.0])),
         None),
-    # b points along the negative axis only at t = pi/64 and pi + pi/64,
-    # halfway between points of the 64-grid: the grid alone sees the
-    # margin reached at s ~ 1 and lost at s ~ 2; refinement finds the dip
+    # |b| is least at t = pi/80, between points of the 64-grid: the grid
+    # alone reads the threshold 3.997; refinement finds 4
     "dip between grid points": (
-        lambda t: 0.25 * np.exp(1j * (math.pi + 5.0 * np.sin(t - math.pi / 64))),
-        _ROOT / 0.25),
+        _L9, lambda t: 0.25 * (2.0 - np.cos(t - math.pi / 80)) * np.exp(1j * t), None, 4.0),
     # the margin is already >= 1 at the first scan beta, 1e-6
-    "reached at the scan start": (lambda t: 1e7 * np.exp(1j * t), _ROOT / 1e7),
+    "reached at the scan start": (_L9, lambda t: 1e7 * np.exp(1j * t), None, 1e-7),
 }
 
 
 def _use_curve(monkeypatch, b, form):
-    """Put h - 1 = beta*b(t) in place of L2's curve, with ``form`` as its
-    rational form (None: no rational form, so the grid path runs).  The
-    curve takes the grid's points z as the catalog's does, and reads t."""
+    """Put h - 1 = beta*b(t) in place of the rule's curve, with ``form`` as
+    its rational form (None: no rational form).  The curve takes the
+    grid's points z as the catalog's does, and reads t."""
     def curve(lemma, params, t, z=None):
         return params.beta * b(np.asarray(t, dtype=float))
 
@@ -120,9 +136,11 @@ def _use_curve(monkeypatch, b, form):
 @pytest.mark.parametrize("name", list(_SYNTHETIC))
 def test_scan_outcomes_agree_with_oracle_on_synthetic_curves(monkeypatch, name,
                                                              grid_size):
-    b, exact = _SYNTHETIC[name]
-    _use_curve(monkeypatch, b, None)
-    _assert_outcomes_agree(grid_size, exact)
+    point, b, form, exact = _SYNTHETIC[name]
+    _use_curve(monkeypatch, b, form)
+    status = _assert_outcomes_agree(*point, grid_size, exact)
+    if name == "reached, then lost":
+        assert status == "NonMonotoneMargin"
 
 
 # Two of the outcomes again through the exact path: h - 1 = beta*c*z has
@@ -140,11 +158,10 @@ def test_scan_outcomes_agree_with_oracle_on_rational_curves(monkeypatch, name,
     c, status, exact = _RATIONAL[name]
     _use_curve(monkeypatch, lambda t: c * np.exp(1j * t),
                (np.zeros(2), np.array([0.0, c]), np.array([1.0, 0.0])))
-    assert _assert_outcomes_agree(grid_size, exact) == status
+    assert _assert_outcomes_agree(*_L2, grid_size, exact) == status
 
 
-def _assert_outcomes_agree(grid_size, exact):
-    lemma, params = LemmaId.L2, LemmaParams(A=1.0, B=0.0)
+def _assert_outcomes_agree(lemma, params, grid_size, exact):
     status, value = _outcome(numeric_threshold, lemma, params, grid_size)
     oracle_status, oracle = _outcome(bisection_threshold, lemma, params, grid_size)
     assert status == oracle_status
