@@ -137,12 +137,26 @@ def _parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
     does not halve the step before last.  A step below ``xtol`` probes
     x +- xtol instead, and the column stops at x when neither probe reads
     lower by more than rounding; x only ever moves to a lower reading.
-    A column whose x is not below both ends returns its better end.
+    A column whose x ties one end and is below the other starts from the
+    midpoint of the tied pair; one whose x is then not below both ends
+    returns its better end.
     ``f(points, columns)`` is called on the unsettled columns only.
     Returns the minimising points and the minima.
     """
     n = x.size
     fa, fx, fb = np.split(f(np.concatenate([a, x, b]), np.tile(np.arange(n), 3)), 3)
+    # x reading the same as one end, as a minimum halfway between two grid
+    # points of a curve symmetric about it does: the midpoint of the tied
+    # pair, where it reads lower, becomes x and the pair its bracket
+    tie_a, tie_b = (fx == fa) & (fx < fb), (fx == fb) & (fx < fa)
+    tied = np.flatnonzero(tie_a | tie_b)
+    if tied.size:
+        m, fm = 0.5 * (x + np.where(tie_a, a, b)), np.full(n, np.inf)
+        fm[tied] = f(m[tied], tied)
+        tie_a, tie_b = tie_a & (fm < fx), tie_b & (fm < fx)
+        a, fa = np.where(tie_b, x, a), np.where(tie_b, fx, fa)
+        b, fb = np.where(tie_a, x, b), np.where(tie_a, fx, fb)
+        x, fx = np.where(tie_a | tie_b, m, x), np.where(tie_a | tie_b, fm, fx)
     end_a = fa <= fb
     x_out, f_out = np.where(end_a, a, b), np.where(end_a, fa, fb)
     cols = np.flatnonzero((fx < fa) & (fx < fb))
@@ -911,17 +925,20 @@ def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
     g (``_radial_size``) is taken on the shared grid, and the grid's
     smallest local minima are refined by parabolic steps as in
     ``boundary_margin_profile``, unless g is constant on the grid
-    (``_flat``), where refinement would read only rounding.  A NaN g
-    (b = 0 or a pole on the grid) claims no threshold.
+    (``_flat``): there the samples differ by rounding alone, and their
+    median, not the lowest, is taken for g (so L9 at A = 1, B = 0, D = 1,
+    E = 0, where |b| = |e^{it}| reads 1 - 2^-52 at some angles, gives 1).
+    A NaN g (b = 0 or a pole on the grid) claims no threshold.
     """
     X, Y = region.A, region.B
     g = _radial_size(lemma, params)
     t = _punctured_grid(grid_size, sing)
     values = g(t, _grid_points(grid_size, sing))
-    least = float(np.min(values))
-    if not _flat(values, 0.0):
+    if _flat(values, 0.0):
+        least = float(np.median(values))
+    else:
         _, fb = _refine_minima(g, t[_local_minima(values)], grid_size, sing)
-        least = float(np.min(fb, initial=least))
+        least = float(np.min(fb, initial=np.min(values)))
     if not (least > 0.0 and (X - Y) / least <= cap):
         raise NoThresholdInBracket(
             f"threshold (X-Y)/min g = {X - Y!r}/{least!r} is infinite or above "

@@ -7,8 +7,10 @@ way.  L1's dominant curve has the exponent (k + 1)/2, so for every k but
 1 and 3 its margin is not rational in x = cos t and no exact solve
 stands behind either.  The oracle is the same two functions with that
 refiner replaced by the golden-section refinement the grid path used
-before, run to angular resolution 1e-13 instead of 1e-8.  The draws here
-are L1 only; ``test_margin_exact`` checks the other rules.
+before, run to angular resolution 1e-13 instead of 1e-8.  Those draws
+are L1 only; ``test_margin_exact`` checks the other rules.  On odd grids,
+where a minimum at t = 0 falls between two samples that read the same,
+every margin rule's profile is held to its profile on an even grid.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from lemnisub import (DEFAULTS, LemmaId, boundary_margin_profile,
 from lemnisub.catalog import rational_h_minus_one
 from lemnisub.errors import LemnisubError
 
-from conftest import draw_valid_params
+from conftest import draw_valid_params, feasible_draws
 
 ORACLE_XTOL = 1e-13      # the oracle's golden-section angular resolution
 AGREE_RTOL = 1e-12       # refined and oracle values agree to this, relative
@@ -126,3 +128,20 @@ def test_refinement_matches_golden_section_oracle(monkeypatch, calls, params, be
 
 def test_points_cover_even_and_fractional_kappa():
     assert {p.k for p, _ in POINTS} == set(KAPPAS)
+
+
+MARGIN_RULES = [LemmaId.L1, LemmaId.L2, LemmaId.L3, LemmaId.L4, LemmaId.L8,
+                LemmaId.L9, LemmaId.L10, LemmaId.L11]
+
+
+# For real parameters the margin is even in t.  On an odd grid t = 0 lies
+# halfway between two grid points, so a minimum there leaves two samples
+# that read the same bits; the refinement starts from their midpoint
+@pytest.mark.parametrize("lemma", MARGIN_RULES)
+def test_odd_grid_profile_reads_the_even_grid_minimum(lemma):
+    for params in feasible_draws(lemma, 5_000 + list(LemmaId).index(lemma), 4):
+        at = params.with_beta(1.1 * closed_form_threshold(lemma, params).beta_star)
+        odd, even = (boundary_margin_profile(lemma, at, n) for n in (999, 4096))
+        scale = max(1.0, abs(even.min_margin))
+        assert abs(odd.min_margin - even.min_margin) <= AGREE_RTOL * scale, \
+            (params, odd.min_margin, even.min_margin)

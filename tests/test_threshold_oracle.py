@@ -111,10 +111,11 @@ _SYNTHETIC = {
         (np.zeros(5), 0.3 * np.array([0.0, 0.0, 1.0, 0.0, _R]),
          np.array([_R, 0.0, 1.0, 0.0, 0.0])),
         None),
-    # |b| is least at t = pi/80, between points of the 64-grid: the grid
-    # alone reads the threshold 3.997; refinement finds 4
+    # |b| is least at t = pi/64, halfway between points of the 64-grid,
+    # whose two samples around it read the same: the grid alone reads the
+    # threshold 3.995; refinement from the tied pair's midpoint finds 4
     "dip between grid points": (
-        _L9, lambda t: 0.25 * (2.0 - np.cos(t - math.pi / 80)) * np.exp(1j * t), None, 4.0),
+        _L9, lambda t: 0.25 * (2.0 - np.cos(t - math.pi / 64)) * np.exp(1j * t), None, 4.0),
     # the margin is already >= 1 at the first scan beta, 1e-6
     "reached at the scan start": (_L9, lambda t: 1e7 * np.exp(1j * t), None, 1e-7),
 }

@@ -75,6 +75,15 @@ def test_parabolic_refine_keeps_the_better_end():
     assert (xb[0], fb[0]) == (0.5, 0.25)
 
 
+def test_parabolic_refine_starts_a_tie_from_the_midpoint():
+    # x reads the same as one end, as at a minimum halfway between two grid
+    # points: the tied pair brackets the minimum at 1.5, from either side
+    xb, fb = _parabolic_refine(lambda x, cols: (x - 1.5) ** 2, np.array([0.0, 1.0]),
+                               np.array([1.0, 2.0]), np.array([2.0, 3.0]), 1e-10)
+    assert np.max(np.abs(xb - 1.5)) <= 1e-8
+    assert np.max(fb) <= 1e-16
+
+
 SCAN_BETAS = np.linspace(0.5, 4.5, 9)
 
 
