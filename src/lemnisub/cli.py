@@ -35,6 +35,7 @@ from .catalog import (
     conclusion_region,
     h_minus_one_on_circle,
     premise_region,
+    singular_angles,
     validation_errors,
 )
 from .config import DEFAULTS
@@ -58,7 +59,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="angular grid size. verify samples the boundary "
                         "margin on it and refines its local minima by "
                         "parabolic steps; threshold uses min(--grid, 2048) "
-                        "angles, which seed its solve")
+                        "angles, on which it minimises g (L1, L9-L11) or "
+                        "which seed its exact solve (L2-L4, L8)")
     p.add_argument("--radii", default=",".join(str(r) for r in DEFAULTS.radii),
                    help="subordination radius schedule")
     p.add_argument("--order", type=int, default=None,
@@ -359,7 +361,6 @@ def cmd_plot(args) -> int:
     fig.add_curve("premise boundary",
                   boundary_curve(premise_region(lemma, params)))
     if CATALOG[lemma].margin_criterion:
-        from .catalog import singular_angles
         keep = np.ones(t.shape, dtype=bool)
         for s in singular_angles(lemma, params):
             keep &= np.abs(np.abs(t) - abs(s)) > 1e-3

@@ -48,11 +48,14 @@ class InfeasibleParameters(LemnisubError):
 # --- verifier ---
 
 class NonMonotoneMargin(LemnisubError):
-    """The beta scan found a descent after the criterion level was reached."""
+    """A lemniscate premise's beta scan lost the criterion level after
+    reaching it (a Mobius premise's margin, once at 1, stays there)."""
 
 
 class NoThresholdInBracket(LemnisubError):
-    """The beta scan never reached the criterion level."""
+    """No finite threshold up to 10 beta*: a lemniscate premise's beta scan
+    never reached the criterion level or 10 beta* overflows, a Mobius
+    premise's (X - Y) / min g lies above 10 beta* or is not finite."""
 
 
 class ConstantTermMismatch(LemnisubError):

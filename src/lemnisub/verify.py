@@ -246,13 +246,9 @@ def _grid_points(grid_size: int, sing: tuple) -> np.ndarray:
     return z
 
 
-def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
-                    *aligned: np.ndarray):
-    """Push refinement brackets out of the punctured neighbourhoods.
-
-    Brackets left empty are dropped, together with the matching entries
-    of each array in ``aligned``.
-    """
+def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple) -> tuple:
+    """Push refinement brackets out of the punctured neighbourhoods; returns
+    the ends of those left non-empty and the mask that keeps them."""
     puncture = DEFAULTS.puncture_radius
     for s in sing:
         for image in (s - _TWO_PI, s, s + _TWO_PI):
@@ -260,8 +256,8 @@ def _clamp_brackets(lo: np.ndarray, hi: np.ndarray, sing: tuple,
                           image + puncture, lo)
             hi = np.where((hi > image - puncture) & (hi < image + puncture),
                           image - puncture, hi)
-    good = lo < hi
-    return (lo[good], hi[good]) + tuple(a[good] for a in aligned)
+    keep = lo < hi
+    return lo[keep], hi[keep], keep
 
 
 def _end_angles(sing: tuple) -> np.ndarray:
@@ -285,24 +281,20 @@ def _local_minima(values: np.ndarray) -> np.ndarray:
     return idx[np.argsort(values[idx], kind="stable")[:_REFINE_SEEDS]]
 
 
-def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple,
-                   *aligned: np.ndarray) -> tuple:
-    """Minima of f(x, *aligned) within a grid step of each seed.
+def _refine_minima(f, seeds: np.ndarray, grid_size: int, sing: tuple) -> tuple:
+    """Minima of f(x) within a grid step of each seed.
 
     Each seed is bracketed by one step of the ``grid_size`` grid, the
     brackets are pushed out of the punctures and ``_parabolic_refine``
-    starts from the seed and the bracket's ends; empty brackets are
-    dropped together with their entries of ``aligned``.  Returns the
-    minimising angles, the minima and the surviving ``aligned`` arrays.
+    starts from the seed and the bracket's ends; seeds whose bracket is
+    left empty are dropped.  Returns the minimising angles and the minima.
     """
     step = _TWO_PI / grid_size
-    lo, hi, seeds, *aligned = _clamp_brackets(seeds - step, seeds + step, sing,
-                                              seeds, *aligned)
+    lo, hi, keep = _clamp_brackets(seeds - step, seeds + step, sing)
     if not lo.size:
-        return (lo, lo.copy(), *aligned)
-    xb, fb = _parabolic_refine(lambda x, cols: f(x, *(a[cols] for a in aligned)),
-                               lo, seeds, hi, DEFAULTS.angle_xtol)
-    return (xb, fb, *aligned)
+        return lo, lo.copy()
+    return _parabolic_refine(lambda x, cols: f(x), lo, seeds[keep], hi,
+                             DEFAULTS.angle_xtol)
 
 
 # --- real roots of columns of polynomials -------------------------------------
@@ -346,8 +338,8 @@ def _newton_in_bracket(c: np.ndarray, left, right,
         same = (f < 0.0) == neg_left
         left = np.where(same, x, left)
         right = np.where(same, right, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - f / d
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nxt = x - f / d    # a step out of the bracket is replaced below
         nxt = np.where((nxt >= left) & (nxt <= right), nxt, 0.5 * (left + right))
         settled = np.abs(nxt - x) <= _ROOT_RTOL * np.abs(nxt)
         x = nxt
@@ -432,11 +424,11 @@ def _last_crossing(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
 # --- the lemniscate criterion as a polynomial in x = cos t ---------------------
 #
 # When h - 1 = (N0 + beta N1)/D with real polynomials N0, N1, D in z
-# (``rational_h_minus_one``), the squared margin on |z| = 1 is P/R with P
-# and R polynomials in beta and x = cos t.  They are stored as 2-D arrays
-# of ascending coefficients, beta down the rows and x along the columns,
-# and margin >= 1 holds exactly where F = P - R >= 0.  For the lemniscate
-# premise P = |N|^2 |2D + N|^2 and R = |D|^4.
+# (``rational_h_minus_one``), the lemniscate premise's squared margin on
+# |z| = 1 is |N|^2 |2D + N|^2 / |D|^4, and margin >= 1 holds exactly where
+# F = |N|^2 |2D + N|^2 - |D|^4 >= 0.  F is a polynomial in beta and
+# x = cos t, stored as a 2-D array of ascending coefficients, beta down
+# the rows and x along the columns.
 
 def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Re(p(z) conj q(z)) on |z| = 1, as ascending coefficients in x = cos t.
@@ -472,15 +464,6 @@ def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
                      _circle_product(p1, p1)])
 
 
-def _margin_ratio(lemma: LemmaId, params: LemmaParams, V: float) -> tuple:
-    """(P, R) with margin^2 = P/R on the unit circle for a lemniscate
-    premise, as polynomials in beta V for the scale V of ``_beta_scale``."""
-    N0, N1, D = rational_h_minus_one(lemma, params)
-    d2 = _circle_product(D, D)[None, :]
-    return (poly_mul(_affine_abs2(N0, N1 / V), _affine_abs2(2.0 * D + N0, N1 / V)),
-            poly_mul(d2, d2))
-
-
 def _beta_scale(lemma: LemmaId, params: LemmaParams) -> float:
     """A power of two V that brings b in h - 1 = a + beta b to unit size
     before any |.|^2 is formed, where b may be as small as A - B.
@@ -498,11 +481,17 @@ def _beta_scale(lemma: LemmaId, params: LemmaParams) -> float:
     return 2.0 ** (_SCALE_BITS * round(math.log2(size) / _SCALE_BITS))
 
 
-def _criterion_polynomial(P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """F = P - R, which is >= 0 exactly where margin^2 = P/R >= 1."""
-    F = np.zeros((max(P.shape[0], R.shape[0]), max(P.shape[1], R.shape[1])))
-    F[:P.shape[0], :P.shape[1]] += P
-    F[:R.shape[0], :R.shape[1]] -= R
+def _criterion_polynomial(lemma: LemmaId, params: LemmaParams, V: float) -> np.ndarray:
+    """F = |N|^2 |2D + N|^2 - |D|^4 for a lemniscate premise, in beta V for
+    the scale V of ``_beta_scale`` and x = cos t; F >= 0 exactly where the
+    margin is >= 1."""
+    N0, N1, D = rational_h_minus_one(lemma, params)
+    d2 = _circle_product(D, D)[None, :]
+    P = poly_mul(_affine_abs2(N0, N1 / V), _affine_abs2(2.0 * D + N0, N1 / V))
+    R = poly_mul(d2, d2)
+    F = np.zeros((P.shape[0], max(P.shape[1], R.shape[1])))
+    F[:, :P.shape[1]] += P
+    F[:1, :R.shape[1]] -= R
     return F
 
 
@@ -514,37 +503,34 @@ def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _margin_polynomials(lemma: LemmaId, params: LemmaParams, V: float):
-    """Per-angle polynomials in beta V whose ratio is the squared margin,
-    for a lemniscate premise and the scale V of ``_beta_scale``.
+    """The squared margin at each angle as a quartic in beta V, for a
+    lemniscate premise and the scale V of ``_beta_scale``.
 
-    Returns a function of the angles t (and optionally their points
-    z = e^{it}, as for ``h_minus_one_on_circle``) giving coefficient
-    arrays ``(num, den)``, each of shape (deg+1, t.size) in ascending
-    powers of beta, with margin^2 = num(beta) / den(beta) at every angle.
-    With w = h - 1 = a + beta*b, the lemniscate inverse gives
-    num = |w|^2 |2 + w|^2 (a quartic) over den = 1.  For the affine rules
-    (h = 1 + Q, Q proportional to beta) a is identically 0 and h is
-    evaluated once, at beta = 1/V; only the convective L8 evaluates it at
-    beta = 0 too.
+    Returns a function of the angles t giving an array of shape
+    (5, t.size), ascending powers of beta V down the rows.  With
+    w = h - 1 = a + beta*b, the lemniscate inverse gives
+    margin^2 = |w|^2 |2 + w|^2.  For the affine rules (h = 1 + Q, Q
+    proportional to beta) a is identically 0 and h is evaluated once, at
+    beta = 1/V; only the convective L8 evaluates it at beta = 0 too.
     """
     # b / V is h - 1 at beta = 1/V less a
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
     affine = CATALOG[lemma].ode_style == "affine"
 
-    def coefficients(t: np.ndarray, z: Optional[np.ndarray] = None) -> tuple:
-        b = h_minus_one_on_circle(lemma, at1, t, z)
+    def quartic(t: np.ndarray) -> np.ndarray:
+        b = h_minus_one_on_circle(lemma, at1, t)
         if affine:
             a = np.zeros_like(b)
         else:
-            a = h_minus_one_on_circle(lemma, at0, t, z)
+            a = h_minus_one_on_circle(lemma, at0, t)
             b = b - a
         w2 = _abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
             num[i:i + 3] += factor * w2
-        return num, np.ones((1, t.size))
+        return num
 
-    return coefficients
+    return quartic
 
 
 # --- margin profiles ---------------------------------------------------------
@@ -809,30 +795,27 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
 
 # --- numeric thresholds ------------------------------------------------------
 
-def _scan(minima, betas: np.ndarray) -> tuple:
-    """The scan interval holding the upcrossing of 1, and the angles at its
+def _scan(least: np.ndarray, angles: np.ndarray, betas: np.ndarray) -> tuple:
+    """The scan interval holding the upcrossing of 1, and the angle at its
     lower end.
 
-    ``minima`` yields one (least squared margin, angles where it sits)
-    pair per scan beta, ascending.  The first value >= 1 marks the
-    upcrossing, and a later value below 1 raises at once.  Returns
-    [beta_{j-1}, beta_j] with the angles yielded at beta_{j-1}, or
-    [1e-6 beta_0, beta_0] and no angles when the first beta reaches 1.
+    ``least`` holds the least squared margin at each scan beta, ascending,
+    and ``angles`` the angle where each sits.  The first value >= 1 marks
+    the upcrossing, and the first later value below 1 (or NaN) raises.
+    Returns [beta_{j-1}, beta_j] with the angle at beta_{j-1}, or
+    [1e-6 beta_0, beta_0] and no angle when the first beta reaches 1.
     """
-    below, up = np.empty(0), None
-    for j, (least, angles) in enumerate(minima):
-        if least >= 1.0:
-            up = j if up is None else up
-        elif up is not None:
-            raise NonMonotoneMargin(
-                f"margin drops back below 1 after beta index {j - 1}; "
-                "no threshold claimed")
-        else:
-            below = angles
-    if up is None:
+    reached = least >= 1.0
+    if not reached.any():
         raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
+    up = int(np.argmax(reached))
+    lost = np.flatnonzero(~reached[up:])
+    if lost.size:
+        raise NonMonotoneMargin(
+            f"margin drops back below 1 after beta index {up + int(lost[0]) - 1}; "
+            "no threshold claimed")
     lo = float(betas[up - 1]) if up else 1e-6 * float(betas[0])
-    return lo, float(betas[up]), below
+    return lo, float(betas[up]), angles[max(up - 1, 0):up]
 
 
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
@@ -853,8 +836,9 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     so each angle's margin stays >= 1 from beta_t on, the threshold is
     max_t beta_t = (X - Y) / min_t g (``_radial_threshold``), and
     ``NonMonotoneMargin`` cannot occur.  ``NoThresholdInBracket`` is
-    raised when the threshold lies above 10 beta*, or is infinite, which
-    takes min g = 0: |Y| = 1, or b = 0 at a grid angle.
+    raised when the threshold lies above 10 beta* or is not finite: min
+    g = 0 (|Y| = 1, or b = 0 at a grid angle), or X - Y over a min g so
+    small that the quotient overflows.
 
     Lemniscate premise (L2-L4, L8): F_t is a quartic.  The minimum margin
     over the circle at ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*]
@@ -867,7 +851,8 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     scan, so the reported threshold is the stable one.  h - 1 is rational
     in z for these rules, so the scan minima are exact and the binding
     angle is solved in x = cos t (``_exact_threshold``); the punctured
-    grid's angles only seed that solve.
+    grid's angles only seed that solve.  ``NoThresholdInBracket`` is
+    raised where the scan never reaches 1 or 10 beta* overflows.
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
@@ -880,16 +865,19 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
             f"{lemma.value}: {base.binding_constraint}")
     sing = singular_angles(lemma, params)
     region = premise_region(lemma, params)
+    cap = 10.0 * base.beta_star
     if isinstance(region, Janowski):
-        return _radial_threshold(lemma, params, region, sing, grid_size,
-                                 10.0 * base.beta_star)
+        return _radial_threshold(lemma, params, region, sing, grid_size, cap)
+    if not math.isfinite(cap):
+        raise NoThresholdInBracket(f"scan bracket [1e-6, 10 beta* = {cap!r}] "
+                                   "is not finite")
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
-    floor = 1e-6 if 10.0 * base.beta_star > 1e-6 else 1e-6 * base.beta_star
-    betas = np.linspace(floor, 10.0 * base.beta_star, DEFAULTS.scan_points)
+    floor = 1e-6 if cap > 1e-6 else 1e-6 * base.beta_star
+    betas = np.linspace(floor, cap, DEFAULTS.scan_points)
     # solved in beta V, V a power of two: exact, and 1 unless A - B is extreme
     V = _beta_scale(lemma, params)
-    F = _criterion_polynomial(*_margin_ratio(lemma, params, V))
-    return _exact_threshold(_margin_polynomials(lemma, params, V), F,
+    return _exact_threshold(_margin_polynomials(lemma, params, V),
+                            _criterion_polynomial(lemma, params, V),
                             _punctured_grid(grid_size, sing), sing, betas * V) / V
 
 
@@ -928,7 +916,8 @@ def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
     (``_flat``): there the samples differ by rounding alone, and their
     median, not the lowest, is taken for g (so L9 at A = 1, B = 0, D = 1,
     E = 0, where |b| = |e^{it}| reads 1 - 2^-52 at some angles, gives 1).
-    A NaN g (b = 0 or a pole on the grid) claims no threshold.
+    A NaN g (b = 0 or a pole on the grid) or an overflowing quotient
+    claims no threshold.
     """
     X, Y = region.A, region.B
     g = _radial_size(lemma, params)
@@ -939,11 +928,12 @@ def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
     else:
         _, fb = _refine_minima(g, t[_local_minima(values)], grid_size, sing)
         least = float(np.min(fb, initial=np.min(values)))
-    if not (least > 0.0 and (X - Y) / least <= cap):
+    value = (X - Y) / least if least > 0.0 else math.inf
+    if not (math.isfinite(value) and value <= cap):
         raise NoThresholdInBracket(
             f"threshold (X-Y)/min g = {X - Y!r}/{least!r} is infinite or above "
             "10 beta*")
-    return (X - Y) / least
+    return value
 
 
 # --- the threshold from the criterion polynomial F(x; beta) -------------------
@@ -957,9 +947,8 @@ def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
     threshold when it lies inside the interval.  A seed that leaves the
     interval or diverges comes back NaN; the ends are candidates anyway.
     """
-    # coefficients in x, each a column of coefficients in beta; padded so
-    # that d2F/dx2 stays an array
-    Fx = np.pad(F, ((0, 0), (0, max(0, 3 - F.shape[1])))).T[:, :, None]
+    # coefficients in x (at least three), each a column of coefficients in beta
+    Fx = F.T[:, :, None]
     dFx = _derivative(Fx)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -991,9 +980,10 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     threshold.
 
     F only places the candidates.  Their values come from the per-angle
-    polynomials in beta (``_margin_polynomials``), which keep their
-    relative accuracy where F is small against its coefficients in x:
-    near t = 0 or pi, and near poles and zeros of h on the circle.
+    quartics in beta (``_margin_polynomials``), the squared margin; each
+    angle's F_t is its quartic less 1.  They keep their relative
+    accuracy where F is small against its coefficients in x: near t = 0
+    or pi, and near poles and zeros of h on the circle.
     """
     ends = _end_angles(sing)
     x_hi, x_lo = np.cos(ends)
@@ -1002,18 +992,21 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
     crit = np.where(_poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
     angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
                              np.arccos(crit)])
-    num, den = polynomial(angles.ravel())
-    at = np.tile(betas, angles.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
-        m2 = (_poly_at(num, at) / _poly_at(den, at)).reshape(angles.shape)
-    least = angles[np.argmin(m2, axis=0), np.arange(betas.size)]
-    lo, hi, below = _scan(zip(m2.min(axis=0), least), betas)
+    m2 = _poly_at(polynomial(angles.ravel()),
+                  np.tile(betas, angles.shape[0])).reshape(angles.shape)
+    lo, hi, below = _scan(m2.min(axis=0),
+                          angles[np.argmin(m2, axis=0), np.arange(betas.size)], betas)
+
+    def last_crossing(at: np.ndarray) -> np.ndarray:
+        F_t = polynomial(at)
+        F_t[0] -= 1.0
+        return _last_crossing(F_t, lo, hi)
 
     # F is even in t: the ends and the grid's angles between them, in order
     cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
     n = cand.size
     cand = np.append(cand, below)
-    last = _last_crossing(_criterion_polynomial(*polynomial(cand)), lo, hi)
+    last = last_crossing(cand)
     best = max(lo, float(np.max(last)))
     # seeds: the peaks of the last crossing over t and the scan's least
     # angle, inside the interval and best first
@@ -1022,12 +1015,13 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
                             np.arange(n, cand.size)])
     seeds = seeds[np.isfinite(last[seeds]) & (cand[seeds] > ends[0])
                   & (cand[seeds] < ends[1])]
+    if not seeds.size:
+        return best
     seeds = seeds[np.argsort(-last[seeds])[:_REFINE_SEEDS]]
     x = _tangent_points(F, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
     x = x[np.isfinite(x)]
     if x.size:
-        last = _last_crossing(_criterion_polynomial(*polynomial(np.arccos(x))), lo, hi)
-        best = max(best, float(np.max(last)))
+        best = max(best, float(np.max(last_crossing(np.arccos(x)))))
     return best
 
 

@@ -27,23 +27,30 @@ bit for bit.
 
 ``scan_threshold`` is the oracle for ``verify.numeric_threshold`` on the
 Mobius premises (L1, L9-L11): the solve they took before the radial
-route, a 64-beta scan walked by ``verify._scan`` and the largest crossing
-of the per-angle criterion polynomials in its bracket, on the exact path
-in x = cos t where h - 1 is rational (L1 at k = 1, 3 and L9-L11) and on
-the grid otherwise (``grid_threshold``, early-stopped by Descartes' rule,
-``one_positive_root``).  With ``exact=False`` it sends any rule down the
-grid path.  On the lemniscate premises it is ``numeric_threshold`` bit for
-bit.  ``margin_ratio`` and ``margin_polynomials`` keep the Mobius
-premise's criterion polynomials in beta, with the scales of
-``beta_scales``.
+route, a 64-beta scan walked by ``scan`` and the largest crossing of the
+per-angle criterion polynomials in its bracket, on the exact path in
+x = cos t where h - 1 is rational (L1 at k = 1, 3 and L9-L11,
+``exact_threshold``) and on the grid otherwise (``grid_threshold``,
+early-stopped by Descartes' rule, ``one_positive_root``).  With
+``exact=False`` it sends any rule down the grid path.  On the lemniscate
+premises it gives ``numeric_threshold``'s bits wherever 10 beta* is
+finite.  ``margin_ratio`` and ``margin_polynomials`` give either
+premise's squared margin as a ratio of polynomials in beta, (P, R) in
+beta and x = cos t or (num, den) per angle, with the scales of
+``beta_scales``; ``criterion_polynomial`` forms their F = P - R or
+num - den.  ``verify``'s exact path serves only the lemniscate premises'
+quartics over 1, so ``scan``, ``exact_threshold``,
+``criterion_polynomial`` and ``lemniscate_margin_ratio`` keep the solve
+over a general ratio that it reduced: the stream scan that the grid path
+stopped early, and F padded to the larger of P's and R's shapes.
 
 ``fifty_digit_threshold`` is the reference for the radial route:
 max_t beta_t on a Mobius premise, computed in mpmath from the curve
 written out per rule, minimised by golden section at 50 digits.
 
-``analyze_scan`` is the oracle for ``verify._scan``: the scan's verdict
-read off all of its minima at once, as the threshold solve did before it
-walked the scan.
+``analyze_scan`` is the oracle for ``verify._scan`` (and ``scan``): the
+scan's verdict read off all of its minima at once, as the threshold solve
+did before it walked the scan.
 
 ``fresh_grid``, ``argsort_margin_profile``,
 ``two_evaluation_margin_polynomials`` and ``two_evaluation_radial_size``
@@ -53,7 +60,7 @@ the affine rules' single curve evaluation.  They rebuild the grid and
 e^{it} on every call, sort the concatenated samples, and evaluate h at
 beta = 0 for every rule, as ``boundary_margin_profile`` and the threshold
 solve did before the tables.  The profile must agree bit for bit; so must
-the polynomials and the radial size g.
+the quartics and the radial size g.
 """
 
 import math
@@ -278,17 +285,35 @@ def beta_scales(lemma, params):
     return U, _nearest_scale(h_minus_one_scale(lemma, params))
 
 
+def lemniscate_margin_ratio(lemma, params, V):
+    """(P, R) with margin^2 = P/R on the unit circle for a lemniscate
+    premise, as polynomials in beta V for the scale V of ``_beta_scale``."""
+    N0, N1, D = rational_h_minus_one(lemma, params)
+    d2 = verify._circle_product(D, D)[None, :]
+    return (poly_mul(verify._affine_abs2(N0, N1 / V),
+                     verify._affine_abs2(2.0 * D + N0, N1 / V)),
+            poly_mul(d2, d2))
+
+
+def criterion_polynomial(P, R):
+    """F = P - R, which is >= 0 exactly where margin^2 = P/R >= 1."""
+    F = np.zeros((max(P.shape[0], R.shape[0]), max(P.shape[1], R.shape[1])))
+    F[:P.shape[0], :P.shape[1]] += P
+    F[:R.shape[0], :R.shape[1]] -= R
+    return F
+
+
 def margin_ratio(lemma, params, scales=(1.0, 1.0)):
     """(P, R) with margin^2 = P/R in beta / (U / V) and x = cos t, or None
     when h - 1 has no rational form; the lemniscate premise's is
-    ``verify._margin_ratio``."""
+    ``lemniscate_margin_ratio``."""
     form = rational_h_minus_one(lemma, params)
     if form is None:
         return None
     U, V = scales
     region = premise_region(lemma, params)
     if not isinstance(region, Janowski):
-        return verify._margin_ratio(lemma, params, V)
+        return lemniscate_margin_ratio(lemma, params, V)
     N0, N1, D = form
     X, Y = region.A, region.B
     return (verify._affine_abs2(N0 / U, N1 / V),
@@ -298,12 +323,14 @@ def margin_ratio(lemma, params, scales=(1.0, 1.0)):
 def margin_polynomials(lemma, params, scales):
     """Per-angle (num, den) in beta / (U / V) with margin^2 = num/den: for
     a Mobius premise num = |w|^2 and den = |(X-Y) - Y w|^2 with
-    w = beta b, h evaluated once at beta = 1/V; the lemniscate premise's
-    are ``verify._margin_polynomials``."""
+    w = beta b, h evaluated once at beta = 1/V; for the lemniscate premise
+    num is ``verify._margin_polynomials``' quartic and den = 1.  A z
+    passed in is not read."""
     U, V = scales
     region = premise_region(lemma, params)
     if not isinstance(region, Janowski):
-        return verify._margin_polynomials(lemma, params, V)
+        quartic = verify._margin_polynomials(lemma, params, V)
+        return lambda t, z=None: (quartic(t), np.ones((1, t.size)))
     X, Y = region.A, region.B
     at1 = params.with_beta(1.0 / V)
 
@@ -332,7 +359,7 @@ def scan_minima(polynomial, coeffs, t, sing, betas, grid_size):
     whose grid minimum reaches 1, and ended right after the first such
     beta when every column has one positive root."""
     num, den = coeffs
-    stop = one_positive_root(verify._criterion_polynomial(num, den))
+    stop = one_positive_root(criterion_polynomial(num, den))
 
     def margin2(beta, x):
         n, d = polynomial(x)
@@ -352,19 +379,96 @@ def scan_minima(polynomial, coeffs, t, sing, betas, grid_size):
             return
 
 
+def scan(minima, betas):
+    """The scan interval holding the upcrossing of 1, and the angles at its
+    lower end.
+
+    ``minima`` yields one (least squared margin, angles where it sits)
+    pair per scan beta, ascending.  The first value >= 1 marks the
+    upcrossing, and a later value below 1 raises at once.  Returns
+    [beta_{j-1}, beta_j] with the angles yielded at beta_{j-1}, or
+    [1e-6 beta_0, beta_0] and no angles when the first beta reaches 1.
+    """
+    below, up = np.empty(0), None
+    for j, (least, angles) in enumerate(minima):
+        if least >= 1.0:
+            up = j if up is None else up
+        elif up is not None:
+            raise NonMonotoneMargin(
+                f"margin drops back below 1 after beta index {j - 1}; "
+                "no threshold claimed")
+        else:
+            below = angles
+    if up is None:
+        raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
+    lo = float(betas[up - 1]) if up else 1e-6 * float(betas[0])
+    return lo, float(betas[up]), below
+
+
+def exact_threshold(polynomial, F, t, sing, betas):
+    """The threshold from the criterion polynomial F(x; beta) = P - R.
+
+    At each scan beta the least F over the x interval sits at an end or
+    where dF/dx rises through 0; the scan minimum is the least squared
+    margin at those angles.  The largest crossing in the bracket is
+    taken over the ends, the grid angles and the scan's least angle at
+    the bracket's lower end; the best interior peaks among them seed
+    ``verify._tangent_points``, whose crossings are taken too.  Each
+    candidate's value comes from the per-angle (num, den) of
+    ``polynomial``.
+    """
+    ends = verify._end_angles(sing)
+    x_hi, x_lo = np.cos(ends)
+    slope = verify._derivative(_poly_at(F[:, :, None], betas))
+    crit = verify._crossings(slope, x_lo, x_hi)
+    crit = np.where(verify._poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
+    angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
+                             np.arccos(crit)])
+    num, den = polynomial(angles.ravel())
+    at = np.tile(betas, angles.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 when A - B underflows
+        m2 = (_poly_at(num, at) / _poly_at(den, at)).reshape(angles.shape)
+    least = angles[np.argmin(m2, axis=0), np.arange(betas.size)]
+    lo, hi, below = scan(zip(m2.min(axis=0), least), betas)
+
+    # F is even in t: the ends and the grid's angles between them, in order
+    cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
+    n = cand.size
+    cand = np.append(cand, below)
+    last = verify._last_crossing(criterion_polynomial(*polynomial(cand)), lo, hi)
+    best = max(lo, float(np.max(last)))
+    # seeds: the peaks of the last crossing over t and the scan's least
+    # angle, inside the interval and best first
+    mid = last[1:n - 1]
+    seeds = np.concatenate([np.flatnonzero((mid >= last[:n - 2]) & (mid >= last[2:n])) + 1,
+                            np.arange(n, cand.size)])
+    seeds = seeds[np.isfinite(last[seeds]) & (cand[seeds] > ends[0])
+                  & (cand[seeds] < ends[1])]
+    seeds = seeds[np.argsort(-last[seeds])[:verify._REFINE_SEEDS]]
+    # padded to three powers of x, so that d2F/dx2 stays an array
+    F3 = np.pad(F, ((0, 0), (0, max(0, 3 - F.shape[1]))))
+    x = verify._tangent_points(F3, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
+    x = x[np.isfinite(x)]
+    if x.size:
+        last = verify._last_crossing(criterion_polynomial(*polynomial(np.arccos(x))),
+                                     lo, hi)
+        best = max(best, float(np.max(last)))
+    return best
+
+
 def grid_threshold(polynomial, sing, betas, grid_size):
-    """The threshold on the grid: ``verify._scan`` over ``scan_minima``
-    brackets it, the largest crossing over the grid and the scan's refined
-    angles at the bracket's lower end is taken, and sharpened over t
-    around its best local maxima by Newton steps from each seed's value."""
+    """The threshold on the grid: ``scan`` over ``scan_minima`` brackets
+    it, the largest crossing over the grid and the scan's refined angles
+    at the bracket's lower end is taken, and sharpened over t around its
+    best local maxima by Newton steps from each seed's value."""
     t = verify._punctured_grid(grid_size, sing)
     num, den = polynomial(t, verify._grid_points(grid_size, sing))
-    lo, hi, probes = verify._scan(scan_minima(polynomial, (num, den), t, sing,
-                                              betas, grid_size), betas)
+    lo, hi, probes = scan(scan_minima(polynomial, (num, den), t, sing, betas, grid_size),
+                          betas)
     n = t.size
     t = np.concatenate([t, probes])
-    coeffs = np.concatenate([verify._criterion_polynomial(num, den),
-                             verify._criterion_polynomial(*polynomial(probes))], axis=1)
+    coeffs = np.concatenate([criterion_polynomial(num, den),
+                             criterion_polynomial(*polynomial(probes))], axis=1)
     last = verify._last_crossing(coeffs, lo, hi)
     best = max(lo, float(np.max(last)))
     peaks = np.concatenate([_local_minima(-last[:n]), np.arange(n, t.size)])
@@ -373,20 +477,26 @@ def grid_threshold(polynomial, sing, betas, grid_size):
 
     def negated_crossing(x, guess):
         root = verify._newton_in_bracket(
-            verify._criterion_polynomial(*polynomial(x)), lo, hi, guess)
+            criterion_polynomial(*polynomial(x)), lo, hi, guess)
         return np.where(np.isnan(root), np.inf, -root)
 
-    _, fb, _ = _refine_minima(negated_crossing, t[order], grid_size, sing, last[order])
-    if fb.size:
+    # each seed's bracket as in verify._refine_minima, with its Newton
+    # guess kept aligned through the columns being refined
+    seeds, step = t[order], verify._TWO_PI / grid_size
+    a, b, keep = verify._clamp_brackets(seeds - step, seeds + step, sing)
+    if a.size:
+        guess = last[order][keep]
+        _, fb = verify._parabolic_refine(lambda x, cols: negated_crossing(x, guess[cols]),
+                                         a, seeds[keep], b, verify.DEFAULTS.angle_xtol)
         best = max(best, float(-np.min(fb)))
     return best
 
 
 def scan_threshold(lemma, params, grid_size=2048, exact=True):
     """``numeric_threshold`` as it was before the Mobius premises took the
-    radial route: the 64-beta scan walked by ``verify._scan``, then the
-    largest crossing in its bracket, on the exact path in x = cos t where
-    h - 1 is rational and ``exact`` holds, else on the grid
+    radial route: the 64-beta scan walked by ``scan``, then the largest
+    crossing in its bracket, on the exact path in x = cos t where h - 1 is
+    rational and ``exact`` holds (``exact_threshold``), else on the grid
     (``grid_threshold``)."""
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
@@ -402,9 +512,9 @@ def scan_threshold(lemma, params, grid_size=2048, exact=True):
     ratio = margin_ratio(lemma, params, scales) if exact else None
     if ratio is None:
         return sigma * grid_threshold(polynomial, sing, betas / sigma, grid_size)
-    return sigma * verify._exact_threshold(polynomial, verify._criterion_polynomial(*ratio),
-                                           verify._punctured_grid(grid_size, sing), sing,
-                                           betas / sigma)
+    return sigma * exact_threshold(polynomial, criterion_polynomial(*ratio),
+                                   verify._punctured_grid(grid_size, sing), sing,
+                                   betas / sigma)
 
 
 def analyze_scan(margins: np.ndarray) -> int:
@@ -452,20 +562,19 @@ def argsort_margin_profile(lemma, params, grid_size):
 
 def two_evaluation_margin_polynomials(lemma, params, V):
     """``verify._margin_polynomials`` (lemniscate premise) with h evaluated
-    at beta = 0 and at beta = 1/V for every rule, e^{it} computed from t
-    (a z passed in is not read)."""
+    at beta = 0 and at beta = 1/V for every rule."""
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
 
-    def coefficients(t, z=None):
+    def quartic(t):
         a = h_minus_one_on_circle(lemma, at0, t)
         b = h_minus_one_on_circle(lemma, at1, t) - a
         w2 = verify._abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(verify._abs2_coeffs(2.0 + a, b)):
             num[i:i + 3] += factor * w2
-        return num, np.ones((1, t.size))
+        return num
 
-    return coefficients
+    return quartic
 
 
 def two_evaluation_radial_size(lemma, params):

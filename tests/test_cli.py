@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -510,6 +511,35 @@ def test_threshold_l1_near_b_one_row_is_feasible(tmp_path):
     row = next(csv.DictReader(out.read_text().splitlines()))
     assert row["status"] == "Feasible"
     assert float(row["beta_star_closed"]) == pytest.approx(4.0, rel=1e-6)
+
+
+# A - B so small that 10 beta* overflows (lemniscate premise) or that
+# (X - Y) / min g does (Mobius premise): no finite threshold is claimed.
+# L3 at B = 1e-310 takes a Newton step that overflows; it is replaced by
+# the bracket's midpoint, so the row is right and nothing is printed.
+@pytest.mark.parametrize("argv,status", [
+    (["--lemma", "L8", "--A=1e-308", "--B=0"], "NoThresholdInBracket"),
+    (["--lemma", "L2", "--A=1e-320", "--B=0"], "NoThresholdInBracket"),
+    (["--lemma", "L4", "--A=1e-320", "--B=0"], "NoThresholdInBracket"),
+    (["--lemma", "L9", "--A=1e-320", "--B=0", "--D=0.5", "--E=0"], "NoThresholdInBracket"),
+    (["--lemma", "L10", "--A=1e-320", "--B=0", "--D=0.5", "--E=0"], "NoThresholdInBracket"),
+    (["--lemma", "L9", "--A=1e-308", "--B=0", "--D=0.5", "--E=0"], "Feasible"),
+    (["--lemma", "L3", "--A=1", "--B=1e-310"], "Feasible"),
+])
+def test_threshold_at_a_tiny_scale_claims_only_finite_values(tmp_path, capsys, argv, status):
+    out = tmp_path / "tiny.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["threshold", *argv, "--csv", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    row = next(csv.DictReader(out.read_text().splitlines()))
+    assert row["status"] == status
+    if status == "Feasible":
+        numeric = float(row["beta_numeric"])
+        assert math.isfinite(numeric) and math.isfinite(float(row["gap"]))
+        assert numeric == pytest.approx(float(row["beta_star_closed"]), rel=1e-8)
+    else:
+        assert row["beta_numeric"] == "" and row["gap"] == ""
 
 
 def test_threshold_requires_sweep_axes():

@@ -73,7 +73,7 @@ def _grid_columns(lemma, params):
     scales = oracles.beta_scales(lemma, params)
     polynomial = oracles.margin_polynomials(lemma, params, scales)
     t = verify._punctured_grid(256, verify.singular_angles(lemma, params))
-    return verify._criterion_polynomial(*polynomial(t)), scales[0] / scales[1]
+    return oracles.criterion_polynomial(*polynomial(t)), scales[0] / scales[1]
 
 
 def _wide_bracket_columns(lemma, params):

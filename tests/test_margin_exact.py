@@ -26,9 +26,10 @@ import pytest
 
 from lemnisub import (DEFAULTS, LemmaId, LemmaParams, boundary_margin_profile,
                       closed_form_threshold, numeric_threshold, verify)
-from lemnisub.catalog import (h_minus_one_on_circle, margin_on_circle,
+from lemnisub.catalog import (h_minus_one_on_circle, margin_on_circle, premise_region,
                               rational_h_minus_one, singular_angles)
 from lemnisub.errors import LemnisubError
+from lemnisub.regions import Janowski
 
 import oracles
 from conftest import draw_valid_params
@@ -166,12 +167,18 @@ def test_rational_form_reproduces_h_on_the_circle(lemma, params):
 def test_criterion_polynomial_is_the_margin_test():
     # margin^2 = P/R, and margin >= 1 exactly where F(x; beta) >= 0; in
     # powers of x each holds to rounding of the size of the coefficients,
-    # which near a pole of h is far above the values themselves
+    # which near a pole of h is far above the values themselves.  On a
+    # lemniscate premise verify's F is the oracle's P - R bit for bit.
     t = np.linspace(0.05, math.pi - 0.05, 101)
     x = np.cos(t)
+    lemniscate = 0
     for lemma, params in POINTS:
         P, R = oracles.margin_ratio(lemma, params)
-        F = verify._criterion_polynomial(P, R)
+        F = oracles.criterion_polynomial(P, R)
+        if not isinstance(premise_region(lemma, params), Janowski):
+            fast = verify._criterion_polynomial(lemma, params, 1.0)
+            assert fast.shape == F.shape and fast.tobytes() == F.tobytes(), (lemma, params)
+            lemniscate += 1
         star = closed_form_threshold(lemma, params).beta_star or 1.0
         for beta in (0.3 * star, star, 2.0 * star):
             m2 = verify.margin_on_circle(lemma, params.with_beta(beta), t) ** 2
@@ -182,6 +189,7 @@ def test_criterion_polynomial_is_the_margin_test():
                           <= 1e-12 * (size(p) + m2 * size(r))), (lemma, params, beta)
             clear = np.abs(value(f)) > 1e-12 * size(f)
             assert np.array_equal((value(f) >= 0.0)[clear], (m2 >= 1.0)[clear])
+    assert lemniscate
 
 
 # --- the L8 draw where per-angle precision matters ------------------------------

@@ -87,44 +87,33 @@ def test_parabolic_refine_starts_a_tie_from_the_midpoint():
 SCAN_BETAS = np.linspace(0.5, 4.5, 9)
 
 
-def _planted_scan(values, read=None):
-    """A scan stream whose j-th beta yields values[j] at the angle j;
-    ``read`` collects the pairs as they are drawn."""
-    for j, value in enumerate(values):
-        if read is not None:
-            read.append(value)
-        yield value, np.array([float(j)])
+def _planted_scan(values):
+    """``_scan``'s arguments for a scan whose j-th beta reads values[j] at
+    the angle j."""
+    return np.asarray(values, dtype=float), np.arange(float(len(values))), SCAN_BETAS
 
 
 def test_scan_single_upcrossing():
-    lo, hi, angles = _scan(_planted_scan([0.2, 0.5, 0.9, 1.1, 1.5]), SCAN_BETAS)
+    lo, hi, angles = _scan(*_planted_scan([0.2, 0.5, 0.9, 1.1, 1.5]))
     assert (lo, hi) == (SCAN_BETAS[2], SCAN_BETAS[3])
-    assert angles.tolist() == [2.0]              # the angles yielded at lo
+    assert angles.tolist() == [2.0]              # the angle at lo
 
 
 def test_scan_detects_descent_at_once():
-    read = []
+    # the first descent is named, not the later one
     with pytest.raises(NonMonotoneMargin, match=r"after beta index 1;"):
-        _scan(_planted_scan([0.2, 1.2, 0.8, 1.4, 2.0], read), SCAN_BETAS)
-    assert read == [0.2, 1.2, 0.8]
+        _scan(*_planted_scan([0.2, 1.2, 0.8, 1.4, 0.5]))
 
 
 def test_scan_no_threshold():
     with pytest.raises(NoThresholdInBracket):
-        _scan(_planted_scan([0.1, 0.2, 0.3]), SCAN_BETAS)
+        _scan(*_planted_scan([0.1, 0.2, 0.3]))
 
 
 def test_scan_reached_at_the_first_beta():
-    lo, hi, angles = _scan(_planted_scan([1.0, 1.5, 2.0]), SCAN_BETAS)
+    lo, hi, angles = _scan(*_planted_scan([1.0, 1.5, 2.0]))
     assert (lo, hi) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0])
     assert angles.size == 0
-
-
-def test_scan_stream_ending_at_its_first_reach():
-    # the grid path's early stop: nothing is yielded after the first value >= 1
-    lo, hi, angles = _scan(_planted_scan([0.3, 0.7, 1.2]), SCAN_BETAS)
-    assert (lo, hi) == (SCAN_BETAS[1], SCAN_BETAS[2])
-    assert angles.tolist() == [1.0]
 
 
 def test_scan_agrees_with_the_full_analysis():
@@ -135,10 +124,10 @@ def test_scan_agrees_with_the_full_analysis():
             i0 = oracles.analyze_scan(values)
         except (NoThresholdInBracket, NonMonotoneMargin) as exc:
             with pytest.raises(type(exc)) as walked:
-                _scan(_planted_scan(values), SCAN_BETAS)
+                _scan(*_planted_scan(values))
             assert str(walked.value) == str(exc)
             continue
-        lo, hi, angles = _scan(_planted_scan(values), SCAN_BETAS)
+        lo, hi, angles = _scan(*_planted_scan(values))
         if i0 < 0:
             assert (lo, hi, angles.size) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0], 0)
         else:
