@@ -59,8 +59,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="angular grid size. verify samples the boundary "
                         "margin on it and refines its local minima by "
                         "parabolic steps; threshold uses min(--grid, 2048) "
-                        "angles, on which it minimises g (L1, L9-L11) or "
-                        "which seed its exact solve (L2-L4, L8)")
+                        "angles, on which it minimises g (L1-L4, L9-L11) or "
+                        "which seed its exact solve (L8)")
     p.add_argument("--radii", default=",".join(str(r) for r in DEFAULTS.radii),
                    help="subordination radius schedule")
     p.add_argument("--order", type=int, default=None,

@@ -49,13 +49,16 @@ class InfeasibleParameters(LemnisubError):
 
 class NonMonotoneMargin(LemnisubError):
     """A lemniscate premise's beta scan lost the criterion level after
-    reaching it (a Mobius premise's margin, once at 1, stays there)."""
+    reaching it: at a later scan beta some grid angle's margin is below 1
+    again (on L2-L4, beta |b| inside the window (r2, r3) of that angle's
+    ray quartic).  A Mobius premise's margin, once at 1, stays there."""
 
 
 class NoThresholdInBracket(LemnisubError):
     """No finite threshold up to 10 beta*: a lemniscate premise's beta scan
-    never reached the criterion level or 10 beta* overflows, a Mobius
-    premise's (X - Y) / min g lies above 10 beta* or is not finite."""
+    never reached the criterion level or 10 beta* overflows, or the radial
+    route's X - Y (Mobius premise) or 1 (lemniscate premise) over min g
+    lies above 10 beta* or is not finite."""
 
 
 class ConstantTermMismatch(LemnisubError):

@@ -29,23 +29,31 @@ closed-form quantity is evaluated at those angles only.
 
 Empirical beta thresholds take one of two routes.  For every margin rule
 h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle the
-criterion is a polynomial inequality in beta.  On a Mobius premise (L1,
-L9-L11) a = 0 and it is a quadratic with exactly one positive root,
-beta_t = (X - Y) / g(t) in closed form (Ma & Minda's starlike regions
-about 1; Miller & Mocanu, Differential Subordinations, 2000, 3.4), so
-the threshold is (X - Y) over the least g on the refined grid, with no
-beta scan (``_radial_threshold``).  On the lemniscate premise (L2-L4,
-L8) it is a quartic, and the threshold is the largest crossing over all
-angles inside the bracket where an upward walk of a coarse beta scan of
-the minimum margin (``_scan``) first reaches 1; the walk raises where 1
-is lost again.  h - 1 is rational in z there, so the scan minima and the
-binding angle are solved in x = cos t (``_exact_threshold``).  Each
-angle's largest crossing (``_last_crossing``) is read off the signs of
-its polynomial's Bernstein coefficients on the bracket where they clear
-a rounding slack: one sign means no crossing, one sign change exactly
-one, found by bracketed Newton steps.  Columns with a coefficient inside
-the slack, a NaN or inf, or more sign changes take the full
-derivative-root recursion (``_crossings``).
+criterion is a polynomial inequality in beta.  For every affine rule
+(L1-L4, L9-L11) a = 0, the criterion depends on beta only through the
+point beta b(t) on a ray from h = 1, and each angle's threshold is the
+distance at which that ray leaves the premise region for good over |b|:
+beta_t = top / g(t) (Ma & Minda's starlike regions about 1; Miller &
+Mocanu, Differential Subordinations, 2000, 3.4).  The threshold is top
+over the least g on the refined grid, with no crossing search
+(``_radial_threshold``).  On a Mobius premise (L1, L9-L11) the criterion
+is a quadratic with one positive root, in closed form; on the lemniscate
+premise (L2-L4) it is a quartic in the distance, whose largest root
+comes from a table or from a form where it stays simple, polished by
+Newton steps (``_lemniscate_root``).  The quartic's margin can also hold
+on a window [r1, r2] below that root, so there the threshold also walks
+a coarse beta scan upward (``_scan``) and raises where the margin,
+reached, is lost again.  For the convective L8 a != 0,
+and its threshold is the largest crossing over all angles inside the
+bracket where that walk of the minimum margin first reaches 1.  h - 1 is
+rational in z there, so the scan minima and the binding angle are solved
+in x = cos t (``_exact_threshold``).  Each angle's largest crossing
+(``_last_crossing``) is read off the signs of its polynomial's Bernstein
+coefficients on the bracket where they clear a rounding slack: one sign
+means no crossing, one sign change exactly one, found by bracketed
+Newton steps.  Columns with a coefficient inside the slack, a NaN or
+inf, or more sign changes take the full derivative-root recursion
+(``_crossings``).
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -509,21 +517,16 @@ def _margin_polynomials(lemma: LemmaId, params: LemmaParams, V: float):
     Returns a function of the angles t giving an array of shape
     (5, t.size), ascending powers of beta V down the rows.  With
     w = h - 1 = a + beta*b, the lemniscate inverse gives
-    margin^2 = |w|^2 |2 + w|^2.  For the affine rules (h = 1 + Q, Q
-    proportional to beta) a is identically 0 and h is evaluated once, at
-    beta = 1/V; only the convective L8 evaluates it at beta = 0 too.
+    margin^2 = |w|^2 |2 + w|^2.  h is evaluated at beta = 0 and at
+    beta = 1/V; the exact path serves only the convective L8, whose a is
+    not 0.
     """
     # b / V is h - 1 at beta = 1/V less a
     at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
-    affine = CATALOG[lemma].ode_style == "affine"
 
     def quartic(t: np.ndarray) -> np.ndarray:
-        b = h_minus_one_on_circle(lemma, at1, t)
-        if affine:
-            a = np.zeros_like(b)
-        else:
-            a = h_minus_one_on_circle(lemma, at0, t)
-            b = b - a
+        a = h_minus_one_on_circle(lemma, at0, t)
+        b = h_minus_one_on_circle(lemma, at1, t) - a
         w2 = _abs2_coeffs(a, b)
         num = np.zeros((5, t.size))
         for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
@@ -795,17 +798,15 @@ def check_superordination(lemma: LemmaId, params: LemmaParams,
 
 # --- numeric thresholds ------------------------------------------------------
 
-def _scan(least: np.ndarray, angles: np.ndarray, betas: np.ndarray) -> tuple:
-    """The scan interval holding the upcrossing of 1, and the angle at its
-    lower end.
+def _scan(reached: np.ndarray, betas: np.ndarray) -> tuple:
+    """The scan interval holding the upcrossing of 1.
 
-    ``least`` holds the least squared margin at each scan beta, ascending,
-    and ``angles`` the angle where each sits.  The first value >= 1 marks
-    the upcrossing, and the first later value below 1 (or NaN) raises.
-    Returns [beta_{j-1}, beta_j] with the angle at beta_{j-1}, or
-    [1e-6 beta_0, beta_0] and no angle when the first beta reaches 1.
+    ``reached`` holds, for each scan beta in ascending order, whether the
+    margin is >= 1 at every angle there.  The first True marks the
+    upcrossing, and the first later False raises.  Returns
+    [beta_{j-1}, beta_j] and j, with [1e-6 beta_0, beta_0] when the first
+    beta reaches 1.
     """
-    reached = least >= 1.0
     if not reached.any():
         raise NoThresholdInBracket("margin never reaches 1 on the scan bracket")
     up = int(np.argmax(reached))
@@ -815,7 +816,7 @@ def _scan(least: np.ndarray, angles: np.ndarray, betas: np.ndarray) -> tuple:
             f"margin drops back below 1 after beta index {up + int(lost[0]) - 1}; "
             "no threshold claimed")
     lo = float(betas[up - 1]) if up else 1e-6 * float(betas[0])
-    return lo, float(betas[up]), angles[max(up - 1, 0):up]
+    return lo, float(betas[up]), up
 
 
 def numeric_threshold(lemma: LemmaId, params: LemmaParams,
@@ -825,34 +826,47 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     At each angle t of the punctured grid h - 1 = a(t) + beta b(t) is
     affine in beta, so margin >= 1 is a polynomial inequality
     F_t(beta) >= 0, and the threshold is the least beta from which every
-    angle's holds.  The premise decides the route.
+    angle's holds.  For every affine rule (L1-L4, L9-L11) a = 0, so the
+    criterion depends on beta only through the point beta b(t) on the ray
+    from h = 1 along b(t): with s = beta |b| and u = cos arg b it is
+    F_t(s) >= 0, and the largest positive root of F_t is where the ray
+    leaves the premise region for good.  Each angle's threshold is that
+    root over |b|, beta_t = top / g(t), and the threshold is
+    max_t beta_t = top / min_t g (``_radial_threshold``; Ma & Minda's
+    regions starlike about 1), with no bracket or crossing search.
 
-    Mobius premise (L1 for every k, L9-L11): every such rule is affine,
-    h - 1 = beta b, and with s = beta |b| and u = cos arg b
-    F_t = (1 - Y^2) s^2 + 2 (X - Y) Y u s - (X - Y)^2, where -1 <= Y < X.
-    F_t(0) < 0 and F_t has exactly one positive root,
+    Mobius premise (L1 for every k, L9-L11): with -1 <= Y < X,
+    F_t = (1 - Y^2) s^2 + 2 (X - Y) Y u s - (X - Y)^2.  F_t(0) < 0 and
+    F_t has exactly one positive root,
         beta_t = (X - Y) / g(t),   g = |b| G(u),
         G(u) = Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y)),
-    so each angle's margin stays >= 1 from beta_t on, the threshold is
-    max_t beta_t = (X - Y) / min_t g (``_radial_threshold``), and
-    ``NonMonotoneMargin`` cannot occur.  ``NoThresholdInBracket`` is
-    raised when the threshold lies above 10 beta* or is not finite: min
-    g = 0 (|Y| = 1, or b = 0 at a grid angle), or X - Y over a min g so
-    small that the quotient overflows.
+    so top = X - Y, each angle's margin stays >= 1 from beta_t on and
+    ``NonMonotoneMargin`` cannot occur.
 
-    Lemniscate premise (L2-L4, L8): F_t is a quartic.  The minimum margin
-    over the circle at ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*]
-    (from 1e-6 beta* when 10 beta* <= 1e-6), walked upward by ``_scan``,
-    brackets the upcrossing of the level 1 and raises
-    ``NonMonotoneMargin`` at the first beta where the margin is lost
-    again.  The threshold is the largest crossing of any angle's F inside
-    that bracket.  Crossings at isolated smaller beta, where the margin
-    touches 1 from below between scan points, do not register on the
-    scan, so the reported threshold is the stable one.  h - 1 is rational
-    in z for these rules, so the scan minima are exact and the binding
-    angle is solved in x = cos t (``_exact_threshold``); the punctured
-    grid's angles only seed that solve.  ``NoThresholdInBracket`` is
-    raised where the scan never reaches 1 or 10 beta* overflows.
+    Lemniscate premise (L2-L4): top = 1 and g = |b| / rho(u), rho the
+    largest root of F_t = P_u(s) = s^4 + 4 u s^3 + 4 s^2 - 1, which
+    below u = -5 sqrt(3)/9 has three positive roots r1 < r2 < r3: the
+    margin is >= 1 on [r1, r2] and from r3 on (``_lemniscate_root``).  So
+    a margin reached at one beta can be lost at a larger one.  The
+    ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*] (from 1e-6 beta*
+    when 10 beta* <= 1e-6) are walked upward by ``_scan``, each passing
+    where every grid angle's margin is >= 1 there, read off its roots;
+    ``NonMonotoneMargin`` is raised at the first beta where the margin is
+    lost again.  A window (r2, r3) / |b| that falls between two scan betas
+    above the first reach does not register, and the threshold is its
+    upper end, from which the margin stays >= 1.
+
+    L8 (lemniscate premise, convective): a != 0 and F_t is a quartic in
+    beta.  The same scan, of the minimum margin over the circle, brackets
+    the upcrossing of 1, and the threshold is the largest crossing of any
+    angle's F inside that bracket, solved in x = cos t
+    (``_exact_threshold``), where h - 1 is rational; the punctured grid's
+    angles only seed that solve.
+
+    ``NoThresholdInBracket`` is raised where the scan never reaches 1, 10
+    beta* overflows on a lemniscate premise, or the threshold lies above
+    10 beta* or is not finite: min g = 0 (|Y| = 1, or b = 0 at a grid
+    angle), or a min g so small that the quotient overflows.
     """
     row = CATALOG[lemma]
     if not row.margin_criterion:
@@ -874,6 +888,8 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
     floor = 1e-6 if cap > 1e-6 else 1e-6 * base.beta_star
     betas = np.linspace(floor, cap, DEFAULTS.scan_points)
+    if row.ode_style == "affine":
+        return _radial_threshold(lemma, params, region, sing, grid_size, cap, betas)
     # solved in beta V, V a power of two: exact, and 1 unless A - B is extreme
     V = _beta_scale(lemma, params)
     return _exact_threshold(_margin_polynomials(lemma, params, V),
@@ -881,34 +897,164 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
                             _punctured_grid(grid_size, sing), sing, betas * V) / V
 
 
-def _radial_size(lemma: LemmaId, params: LemmaParams):
-    """g = |b| G(u) for a Mobius premise, as a function of the angles t
-    (and optionally their points z = e^{it}, as for
-    ``h_minus_one_on_circle``).
+# --- the lemniscate premise along a ray from h = 1 -----------------------------
+#
+# On the ray h - 1 = s e^{i theta}, c = cos theta, the lemniscate premise's
+# squared margin is s^2 (s^2 + 4 c s + 4), so margin >= 1 exactly where
+# P_c(s) = s^4 + 4 c s^3 + 4 s^2 - 1 >= 0.  P_c(0) = -1.  For c >= c* =
+# -5 sqrt(3)/9 P_c has one positive root; below c* it has three,
+# r1 < r2 < r3, with P_c >= 0 on [r1, r2] and from r3 on.  They meet at
+# r1 = r2 = 1 at c = -1, where P = (s^2 - 2s - 1)(s - 1)^2 and the ray
+# passes the lemniscate's node h = 0, and at r2 = r3 = sqrt 3 at c*, where
+# P = (s - sqrt 3)^2 (s^2 - (2 sqrt(3)/9) s - 1/3) and the largest root
+# jumps down to r1.  A root that meets another goes like the square root
+# of the distance to the meeting, so near each meeting it is solved in
+# w = (s - s0)/v, v = sqrt(|c - c0|), where it is a simple root.
 
-    b = h - 1 at beta = 1, evaluated once.  g never forms |b|^2, and
-    where Y u < 0 it takes G = (1 - Y)(1 + Y) / (sqrt(Y^2 u^2 +
-    (1 - Y)(1 + Y)) - Y u), which does not cancel; so A - B or X - Y near
-    the underflow needs no rescaling.
+_C_STAR = -0.9622504486493763     # the least double above c* = -5 sqrt(3)/9
+_C_STAR_LOW = -1.8743033744755353e-17   # c* - _C_STAR, to a double
+_ROOT_NODES = 4097                # nodes of the table of the one root on [c*, 1]
+_SQRT3 = math.sqrt(3.0)
+_Q1 = 2.0 * _SQRT3 / 9.0          # P_c* = (s - sqrt 3)^2 (s^2 - _Q1 s - 1/3)
+
+
+@lru_cache(maxsize=None)
+def _root_table() -> np.ndarray:
+    """The one positive root of P_c at ``_ROOT_NODES`` uniform nodes of
+    [c*, 1], by bracketed Newton steps on [0, 1] (P_c(1) = 4 + 4c > 0).
+
+    Built once per process, on first use; read-only.
     """
-    Y = premise_region(lemma, params).B
-    spread = (1.0 - Y) * (1.0 + Y)
-    at1 = params.with_beta(1.0)
+    c = np.linspace(_C_STAR, 1.0, _ROOT_NODES)
+    table = _newton_in_bracket([-1.0, 0.0, 4.0, 4.0 * c, 1.0], 0.0, 1.0,
+                               np.full(_ROOT_NODES, 0.5))
+    table.flags.writeable = False
+    return table
 
-    def g(t: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
-        b = h_minus_one_on_circle(lemma, at1, t, z)
+
+def _lemniscate_root(c: np.ndarray) -> np.ndarray:
+    """rho(c), the largest positive root of P_c, for c in [-1, 1]; NaN
+    where c is NaN.
+
+    For c >= c* it is the one root: a linear interpolation between the two
+    ``_root_table`` nodes around c, then two Newton steps.  Below c* it is
+    r3 = sqrt 3 + v w, v = sqrt(c* - c), where w solves
+    w^2 Q(s) = 4 s^3 with Q(s) = s^2 - (2 sqrt(3)/9) s - 1/3 (P_c / v^2);
+    that root is simple on all of [-1, c*], w -> sqrt(6 sqrt 3) at c*, and
+    two Newton steps from the fitted start
+    sqrt(6 sqrt 3) + v (1 + v (3.28 - 4.24 v)) reach it to rounding.
+    """
+    table, n = _root_table(), _ROOT_NODES
+    one = np.maximum(c, _C_STAR)       # every column's one root; below c* replaced
+    pos = (one - _C_STAR) * ((n - 1) / (1.0 - _C_STAR))
+    i = np.fmin(np.floor(pos), n - 2).astype(np.intp)    # NaN reads the last node
+    left = table[i]
+    s = left + (pos - i) * (table[i + 1] - left)
+    c4, c12 = 4.0 * one, 12.0 * one
+    for _ in range(2):
+        s = s - (((s + c4) * s + 4.0) * s * s - 1.0) / (((4.0 * s + c12) * s + 8.0) * s)
+    upper = np.flatnonzero(c < _C_STAR)
+    if upper.size:
+        v = np.sqrt((_C_STAR - c[upper]) + _C_STAR_LOW)
+        w = math.sqrt(6.0 * _SQRT3) + v * (1.0 + v * (3.28 - 4.24 * v))
+        for _ in range(2):
+            r = _SQRT3 + v * w
+            q = r * (r - _Q1) - 1.0 / 3.0
+            w = w - (w * w * q - 4.0 * r * r * r) / (
+                2.0 * w * q + v * (w * w * (2.0 * r - _Q1) - 12.0 * r * r))
+        s[upper] = _SQRT3 + v * w
+    return s
+
+
+def _window_roots(c: np.ndarray, r3: np.ndarray) -> tuple:
+    """r1 and r2 of P_c for c < c*, given r3.
+
+    r1 = 1 + v w with v = sqrt(c + 1), where w solves
+    v^2 w^4 - 2 w^2 + 4 (1 + v w)^3 = 0 (P_c / v^2).  That root is simple
+    on all of [-1, c*], also at c = -1 where r1 = r2 is double; it is
+    3v - sqrt(9 v^2 + 2) to first order in v, and three Newton steps from
+    the fitted start 3v - sqrt(9 v^2 + 2) - 2.35 v^2 reach it to rounding.
+    r2 and the negative root r4 then solve x^2 - S x - 1/(r1 r3) = 0,
+    S = -4c - r1 - r3 (Vieta).
+    """
+    v = np.sqrt(np.maximum(c + 1.0, 0.0))
+    w = v * (3.0 - 2.35 * v) - np.sqrt(9.0 * v * v + 2.0)
+    for _ in range(3):
+        u = 1.0 + v * w
+        w = w - ((v * v * w * w - 2.0) * w * w + 4.0 * u ** 3) / (
+            4.0 * (v * v * w * w - 1.0) * w + 12.0 * v * u * u)
+    r1 = 1.0 + v * w
+    S = -4.0 * c - r1 - r3
+    r2 = 0.5 * (S + np.sqrt(S * S + 4.0 / (r1 * r3)))
+    return r1, np.minimum(np.maximum(r2, r1), r3)
+
+
+def _lemniscate_reached(b: np.ndarray, g: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Whether the lemniscate margin is >= 1 at every angle, at each scan
+    beta, from h - 1 = beta b and g = |b| / rho on the grid.
+
+    An angle misses the margin where beta |b| < rho, or, below c*, where
+    beta |b| < r1 or r2 < beta |b| < r3 = rho (``_window_roots``).
+    """
+    size = np.abs(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = b.real / size
+        low = 1.0 / g
+    window = np.flatnonzero(c < _C_STAR)
+    inside = np.zeros(betas.size + 1, dtype=np.intp)   # windows holding each beta
+    if window.size:
+        size = size[window]
+        r3 = size / g[window]
+        r1, r2 = _window_roots(c[window], r3)
+        low[window] = r1 / size
+        # the scan betas strictly inside each window are betas[lo:hi]
+        lo = np.searchsorted(betas, r2 / size, side="right")
+        hi = np.maximum(np.searchsorted(betas, r3 / size, side="left"), lo)
+        inside = np.cumsum(np.bincount(lo, minlength=betas.size + 1)
+                           - np.bincount(hi, minlength=betas.size + 1))
+    return (betas >= np.max(low)) & (inside[:-1] == 0)
+
+
+def _radial_curve(lemma: LemmaId, params: LemmaParams):
+    """b = h - 1 at beta = 1 as a function of the angles t (and optionally
+    their points z = e^{it}, as for ``h_minus_one_on_circle``): an affine
+    rule's h - 1 = beta b, evaluated once."""
+    return partial(h_minus_one_on_circle, lemma, params.with_beta(1.0))
+
+
+def _radial_size(region):
+    """g as a function of b: |b| G(u) on a Mobius premise, |b| / rho(u)
+    on the lemniscate premise (``_lemniscate_root``), u = cos arg b.
+
+    g never forms |b|^2, and where Y u < 0 the Mobius G is taken as
+    (1 - Y)(1 + Y) / (sqrt(Y^2 u^2 + (1 - Y)(1 + Y)) - Y u), which does not
+    cancel; so A - B or X - Y near the underflow needs no rescaling.
+    """
+    if not isinstance(region, Janowski):
+        def lemniscate(b: np.ndarray) -> np.ndarray:
+            size = np.abs(b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return size / _lemniscate_root(b.real / size)
+
+        return lemniscate
+    Y = region.B
+    spread = (1.0 - Y) * (1.0 + Y)
+
+    def mobius(b: np.ndarray) -> np.ndarray:
         size = np.abs(b)
         with np.errstate(divide="ignore", invalid="ignore"):
             yu = Y * (b.real / size)
             root = np.sqrt(yu * yu + spread)
             return size * np.where(yu < 0.0, spread / (root - yu), yu + root)
 
-    return g
+    return mobius
 
 
-def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
-                      sing: tuple, grid_size: int, cap: float) -> float:
-    """``numeric_threshold`` for a Mobius premise: (X - Y) / min_t g.
+def _radial_threshold(lemma: LemmaId, params: LemmaParams, region, sing: tuple,
+                      grid_size: int, cap: float,
+                      betas: Optional[np.ndarray] = None) -> float:
+    """``numeric_threshold`` for an affine rule: X - Y (Mobius premise) or
+    1 (lemniscate premise) over min_t g.
 
     g (``_radial_size``) is taken on the shared grid, and the grid's
     smallest local minima are refined by parabolic steps as in
@@ -916,23 +1062,28 @@ def _radial_threshold(lemma: LemmaId, params: LemmaParams, region: Janowski,
     (``_flat``): there the samples differ by rounding alone, and their
     median, not the lowest, is taken for g (so L9 at A = 1, B = 0, D = 1,
     E = 0, where |b| = |e^{it}| reads 1 - 2^-52 at some angles, gives 1).
-    A NaN g (b = 0 or a pole on the grid) or an overflowing quotient
-    claims no threshold.
+    On the lemniscate premise the scan ``betas`` are walked first
+    (``_lemniscate_reached``, ``_scan``).  A NaN g (b = 0 or a pole on the
+    grid) or an overflowing quotient claims no threshold.
     """
-    X, Y = region.A, region.B
-    g = _radial_size(lemma, params)
+    curve, g = _radial_curve(lemma, params), _radial_size(region)
     t = _punctured_grid(grid_size, sing)
-    values = g(t, _grid_points(grid_size, sing))
+    b = curve(t, _grid_points(grid_size, sing))
+    values = g(b)
+    if betas is not None:
+        _scan(_lemniscate_reached(b, values, betas), betas)
     if _flat(values, 0.0):
         least = float(np.median(values))
     else:
-        _, fb = _refine_minima(g, t[_local_minima(values)], grid_size, sing)
+        _, fb = _refine_minima(lambda x: g(curve(x)), t[_local_minima(values)],
+                               grid_size, sing)
         least = float(np.min(fb, initial=np.min(values)))
-    value = (X - Y) / least if least > 0.0 else math.inf
+    top = region.A - region.B if isinstance(region, Janowski) else 1.0
+    value = top / least if least > 0.0 else math.inf
     if not (math.isfinite(value) and value <= cap):
         raise NoThresholdInBracket(
-            f"threshold (X-Y)/min g = {X - Y!r}/{least!r} is infinite or above "
-            "10 beta*")
+            f"threshold {top!r}/min g with min g = {least!r} is infinite or "
+            "above 10 beta*")
     return value
 
 
@@ -994,8 +1145,9 @@ def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
                              np.arccos(crit)])
     m2 = _poly_at(polynomial(angles.ravel()),
                   np.tile(betas, angles.shape[0])).reshape(angles.shape)
-    lo, hi, below = _scan(m2.min(axis=0),
-                          angles[np.argmin(m2, axis=0), np.arange(betas.size)], betas)
+    lo, hi, up = _scan(m2.min(axis=0) >= 1.0, betas)
+    # the scan's least angle at the bracket's lower end, if it has one
+    below = angles[np.argmin(m2, axis=0), np.arange(betas.size)][max(up - 1, 0):up]
 
     def last_crossing(at: np.ndarray) -> np.ndarray:
         F_t = polynomial(at)

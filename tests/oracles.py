@@ -26,41 +26,46 @@ before the "valid" convolution formed only the window.  They must agree
 bit for bit.
 
 ``scan_threshold`` is the oracle for ``verify.numeric_threshold`` on the
-Mobius premises (L1, L9-L11): the solve they took before the radial
+affine rules (L1-L4, L9-L11): the solve they took before the radial
 route, a 64-beta scan walked by ``scan`` and the largest crossing of the
 per-angle criterion polynomials in its bracket, on the exact path in
-x = cos t where h - 1 is rational (L1 at k = 1, 3 and L9-L11,
+x = cos t where h - 1 is rational (L1 at k = 1, 3, L2-L4 and L9-L11,
 ``exact_threshold``) and on the grid otherwise (``grid_threshold``,
 early-stopped by Descartes' rule, ``one_positive_root``).  With
 ``exact=False`` it sends any rule down the grid path.  On the lemniscate
-premises it gives ``numeric_threshold``'s bits wherever 10 beta* is
-finite.  ``margin_ratio`` and ``margin_polynomials`` give either
-premise's squared margin as a ratio of polynomials in beta, (P, R) in
-beta and x = cos t or (num, den) per angle, with the scales of
-``beta_scales``; ``criterion_polynomial`` forms their F = P - R or
-num - den.  ``verify``'s exact path serves only the lemniscate premises'
-quartics over 1, so ``scan``, ``exact_threshold``,
+premises it gives the bits ``numeric_threshold`` gave before the radial
+route wherever 10 beta* is finite, and L8's still.  ``margin_ratio`` and
+``margin_polynomials`` give either premise's squared margin as a ratio
+of polynomials in beta, (P, R) in beta and x = cos t or (num, den) per
+angle, with the scales of ``beta_scales``; ``criterion_polynomial``
+forms their F = P - R or num - den.  ``verify``'s exact path serves only
+L8's quartics over 1, so ``scan``, ``exact_threshold``,
 ``criterion_polynomial`` and ``lemniscate_margin_ratio`` keep the solve
 over a general ratio that it reduced: the stream scan that the grid path
 stopped early, and F padded to the larger of P's and R's shapes.
 
 ``fifty_digit_threshold`` is the reference for the radial route:
-max_t beta_t on a Mobius premise, computed in mpmath from the curve
-written out per rule, minimised by golden section at 50 digits.
+max_t beta_t on a Mobius premise or on the lemniscate premise of an
+affine rule, computed in mpmath from the curve written out per rule,
+minimised by golden section at 50 digits.  ``lemniscate_eigenvalues``,
+``lemniscate_root`` and ``fifty_digit_lemniscate_roots`` give the roots
+of the lemniscate premise's ray quartic, from companion eigenvalues in
+doubles and from ``mpmath.polyroots``: the references for
+``verify._lemniscate_root`` and ``verify._window_roots``.
 
 ``analyze_scan`` is the oracle for ``verify._scan`` (and ``scan``): the
 scan's verdict read off all of its minima at once, as the threshold solve
 did before it walked the scan.
 
 ``fresh_grid``, ``argsort_margin_profile``,
-``two_evaluation_margin_polynomials`` and ``two_evaluation_radial_size``
+``two_evaluation_margin_polynomials`` and ``two_evaluation_radial_curve``
 are the oracles for the shared grid tables (``verify._punctured_grid``,
 ``verify._grid_points``), the profile's splice of its refined minima and
 the affine rules' single curve evaluation.  They rebuild the grid and
 e^{it} on every call, sort the concatenated samples, and evaluate h at
 beta = 0 for every rule, as ``boundary_margin_profile`` and the threshold
 solve did before the tables.  The profile must agree bit for bit; so must
-the quartics and the radial size g.
+the quartics and the radial curve b.
 """
 
 import math
@@ -577,23 +582,15 @@ def two_evaluation_margin_polynomials(lemma, params, V):
     return quartic
 
 
-def two_evaluation_radial_size(lemma, params):
-    """``verify._radial_size`` (Mobius premise) with b = h - 1 taken as
-    (h - 1 at beta = 1) less (h - 1 at beta = 0), e^{it} computed from t
-    (a z passed in is not read)."""
-    Y = premise_region(lemma, params).B
-    spread = (1.0 - Y) * (1.0 + Y)
+def two_evaluation_radial_curve(lemma, params):
+    """``verify._radial_curve`` with b = h - 1 taken as (h - 1 at beta = 1)
+    less (h - 1 at beta = 0), e^{it} computed from t (a z passed in is not
+    read)."""
+    def curve(t, z=None):
+        return (h_minus_one_on_circle(lemma, params.with_beta(1.0), t)
+                - h_minus_one_on_circle(lemma, params.with_beta(0.0), t))
 
-    def g(t, z=None):
-        b = (h_minus_one_on_circle(lemma, params.with_beta(1.0), t)
-             - h_minus_one_on_circle(lemma, params.with_beta(0.0), t))
-        size = np.abs(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yu = Y * (b.real / size)
-            root = np.sqrt(yu * yu + spread)
-            return size * np.where(yu < 0.0, spread / (root - yu), yu + root)
-
-    return g
+    return curve
 
 
 # --- the admissibility quantities against a central difference ----------------
@@ -639,7 +636,19 @@ def derivative_cross_check(lemma, params, quantity, radius):
                         / np.maximum(1.0, np.abs(closed))))
 
 
-# --- the Mobius threshold max_t beta_t to fifty digits -------------------------
+# --- the affine thresholds max_t beta_t to fifty digits -----------------------
+
+# h - 1 = beta (A - B) z / den(z) for the affine rules with a polynomial den
+_DENOMINATORS = {
+    LemmaId.L2: lambda A, B, z: (1 + B * z) ** 2,
+    LemmaId.L3: lambda A, B, z: (1 + A * z) * (1 + B * z),
+    LemmaId.L4: lambda A, B, z: (1 + A * z) ** 2,
+    LemmaId.L9: lambda A, B, z: (1 + B * z) ** 2,
+    LemmaId.L10: lambda A, B, z: (1 + A * z) * (1 + B * z),
+    LemmaId.L11: lambda A, B, z: (1 + A * z) ** 2,
+}
+LEMNISCATE_AFFINE = (LemmaId.L2, LemmaId.L3, LemmaId.L4)
+
 
 def _radial_curve_numpy(lemma, params, t):
     """b = h - 1 at beta = 1 on the circle, written out per rule."""
@@ -649,43 +658,98 @@ def _radial_curve_numpy(lemma, params, t):
         return (np.exp(1j * t * (1.0 - kappa / 2.0))
                 / (2.0 * (2.0 * np.cos(t / 2.0)) ** kappa))
     A, B, z = params.A, params.B, np.exp(1j * t)
-    den = {LemmaId.L9: (1.0 + B * z) ** 2, LemmaId.L10: (1.0 + A * z) * (1.0 + B * z),
-           LemmaId.L11: (1.0 + A * z) ** 2}[lemma]
-    return (A - B) * z / den
+    return (A - B) * z / _DENOMINATORS[lemma](A, B, z)
+
+
+def lemniscate_eigenvalues(c):
+    """The four roots of s^4 + 4 c s^3 + 4 s^2 - 1 for each c, as the
+    eigenvalues of the companion matrices (test code only: ``lemnisub``
+    calls no LAPACK).  Double roots, at c = -1 and c = -5 sqrt(3)/9, come
+    out as pairs about 1e-8 apart, possibly off the real axis."""
+    c = np.asarray(c, dtype=float)
+    companion = np.zeros(c.shape + (4, 4))
+    companion[..., 1:, :3] = np.eye(3)
+    companion[..., 0, 3] = 1.0
+    companion[..., 2, 3] = -4.0
+    companion[..., 3, 3] = -4.0 * c
+    return np.linalg.eigvals(companion)
+
+
+def lemniscate_root(c):
+    """The largest positive root of s^4 + 4 c s^3 + 4 s^2 - 1 for each c,
+    in doubles (``lemniscate_eigenvalues``)."""
+    roots = lemniscate_eigenvalues(c)
+    real = np.where((np.abs(roots.imag) <= 1e-6) & (roots.real > 0.0), roots.real, -np.inf)
+    return np.max(real, axis=-1)
+
+
+def fifty_digit_lemniscate_roots(c, mp):
+    """The positive real roots of s^4 + 4 c s^3 + 4 s^2 - 1, ascending, for
+    the double c taken as an exact rational, by ``mp.polyroots`` at the
+    working precision."""
+    roots = mp.polyroots([1, 4 * mp.mpf(c), 4, 0, -1], maxsteps=200,
+                         extraprec=4 * mp.mp.prec)
+    tiny = mp.mpf(2) ** (-mp.mp.prec // 3)
+    return sorted(mp.re(r) for r in roots if abs(mp.im(r)) <= tiny and mp.re(r) > 0)
+
+
+def _fifty_digit_rho(u, mp):
+    """The largest positive root of s^4 + 4 u s^3 + 4 s^2 - 1 at the working
+    precision: Newton steps from ``lemniscate_root``'s double.  The root
+    is simple except at u = -5 sqrt(3)/9, where no minimum of g lies."""
+    s = mp.mpf(float(lemniscate_root(float(u))))
+    for _ in range(100):
+        step = (((s + 4 * u) * s + 4) * s * s - 1) / (((4 * s + 12 * u) * s + 8) * s)
+        s -= step
+        if abs(step) <= mp.eps * s:
+            break
+    return s
 
 
 def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
-    """max_t beta_t = (X - Y) / min_t g over the punctured circle, in mpmath
-    at the working precision (the caller sets 50 digits).
+    """max_t beta_t = top / min_t g over the punctured circle, in mpmath at
+    the working precision (the caller sets 50 digits).
 
-    g = |b| (Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y))), u = Re b/|b|, with b
-    written out per rule (L1 through the half-angle form of 1 + z).  The
-    4 least local minima of g in double precision on a ``grid_size`` grid
-    are bracketed by a grid step each and refined by golden section in
-    mpmath to 1e-13 in t, where g is stationary, so the value is good to
-    about 1e-26 relative.  Parameters are the floats as exact rationals.
+    Mobius premise: top = X - Y and
+    g = |b| (Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y))), u = Re b/|b|.
+    Lemniscate premise (L2-L4): top = 1 and g = |b| / rho(u), rho the
+    largest positive root of s^4 + 4 u s^3 + 4 s^2 - 1
+    (``_fifty_digit_rho``).  b is written out per rule (L1
+    through the half-angle form of 1 + z).  The 4 least local minima of g
+    in double precision on a ``grid_size`` grid are bracketed by a grid
+    step each and refined by golden section in mpmath to 1e-13 in t, where
+    g is stationary, so the value is good to about 1e-26 relative.
+    Parameters are the floats as exact rationals.
     """
-    X, Y = (params.A, params.B) if lemma is LemmaId.L1 else (params.D, params.E)
-    Xm, Ym = mp.mpf(X), mp.mpf(Y)
+    lemniscate = lemma in LEMNISCATE_AFFINE
+    if lemniscate:
+        top = mp.mpf(1)
+    else:
+        X, Y = (params.A, params.B) if lemma is LemmaId.L1 else (params.D, params.E)
+        Ym = mp.mpf(Y)
+        top = mp.mpf(X) - Ym
 
     def b_mp(t):
         if lemma is LemmaId.L1:
             kappa = (mp.mpf(params.k) + 1) / 2
             return mp.expj(t * (1 - kappa / 2)) / (2 * (2 * mp.cos(t / 2)) ** kappa)
         A, B, z = mp.mpf(params.A), mp.mpf(params.B), mp.expj(t)
-        den = {LemmaId.L9: (1 + B * z) ** 2, LemmaId.L10: (1 + A * z) * (1 + B * z),
-               LemmaId.L11: (1 + A * z) ** 2}[lemma]
-        return (A - B) * z / den
+        return (A - B) * z / _DENOMINATORS[lemma](A, B, z)
 
     def g_mp(t):
         b = b_mp(t)
         u = mp.re(b) / abs(b)
+        if lemniscate:
+            return abs(b) / _fifty_digit_rho(u, mp)
         return abs(b) * (Ym * u + mp.sqrt(Ym ** 2 * u ** 2 + (1 - Ym) * (1 + Ym)))
 
     t = fresh_grid(grid_size, singular_angles(lemma, params))
     b = _radial_curve_numpy(lemma, params, t)
     u = b.real / np.abs(b)
-    g = np.abs(b) * (Y * u + np.sqrt(Y * Y * u * u + (1.0 - Y) * (1.0 + Y)))
+    if lemniscate:
+        g = np.abs(b) / lemniscate_root(u)
+    else:
+        g = np.abs(b) * (Y * u + np.sqrt(Y * Y * u * u + (1.0 - Y) * (1.0 + Y)))
     ring = np.concatenate([g[-1:], g, g[:1]])
     seeds = np.flatnonzero((g <= ring[:-2]) & (g <= ring[2:]))
     seeds = seeds[np.argsort(g[seeds])[:4]]
@@ -707,4 +771,4 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
                 f2 = g_mp(x2)
         value = min(f1, f2)
         least = value if least is None else min(least, value)
-    return (Xm - Ym) / least
+    return top / least

@@ -3,9 +3,8 @@
 ``verify._punctured_grid`` and ``verify._grid_points`` build each angular
 grid and its points e^{it} once per (grid size, punctures);
 ``boundary_margin_profile`` splices its sorted refined minima into the
-sorted grid; ``verify._margin_polynomials`` (lemniscate premise) and
-``verify._radial_size`` (Mobius premise) evaluate an affine rule's curve
-once.  The oracles in ``tests/oracles.py`` rebuild the grid on every
+sorted grid; ``verify._radial_curve`` evaluates an affine rule's curve
+once, at beta = 1.  The oracles in ``tests/oracles.py`` rebuild the grid on every
 call, sort the concatenated samples and evaluate every curve at beta = 0
 too.  Every cached table in ``src/`` is read-only and shared, and every
 sample of a margin profile is ``margin_on_circle`` at its stored angle.
@@ -70,6 +69,7 @@ TABLES = {
     "verify._chebyshev_powers": ((5,), False),
     "verify._punctured_grid": ((999, (math.pi,)), True),
     "verify._grid_points": ((999, (0.0, math.pi)), True),
+    "verify._root_table": ((), False),
 }
 # cached functions that return no table
 NOT_TABLES = {"cli.build_parser"}
@@ -116,10 +116,11 @@ def test_grid_tables_are_built_on_first_use():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import lemnisub; from lemnisub import verify; "
             "print(verify._punctured_grid.cache_info().currsize, "
-            "verify._grid_points.cache_info().currsize)")
+            "verify._grid_points.cache_info().currsize, "
+            "verify._root_table.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.split() == ["0", "0"]
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 # --- the margin profile -----------------------------------------------------------
@@ -190,18 +191,21 @@ def _mobius(lemma, params):
 @pytest.mark.parametrize("grid_size", GRIDS)
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_margin_polynomials_match_two_evaluations(lemma, grid_size):
-    # the per-angle terms of the threshold solve: a lemniscate premise's
-    # polynomials in beta, a Mobius premise's radial size g
+    # the per-angle terms of the threshold solve: an affine rule's radial
+    # size g of its curve b, a lemniscate premise's polynomials in beta (b
+    # may differ in the sign of a zero, g may not)
     draws = _points(lemma) + [p.with_beta(None) for p in _extreme(lemma)]
     for params in draws:
         sing = singular_angles(lemma, params)
         t = verify._punctured_grid(grid_size, sing)
         z = verify._grid_points(grid_size, sing)
-        if _mobius(lemma, params):
-            old = oracles.two_evaluation_radial_size(lemma, params)(t)
-            g = verify._radial_size(lemma, params)
-            for new in (g(t), g(t, z)):
+        if CATALOG[lemma].ode_style == "affine":
+            g = verify._radial_size(premise_region(lemma, params))
+            old = g(oracles.two_evaluation_radial_curve(lemma, params)(t))
+            b = verify._radial_curve(lemma, params)
+            for new in (g(b(t)), g(b(t, z))):
                 assert new.tobytes() == old.tobytes(), params
+        if _mobius(lemma, params):
             continue
         V = verify._beta_scale(lemma, params)
         old = oracles.two_evaluation_margin_polynomials(lemma, params, V)(t)
@@ -235,7 +239,7 @@ def test_thresholds_match_two_evaluations(monkeypatch, lemma, grid_size):
     fast = [_outcome(lemma, p, grid_size) for p in draws]
     monkeypatch.setattr(verify, "_margin_polynomials",
                         oracles.two_evaluation_margin_polynomials)
-    monkeypatch.setattr(verify, "_radial_size", oracles.two_evaluation_radial_size)
+    monkeypatch.setattr(verify, "_radial_curve", oracles.two_evaluation_radial_curve)
     monkeypatch.setattr(verify, "_punctured_grid", oracles.fresh_grid)
     monkeypatch.setattr(verify, "_grid_points",
                         lambda n, sing: np.exp(1j * oracles.fresh_grid(n, sing)))

@@ -7,11 +7,12 @@ every column and keeps the largest crossing.  The two must agree within
 a few units in the last place: both end in Newton steps on the same
 polynomial, from different starting points.
 
-``numeric_threshold`` hands ``_last_crossing`` the lemniscate premises'
-columns (L2-L4, L8).  The Mobius premises' quadratics (L1, L9-L11) come
-from the scan solve they took before the radial route,
-``oracles.scan_threshold``, which still runs the same kernel; they add
-the degree drop at |Y| = 1 and L1's grid-path columns.
+``numeric_threshold`` hands ``_last_crossing`` the convective L8's
+columns.  The affine rules' columns, quartics on the lemniscate premise
+(L2-L4) and quadratics on the Mobius premise (L1, L9-L11), come from the
+scan solve they took before the radial route, ``oracles.scan_threshold``,
+which still runs the same kernel; the quadratics add the degree drop at
+|Y| = 1 and L1's grid-path columns.
 """
 
 import math
@@ -20,8 +21,6 @@ import numpy as np
 import pytest
 
 from lemnisub import CATALOG, LemmaId, LemmaParams, closed_form_threshold, verify
-from lemnisub.catalog import premise_region
-from lemnisub.regions import Janowski
 from lemnisub.errors import LemnisubError
 
 import oracles
@@ -42,13 +41,9 @@ def assert_same_crossings(F, lo, hi):
     return fast
 
 
-def _mobius(lemma, params):
-    return isinstance(premise_region(lemma, params), Janowski)
-
-
 def _solve_calls(monkeypatch, lemma, params):
     """Every (F, lo, hi) that the threshold solve hands ``_last_crossing``:
-    ``numeric_threshold``'s, or the scan oracle's on a Mobius premise."""
+    ``numeric_threshold``'s on L8, the scan oracle's on an affine rule."""
     calls = []
     fast = verify._last_crossing
 
@@ -59,7 +54,7 @@ def _solve_calls(monkeypatch, lemma, params):
     with monkeypatch.context() as patch:
         patch.setattr(verify, "_last_crossing", spy)
         try:
-            solve = oracles.scan_threshold if _mobius(lemma, params) \
+            solve = oracles.scan_threshold if CATALOG[lemma].ode_style == "affine" \
                 else verify.numeric_threshold
             solve(lemma, params, grid_size=512)
         except LemnisubError:

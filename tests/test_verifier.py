@@ -88,15 +88,15 @@ SCAN_BETAS = np.linspace(0.5, 4.5, 9)
 
 
 def _planted_scan(values):
-    """``_scan``'s arguments for a scan whose j-th beta reads values[j] at
-    the angle j."""
-    return np.asarray(values, dtype=float), np.arange(float(len(values))), SCAN_BETAS
+    """``_scan``'s arguments for a scan whose j-th beta reads the least
+    squared margin values[j] (NaN never reaches 1)."""
+    return np.asarray(values, dtype=float) >= 1.0, SCAN_BETAS
 
 
 def test_scan_single_upcrossing():
-    lo, hi, angles = _scan(*_planted_scan([0.2, 0.5, 0.9, 1.1, 1.5]))
+    lo, hi, up = _scan(*_planted_scan([0.2, 0.5, 0.9, 1.1, 1.5]))
     assert (lo, hi) == (SCAN_BETAS[2], SCAN_BETAS[3])
-    assert angles.tolist() == [2.0]              # the angle at lo
+    assert up == 3                               # the index of hi
 
 
 def test_scan_detects_descent_at_once():
@@ -111,9 +111,9 @@ def test_scan_no_threshold():
 
 
 def test_scan_reached_at_the_first_beta():
-    lo, hi, angles = _scan(*_planted_scan([1.0, 1.5, 2.0]))
+    lo, hi, up = _scan(*_planted_scan([1.0, 1.5, 2.0]))
     assert (lo, hi) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0])
-    assert angles.size == 0
+    assert up == 0
 
 
 def test_scan_agrees_with_the_full_analysis():
@@ -127,12 +127,11 @@ def test_scan_agrees_with_the_full_analysis():
                 _scan(*_planted_scan(values))
             assert str(walked.value) == str(exc)
             continue
-        lo, hi, angles = _scan(*_planted_scan(values))
+        lo, hi, up = _scan(*_planted_scan(values))
         if i0 < 0:
-            assert (lo, hi, angles.size) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0], 0)
+            assert (lo, hi, up) == (1e-6 * SCAN_BETAS[0], SCAN_BETAS[0], 0)
         else:
-            assert (lo, hi) == (SCAN_BETAS[i0], SCAN_BETAS[i0 + 1])
-            assert angles.tolist() == [float(i0)]
+            assert (lo, hi, up) == (SCAN_BETAS[i0], SCAN_BETAS[i0 + 1], i0 + 1)
 
 
 # --- margin profiles -----------------------------------------------------------
