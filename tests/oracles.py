@@ -66,6 +66,11 @@ e^{it} on every call, sort the concatenated samples, and evaluate h at
 beta = 0 for every rule, as ``boundary_margin_profile`` and the threshold
 solve did before the tables.  The profile must agree bit for bit; so must
 the quartics and the radial curve b.
+
+``numpy_parabolic_refine`` and ``numpy_polish_zeros`` are the oracles for
+``verify._parabolic_refine`` and ``verify._polish_zeros``: the same steps
+on numpy arrays, as they were before each column's bookkeeping moved to
+Python floats.  They must agree bit for bit, in every call to f too.
 """
 
 import math
@@ -772,3 +777,110 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
         value = min(f1, f2)
         least = value if least is None else min(least, value)
     return top / least
+
+# --- the refinement steps on numpy arrays, as before the per-column loop -------
+
+def numpy_parabolic_refine(f, a: np.ndarray, x: np.ndarray, b: np.ndarray,
+                           xtol: float) -> tuple:
+    """Minima of f inside brackets a < x < b, by safeguarded parabolic steps.
+
+    Brent's scheme (Algorithms for Minimization without Derivatives,
+    ch. 5) on a batch of columns: each step goes to the vertex of the
+    parabola through the column's three best points, or takes a golden
+    section of the larger side when the vertex leaves the bracket or
+    does not halve the step before last.  A step below ``xtol`` probes
+    x +- xtol instead, and the column stops at x when neither probe reads
+    lower by more than rounding; x only ever moves to a lower reading.
+    A column whose x ties one end and is below the other starts from the
+    midpoint of the tied pair; one whose x is then not below both ends
+    returns its better end.
+    ``f(points, columns)`` is called on the unsettled columns only.
+    Returns the minimising points and the minima.
+    """
+    n = x.size
+    fa, fx, fb = np.split(f(np.concatenate([a, x, b]), np.tile(np.arange(n), 3)), 3)
+    # x reading the same as one end, as a minimum halfway between two grid
+    # points of a curve symmetric about it does: the midpoint of the tied
+    # pair, where it reads lower, becomes x and the pair its bracket
+    tie_a, tie_b = (fx == fa) & (fx < fb), (fx == fb) & (fx < fa)
+    tied = np.flatnonzero(tie_a | tie_b)
+    if tied.size:
+        m, fm = 0.5 * (x + np.where(tie_a, a, b)), np.full(n, np.inf)
+        fm[tied] = f(m[tied], tied)
+        tie_a, tie_b = tie_a & (fm < fx), tie_b & (fm < fx)
+        a, fa = np.where(tie_b, x, a), np.where(tie_b, fx, fa)
+        b, fb = np.where(tie_a, x, b), np.where(tie_a, fx, fb)
+        x, fx = np.where(tie_a | tie_b, m, x), np.where(tie_a | tie_b, fm, fx)
+    end_a = fa <= fb
+    x_out, f_out = np.where(end_a, a, b), np.where(end_a, fa, fb)
+    cols = np.flatnonzero((fx < fa) & (fx < fb))
+    a, x, b, fx, end_a = a[cols], x[cols], b[cols], fx[cols], end_a[cols]
+    w, fw = x_out[cols], f_out[cols]                          # the better end
+    v, fv = np.where(end_a, b, a), np.where(end_a, fb[cols], fa[cols])
+    d = e = b - a
+    for _ in range(verify._REFINE_STEPS):
+        if not cols.size:
+            break
+        golden = np.where(x >= 0.5 * (a + b), a - x, b - x)
+        with np.errstate(divide="ignore", invalid="ignore"):   # w or v may read inf
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q = np.where(q > 0.0, -p, p), np.abs(q)
+            vertex = ((np.abs(p) < np.abs(0.5 * q * e))
+                      & (p > q * (a - x)) & (p < q * (b - x)))
+            d, e = (np.where(vertex, p / q, verify._GOLDEN_STEP * golden),
+                    np.where(vertex, d, golden))
+        probe = np.abs(d) < xtol
+        u = x + d
+        lo, hi = np.maximum(x - xtol, a)[probe], np.minimum(x + xtol, b)[probe]
+        k = int(np.count_nonzero(~probe))
+        values = f(np.concatenate([u[~probe], lo, hi]),
+                   np.concatenate([cols[~probe], cols[probe], cols[probe]]))
+        f_lo, f_hi = values[k:k + lo.size], values[k + lo.size:]
+        right = f_hi < f_lo
+        fu = np.empty(cols.size)
+        fu[~probe] = values[:k]
+        u[probe], fu[probe] = np.where(right, hi, lo), np.where(right, f_hi, f_lo)
+        done = probe & ~(fu < fx - verify._PROBE_RTOL * np.abs(fx))
+        # the bracket keeps the best point inside; x, w, v are the three best
+        better, left = (fu < fx) & ~done, u < x
+        a = np.where(better != left, np.where(better, x, u), a)
+        b = np.where(better == left, np.where(better, x, u), b)
+        second = ~better & ((fu <= fw) | (w == x))
+        third = ~better & ~second & ((fu <= fv) | (v == x) | (v == w))
+        v = np.where(better | second, w, np.where(third, u, v))
+        fv = np.where(better | second, fw, np.where(third, fu, fv))
+        w = np.where(better, x, np.where(second, u, w))
+        fw = np.where(better, fx, np.where(second, fu, fw))
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        x_out[cols[done]], f_out[cols[done]] = x[done], fx[done]
+        keep = ~done
+        cols, a, x, b, fx, w, fw, v, fv, d, e = (
+            arr[keep] for arr in (cols, a, x, b, fx, w, fw, v, fv, d, e))
+    x_out[cols], f_out[cols] = x, fx
+    return x_out, f_out
+
+
+def numpy_polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
+    """Refined minima x of a margin f, lowered at V-shaped zeros.
+
+    Where h passes through 1 (or -1, lemniscate premise) f is |t - t0|
+    times a smooth factor and parabolic steps leave f of size xtol.  The
+    vertex of the smooth f^2's parabola through x and x +- xtol is taken
+    where its relative curvature clears rounding (``_ZERO_CURVATURE``),
+    it lies within xtol of x outside the punctures, and f reads lower.
+    """
+    xtol = verify.DEFAULTS.angle_xtol
+    fl, fr = np.split(f(np.concatenate([x - xtol, x + xtol])), 2)
+    scale = np.fmax(np.fmax(fl, fr), fx)      # f^2 / scale^2 cannot overflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        yl, y, yr = (fl / scale) ** 2, (fx / scale) ** 2, (fr / scale) ** 2
+        curvature = yl - 2.0 * y + yr
+        shift = 0.5 * xtol * (yl - yr) / curvature
+    vertex = x + shift
+    take = ((curvature > verify._ZERO_CURVATURE) & (np.abs(shift) <= xtol)
+            & verify._outside_punctures(vertex, sing))
+    fv = np.full(x.size, np.inf)
+    fv[take] = f(vertex[take])
+    lower = fv < fx
+    return np.where(lower, vertex, x), np.where(lower, fv, fx)

@@ -165,3 +165,30 @@ def test_bernstein_weights_reproduce_the_polynomial():
         bern = sum(bi * math.comb(4, i) * u ** i * (1.0 - u) ** (4 - i)
                    for i, bi in enumerate(b))
         assert bern == pytest.approx(verify._poly_at(c, lo + (hi - lo) * u), rel=1e-13)
+
+
+def test_newton_settles_on_a_two_step_cycle(monkeypatch):
+    # at this L8 point one column's bracket closes to some 60 ulps near
+    # x = -0.998, where the Newton step from each end lands exactly on the
+    # other end; stepping back to where it stood two steps before settles
+    # the column, which used to hold its call to all _NEWTON_STEPS steps
+    steps, calls = [], [0]
+    value, solve = verify._poly_value, verify._newton_in_bracket
+
+    def counted(*args):
+        calls[0] += 1
+        return value(*args)
+
+    def spy(*args):
+        before = calls[0]
+        roots = solve(*args)
+        steps.append(calls[0] - before)
+        return roots
+
+    monkeypatch.setattr(verify, "_poly_value", counted)
+    monkeypatch.setattr(verify, "_newton_in_bracket", spy)
+    params = LemmaParams(A=0.8984957164773808, B=-0.501564715659746)
+    threshold = verify.numeric_threshold(LemmaId.L8, params)
+    assert threshold.hex() == "0x1.4a5f8cfd6885ep-3"    # as with 100 steps
+    assert max(steps) < verify._NEWTON_STEPS
+    assert calls[0] == 61                                # 147 with 100 steps
