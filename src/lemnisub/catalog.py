@@ -503,69 +503,6 @@ def h_minus_one_on_circle(lemma: LemmaId, params: LemmaParams,
     return _h_minus_one(lemma, params, np.exp(1j * t) if z is None else z, t)
 
 
-def h_minus_one_scale(lemma: LemmaId, params: LemmaParams) -> float:
-    """Size of b = Q/beta in h - 1 = a + beta b, up to the factors
-    (1 + c z)^e: the curve's scale."""
-    return abs(_curve(lemma, params).scale)
-
-
-def poly_mul(a, b) -> np.ndarray:
-    """Product of two polynomials given by ascending coefficient arrays,
-    1-D or 2-D (one axis per variable)."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        return np.convolve(a, b)
-    # the rows, each padded to the product's width and laid end to end,
-    # multiply as one polynomial whose power i * width + j stands for y^i x^j
-    rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
-    flat = [np.zeros((m.shape[0], width)) for m in (a, b)]
-    for f, m in zip(flat, (a, b)):
-        f[:, :m.shape[1]] = m
-    out = np.convolve(flat[0].ravel(), flat[1].ravel())
-    return out[:rows * width].reshape(rows, width)
-
-
-def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
-    """Real polynomials (N0, N1, D) in z with h - 1 = (N0 + beta N1)/D.
-
-    The arrays hold ascending coefficients and have one length.  D is the
-    least common multiple of the denominators of Q and, when h = q + Q,
-    of q; then N1 = scale z prod (1 + c z)^e D and N0 = (q - 1) D.  None
-    when an exponent is not an integer: L1 at non-integer kappa, which is
-    every k but 1 and 3.
-    """
-    curve = _curve(lemma, params)
-    parts = []
-    for part in (curve.factors, curve.q if curve.convective else None):
-        if part is None:
-            continue
-        merged = {}
-        for c, e in part:
-            if c != 0.0 and e != 0.0:
-                merged[c] = merged.get(c, 0.0) + e
-        if not all(e.is_integer() for e in merged.values()):
-            return None
-        parts.append(merged)
-    den = {}
-    for merged in parts:
-        for c, e in merged.items():
-            den[c] = max(den.get(c, 0), int(-e))
-
-    def times_den(merged: dict) -> np.ndarray:
-        out = np.ones(1)
-        for c, n in den.items():
-            for _ in range(n + int(merged.get(c, 0.0))):
-                out = poly_mul(out, (1.0, c))
-        return out
-
-    D = times_den({})
-    N1 = curve.scale * poly_mul((0.0, 1.0), times_den(parts[0]))
-    qD = times_den(parts[1]) if curve.convective else D
-    size = max(D.size, N1.size, qD.size)
-    D, N1, qD = (np.concatenate([p, np.zeros(size - p.size)]) for p in (D, N1, qD))
-    return qD - D, N1, D
-
-
 def margin_on_circle(lemma: LemmaId, params: LemmaParams,
                      t: np.ndarray, z: Optional[np.ndarray] = None) -> np.ndarray:
     """|inverse(h(e^{it}))| through the premise region's inverse map; ``z``

@@ -31,33 +31,19 @@ in x), or monotone in x; its minimum therefore sits at t = 0, at t = pi
 or at the one stationary angle solved in closed form, and the
 closed-form quantity is evaluated at those angles only.
 
-Empirical beta thresholds take one of two routes.  For every margin rule
+Empirical beta thresholds take one route for every margin rule.
 h - 1 = a(t) + beta*b(t) is affine in beta, so at each angle the
-criterion is a polynomial inequality in beta.  For every affine rule
-(L1-L4, L9-L11) a = 0, the criterion depends on beta only through the
-point beta b(t) on a ray from h = 1, and each angle's threshold is the
-distance at which that ray leaves the premise region for good over |b|:
-beta_t = top / g(t) (Ma & Minda's starlike regions about 1; Miller &
-Mocanu, Differential Subordinations, 2000, 3.4).  The threshold is top
-over the least g on the refined grid, with no crossing search
-(``_radial_threshold``).  On a Mobius premise (L1, L9-L11) the criterion
-is a quadratic with one positive root, in closed form; on the lemniscate
-premise (L2-L4) it is a quartic in the distance, whose largest root
-comes from a table or from a form where it stays simple, polished by
-Newton steps (``_lemniscate_root``).  The quartic's margin can also hold
-on a window [r1, r2] below that root, so there the threshold also walks
-a coarse beta scan upward (``_scan``) and raises where the margin,
-reached, is lost again.  For the convective L8 a != 0,
-and its threshold is the largest crossing over all angles inside the
-bracket where that walk of the minimum margin first reaches 1.  h - 1 is
-rational in z there, so the scan minima and the binding angle are solved
-in x = cos t (``_exact_threshold``).  Each angle's largest crossing
-(``_last_crossing``) is read off the signs of its polynomial's Bernstein
-coefficients on the bracket where they clear a rounding slack: one sign
-means no crossing, one sign change exactly one, found by bracketed
-Newton steps.  Columns with a coefficient inside the slack, a NaN or
-inf, or more sign changes take the full derivative-root recursion
-(``_crossings``).
+criterion is a polynomial inequality in s = beta|b|, and each angle's
+threshold is its largest root over |b|, beta_t = top / g(t); the
+threshold is top over the least g on the refined grid
+(``_radial_threshold``).  The affine rules (L1-L4, L9-L11) have a = 0:
+a Mobius premise's criterion has one positive root in closed form, the
+lemniscate premise's quartic its largest root from a table
+(``_lemniscate_root``; Ma & Minda's regions starlike about 1).  The
+convective L8 has a != 0, and a Cassini quartic about two foci on the
+line through 1 + a (``_cassini_sizes``).  On the lemniscate premise the
+margin can hold on a window below that root too, so a coarse beta scan
+is walked as well (``_scan_reached``, ``_scan``).
 
 A verified verdict rests on three measured facts: the closed-form
 hypothesis holds, the boundary margin stays >= 1, and the dominant
@@ -91,11 +77,8 @@ from .catalog import (
     feasibility_check,
     h_minus_one_at,
     h_minus_one_on_circle,
-    h_minus_one_scale,
     margin_on_circle,
-    poly_mul,
     premise_region,
-    rational_h_minus_one,
     singular_angles,
     validate,
 )
@@ -119,9 +102,6 @@ _ZERO_CURVATURE = 1e-12         # least relative curvature a polish trusts
 _PROBE_RTOL = 4.0 * np.finfo(float).eps   # a probe must read lower by more, relative
 _ROOT_RTOL = 1e-14              # Newton steps stop below this relative size
 _NEWTON_STEPS = 100             # cap; a bisection fallback halves the bracket
-_BERNSTEIN_SLACK = 64.0 * np.finfo(float).eps   # Bernstein signs trusted above, relative
-_TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
-_SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
 _WINDING_SAMPLES = 1024         # samples of the winding diagnostic circle
 # |t| of two refined minima closer than this count as a tie: the mirrored
 # pair of one refinement differs by up to about angle_xtol
@@ -370,12 +350,6 @@ def _poly_value(c: np.ndarray, x):
     return f, d
 
 
-def _derivative(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the derivative along the first axis."""
-    k = np.arange(1.0, c.shape[0])
-    return c[1:] * k.reshape((-1,) + (1,) * (c.ndim - 1))
-
-
 def _newton_in_bracket(c: np.ndarray, left, right,
                        x: np.ndarray) -> np.ndarray:
     """Crossing of F = 0 inside each column's [left, right].
@@ -404,186 +378,6 @@ def _newton_in_bracket(c: np.ndarray, left, right,
         if (settled | dead).all():
             break
     return np.where(dead, np.nan, x)
-
-
-def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Points of [lo, hi] where each column's F changes between < 0 and >= 0.
-
-    Returns shape (deg, n), ascending per column and NaN-padded.  The
-    crossings of F' cut [lo, hi] into pieces on which F is monotone, so
-    a piece whose ends differ in sign holds exactly one crossing.  This
-    finds every crossing; ``_last_crossing``, which wants the largest
-    only, runs it on the columns that Bernstein signs leave undecided.
-    """
-    deg, n = c.shape[0] - 1, c.shape[1]
-    if deg == 0:
-        return np.empty((0, n))
-    crit = _crossings(_derivative(c), lo, hi)
-    cuts = np.concatenate([np.full((1, n), lo),
-                           np.where(np.isnan(crit), hi, crit),
-                           np.full((1, n), hi)])
-    left, right = cuts[:-1], cuts[1:]
-    return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
-                   axis=0)
-
-
-def _bernstein_weights(deg: int, lo: float, width: float) -> list:
-    """w[i][k], the weight of c_k in the i-th Bernstein coefficient on
-    [lo, lo + width] of sum_k c_k x^k.
-
-    With x = lo + width u, sum_k c_k x^k = sum_j a_j u^j where
-    a_j = width^j sum_k C(k, j) lo^(k-j) c_k, and the Bernstein
-    coefficients on u in [0, 1] are b_i = sum_{j<=i} C(i, j)/C(deg, j) a_j.
-    """
-    return [[sum(math.comb(i, j) / math.comb(deg, j) * math.comb(k, j)
-                 * lo ** (k - j) * width ** j for j in range(min(i, k) + 1))
-             for k in range(deg + 1)] for i in range(deg + 1)]
-
-
-def _last_crossing(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The largest crossing of each column's F in [lo, hi], -inf where none.
-
-    On [lo, hi] F = sum_i b_i B_i is a weighted mean of its Bernstein
-    coefficients b_i, and it has at most as many roots inside as the b_i
-    have sign changes, of the same parity (Descartes' rule in the
-    Bernstein basis; Basu, Pollack & Roy, Algorithms in Real Algebraic
-    Geometry, ch. 10).  Each b_i is a sum of terms of at most
-    sum_k |c_k| r^k, r = |lo| + hi - lo, in size, and so is the Horner
-    value of F anywhere in [lo, hi]; a coefficient is trusted when it
-    clears ``_BERNSTEIN_SLACK`` times that size, far above both rounding
-    errors.  A column whose b_i all clear it with one sign has no
-    crossing, and one whose signs change once has exactly one simple
-    root, reached by ``_newton_in_bracket`` from the midpoint.  Every
-    other column (a coefficient within the slack, a NaN or inf, or more
-    than one sign change) takes the full ``_crossings``.  The weights
-    are scalars, so no step calls BLAS.
-    """
-    deg, n = c.shape[0] - 1, c.shape[1]
-    weights = _bernstein_weights(deg, lo, hi - lo)
-    r = abs(lo) + (hi - lo)
-    with np.errstate(invalid="ignore", over="ignore"):   # such columns fall back
-        b = np.array([sum(w * ck for w, ck in zip(row, c)) for row in weights])
-        slack = _BERNSTEIN_SLACK * sum(np.abs(ck) * r ** k for k, ck in enumerate(c))
-    pos, neg = b > slack, b < -slack
-    clear = np.all(pos | neg, axis=0)          # NaN and inf never clear
-    changes = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
-    out = np.full(n, -np.inf)
-    one = np.flatnonzero(clear & (changes == 1))
-    if one.size:
-        out[one] = _newton_in_bracket(c[:, one], lo, hi,
-                                      np.full(one.size, 0.5 * (lo + hi)))
-    rest = np.flatnonzero(~clear | (changes > 1))
-    if rest.size:
-        out[rest] = np.fmax.reduce(_crossings(c[:, rest], lo, hi), axis=0,
-                                   initial=-np.inf)
-    return out
-
-
-# --- the lemniscate criterion as a polynomial in x = cos t ---------------------
-#
-# When h - 1 = (N0 + beta N1)/D with real polynomials N0, N1, D in z
-# (``rational_h_minus_one``), the lemniscate premise's squared margin on
-# |z| = 1 is |N|^2 |2D + N|^2 / |D|^4, and margin >= 1 holds exactly where
-# F = |N|^2 |2D + N|^2 - |D|^4 >= 0.  F is a polynomial in beta and
-# x = cos t, stored as a 2-D array of ascending coefficients, beta down
-# the rows and x along the columns.
-
-def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Re(p(z) conj q(z)) on |z| = 1, as ascending coefficients in x = cos t.
-
-    For real p and q it is sum_{j,k} p_j q_k cos((j - k) t): a Chebyshev
-    series whose coefficient of T_d(x) = cos(d t) sums the
-    cross-correlations of p and q at lags d and -d.
-    """
-    corr = np.correlate(p, q, "full")          # lags j - k from 1 - q.size
-    zero = q.size - 1
-    cheb = np.zeros(max(p.size, q.size))
-    cheb[:p.size] = corr[zero:]
-    cheb[1:q.size] += corr[zero - 1::-1]
-    return np.sum(cheb[:, None] * _chebyshev_powers(cheb.size), axis=0)
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_powers(n: int) -> np.ndarray:
-    """Row d holds T_d(x) in ascending powers of x, for d < n."""
-    table = np.zeros((n, n))
-    table[0, 0] = 1.0
-    for d in range(1, n):             # T_1 = x, T_d = 2x T_{d-1} - T_{d-2}
-        table[d, 1:] = (2.0 if d > 1 else 1.0) * table[d - 1, :-1]
-        if d > 1:
-            table[d] -= table[d - 2]
-    table.flags.writeable = False     # shared by every caller
-    return table
-
-
-def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-    """|p0 + beta p1|^2 on |z| = 1, rows in ascending powers of beta."""
-    return np.array([_circle_product(p0, p0), 2.0 * _circle_product(p0, p1),
-                     _circle_product(p1, p1)])
-
-
-def _beta_scale(lemma: LemmaId, params: LemmaParams) -> float:
-    """A power of two V that brings b in h - 1 = a + beta b to unit size
-    before any |.|^2 is formed, where b may be as small as A - B.
-
-    The lemniscate premise's |w|^2 |2 + w|^2 is not homogeneous in a and
-    b, so only b is scaled, and the criterion is solved in beta V.  V is
-    the power of 2^_SCALE_BITS nearest the size of b
-    (``h_minus_one_scale``), so it is 1 unless that size is beyond
-    2^(+-_SCALE_BITS/2), and squares of the scaled terms neither underflow
-    nor overflow.
-    """
-    size = h_minus_one_scale(lemma, params)
-    if size == 0.0:
-        return 1.0
-    return 2.0 ** (_SCALE_BITS * round(math.log2(size) / _SCALE_BITS))
-
-
-def _criterion_polynomial(lemma: LemmaId, params: LemmaParams, V: float) -> np.ndarray:
-    """F = |N|^2 |2D + N|^2 - |D|^4 for a lemniscate premise, in beta V for
-    the scale V of ``_beta_scale`` and x = cos t; F >= 0 exactly where the
-    margin is >= 1."""
-    N0, N1, D = rational_h_minus_one(lemma, params)
-    d2 = _circle_product(D, D)[None, :]
-    P = poly_mul(_affine_abs2(N0, N1 / V), _affine_abs2(2.0 * D + N0, N1 / V))
-    R = poly_mul(d2, d2)
-    F = np.zeros((P.shape[0], max(P.shape[1], R.shape[1])))
-    F[:, :P.shape[1]] += P
-    F[:1, :R.shape[1]] -= R
-    return F
-
-
-def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
-    return np.array([p.real * p.real + p.imag * p.imag,
-                     2.0 * (p.real * q.real + p.imag * q.imag),
-                     q.real * q.real + q.imag * q.imag])
-
-
-def _margin_polynomials(lemma: LemmaId, params: LemmaParams, V: float):
-    """The squared margin at each angle as a quartic in beta V, for a
-    lemniscate premise and the scale V of ``_beta_scale``.
-
-    Returns a function of the angles t giving an array of shape
-    (5, t.size), ascending powers of beta V down the rows.  With
-    w = h - 1 = a + beta*b, the lemniscate inverse gives
-    margin^2 = |w|^2 |2 + w|^2.  h is evaluated at beta = 0 and at
-    beta = 1/V; the exact path serves only the convective L8, whose a is
-    not 0.
-    """
-    # b / V is h - 1 at beta = 1/V less a
-    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
-
-    def quartic(t: np.ndarray) -> np.ndarray:
-        a = h_minus_one_on_circle(lemma, at0, t)
-        b = h_minus_one_on_circle(lemma, at1, t) - a
-        w2 = _abs2_coeffs(a, b)
-        num = np.zeros((5, t.size))
-        for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
-            num[i:i + 3] += factor * w2
-        return num
-
-    return quartic
 
 
 # --- margin profiles ---------------------------------------------------------
@@ -615,7 +409,8 @@ def _flat(values: np.ndarray, floor: float) -> bool:
     ``floor`` where that is larger."""
     finite = values[np.isfinite(values)]
     scale = float(np.max(finite, initial=floor))
-    return float(np.max(values) - np.min(values)) <= 1e-12 * scale
+    with np.errstate(invalid="ignore"):      # inf - inf where every value is inf
+        return float(np.max(values) - np.min(values)) <= 1e-12 * scale
 
 
 def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
@@ -626,15 +421,15 @@ def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
     vertex of the smooth f^2's parabola through x and x +- xtol is taken
     where its relative curvature clears rounding (``_ZERO_CURVATURE``),
     it lies within xtol of x outside the punctures, and f reads lower.
-    f is called twice: on x - xtol then x + xtol, and on the vertices
-    taken, which may be none.  Each column's vertex is worked out on
+    f is called on x - xtol then x + xtol, and again on the vertices
+    taken, never on no points.  Each column's vertex is worked out on
     Python floats, as in ``_parabolic_refine``.
     """
     xtol = DEFAULTS.angle_xtol
     x_out, f_out = x.tolist(), fx.tolist()
     n = len(x_out)
     sides = f(np.array([xi - xtol for xi in x_out] + [xi + xtol for xi in x_out],
-                       dtype=float)).tolist()
+                       dtype=float)).tolist() if n else []
     cols, vertex = [], []
     for i, (xi, yl, y, yr) in enumerate(zip(x_out, sides[:n], f_out, sides[n:])):
         # f^2 / scale^2 cannot overflow.  np.fmax skips a NaN reading where
@@ -653,10 +448,11 @@ def _polish_zeros(f, x: np.ndarray, fx: np.ndarray, sing: tuple) -> tuple:
                 vertex.append(xi + shift)
     keep = _outside_punctures(np.array(vertex, dtype=float), sing).tolist()
     taken = [(i, xv) for i, xv, k in zip(cols, vertex, keep) if k]
-    values = f(np.array([xv for _, xv in taken], dtype=float)).tolist()
-    for (i, xv), fv in zip(taken, values):
-        if fv < f_out[i]:
-            x_out[i], f_out[i] = xv, fv
+    if taken:
+        values = f(np.array([xv for _, xv in taken], dtype=float)).tolist()
+        for (i, xv), fv in zip(taken, values):
+            if fv < f_out[i]:
+                x_out[i], f_out[i] = xv, fv
     return np.array(x_out, dtype=float), np.array(f_out, dtype=float)
 
 
@@ -891,52 +687,43 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     """Smallest beta above which the boundary margin stays >= 1.
 
     At each angle t of the punctured grid h - 1 = a(t) + beta b(t) is
-    affine in beta, so margin >= 1 is a polynomial inequality
-    F_t(beta) >= 0, and the threshold is the least beta from which every
-    angle's holds.  For every affine rule (L1-L4, L9-L11) a = 0, so the
-    criterion depends on beta only through the point beta b(t) on the ray
-    from h = 1 along b(t): with s = beta |b| and u = cos arg b it is
-    F_t(s) >= 0, and the largest positive root of F_t is where the ray
-    leaves the premise region for good.  Each angle's threshold is that
-    root over |b|, beta_t = top / g(t), and the threshold is
-    max_t beta_t = top / min_t g (``_radial_threshold``; Ma & Minda's
-    regions starlike about 1), with no bracket or crossing search.
+    affine in beta.  With s = beta |b| and u = b / |b|, margin >= 1 is a
+    polynomial inequality F_t(s) >= 0, whose largest positive root s_t is
+    where the angle's margin is >= 1 for good: beta_t = s_t / |b| =
+    top / g(t), and the threshold is max_t beta_t = top / min_t g
+    (``_radial_threshold``).  For every affine rule (L1-L4, L9-L11) a = 0.
 
-    Mobius premise (L1 for every k, L9-L11): with -1 <= Y < X,
-    F_t = (1 - Y^2) s^2 + 2 (X - Y) Y u s - (X - Y)^2.  F_t(0) < 0 and
-    F_t has exactly one positive root,
-        beta_t = (X - Y) / g(t),   g = |b| G(u),
-        G(u) = Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y)),
-    so top = X - Y, each angle's margin stays >= 1 from beta_t on and
-    ``NonMonotoneMargin`` cannot occur.
+    Mobius premise (L1 for every k, L9-L11): with -1 <= Y < X and
+    u = cos arg b, F_t = (1 - Y^2) s^2 + 2 (X - Y) Y u s - (X - Y)^2 has
+    exactly one positive root, so top = X - Y,
+        g = |b| G(u),   G(u) = Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y)),
+    and ``NonMonotoneMargin`` cannot occur.
 
-    Lemniscate premise (L2-L4): top = 1 and g = |b| / rho(u), rho the
-    largest root of F_t = P_u(s) = s^4 + 4 u s^3 + 4 s^2 - 1, which
+    Lemniscate premise, affine rules (L2-L4): top = 1 and
+    g = |b| / rho(u), rho the largest root of
+    F_t = P_u(s) = s^4 + 4 u s^3 + 4 s^2 - 1 with u = cos arg b, which
     below u = -5 sqrt(3)/9 has three positive roots r1 < r2 < r3: the
-    margin is >= 1 on [r1, r2] and from r3 on (``_lemniscate_root``).  So
-    a margin reached at one beta can be lost at a larger one.  The
-    ``DEFAULTS.scan_points`` betas in [1e-6, 10 beta*] (from 1e-6 beta*
-    when 10 beta* <= 1e-6) are walked upward by ``_scan``, each passing
-    where every grid angle's margin is >= 1 there, read off its roots;
-    ``NonMonotoneMargin`` is raised at the first beta where the margin is
-    lost again.  A window (r2, r3) / |b| that falls between two scan betas
-    above the first reach does not register, and the threshold is its
-    upper end, from which the margin stays >= 1.
+    margin is >= 1 on [r1, r2] and from r3 on (``_lemniscate_root``).
 
-    L8 (lemniscate premise, convective): a != 0 and F_t is a quartic in
-    beta.  The same scan, of the minimum margin over the circle, brackets
-    the upcrossing of 1, and the threshold is the largest crossing of any
-    angle's F inside that bracket, solved in x = cos t
-    (``_exact_threshold``), where h - 1 is rational; the punctured grid's
-    angles only seed that solve.
+    L8 (lemniscate premise, convective): a != 0, top = 1 and
+    g = |b| / s_t, s_t the largest root of the Cassini quartic
+    |s - p|^2 |s - r|^2 = 1 about the foci p = -a conj(u) and
+    r = -(2 + a) conj(u) (``_cassini_sizes``).
+
+    On the lemniscate premise a margin reached at one beta can be lost at
+    a larger one, so the ``DEFAULTS.scan_points`` betas in [1e-6,
+    10 beta*] (from 1e-6 beta* when 10 beta* <= 1e-6) are walked upward
+    (``_scan_reached``, ``_scan``), and ``NonMonotoneMargin`` is raised at
+    the first beta where the margin is lost again.  A window of lost
+    margin between two scan betas does not register, and the threshold is
+    its upper end, from which the margin stays >= 1.
 
     ``NoThresholdInBracket`` is raised where the scan never reaches 1, 10
     beta* overflows on a lemniscate premise, or the threshold lies above
     10 beta* or is not finite: min g = 0 (|Y| = 1, or b = 0 at a grid
     angle), or a min g so small that the quotient overflows.
     """
-    row = CATALOG[lemma]
-    if not row.margin_criterion:
+    if not CATALOG[lemma].margin_criterion:
         raise ValueError(f"{lemma.value} has no margin criterion")
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
@@ -955,13 +742,7 @@ def numeric_threshold(lemma: LemmaId, params: LemmaParams,
     # the scan starts at 1e-6, or at 1e-6 beta* where 10 beta* is not above it
     floor = 1e-6 if cap > 1e-6 else 1e-6 * base.beta_star
     betas = np.linspace(floor, cap, DEFAULTS.scan_points)
-    if row.ode_style == "affine":
-        return _radial_threshold(lemma, params, region, sing, grid_size, cap, betas)
-    # solved in beta V, V a power of two: exact, and 1 unless A - B is extreme
-    V = _beta_scale(lemma, params)
-    return _exact_threshold(_margin_polynomials(lemma, params, V),
-                            _criterion_polynomial(lemma, params, V),
-                            _punctured_grid(grid_size, sing), sing, betas * V) / V
+    return _radial_threshold(lemma, params, region, sing, grid_size, cap, betas)
 
 
 # --- the lemniscate premise along a ray from h = 1 -----------------------------
@@ -1033,60 +814,23 @@ def _lemniscate_root(c: np.ndarray) -> np.ndarray:
     return s
 
 
-def _window_roots(c: np.ndarray, r3: np.ndarray) -> tuple:
-    """r1 and r2 of P_c for c < c*, given r3.
-
-    r1 = 1 + v w with v = sqrt(c + 1), where w solves
-    v^2 w^4 - 2 w^2 + 4 (1 + v w)^3 = 0 (P_c / v^2).  That root is simple
-    on all of [-1, c*], also at c = -1 where r1 = r2 is double; it is
-    3v - sqrt(9 v^2 + 2) to first order in v, and three Newton steps from
-    the fitted start 3v - sqrt(9 v^2 + 2) - 2.35 v^2 reach it to rounding.
-    r2 and the negative root r4 then solve x^2 - S x - 1/(r1 r3) = 0,
-    S = -4c - r1 - r3 (Vieta).
-    """
-    v = np.sqrt(np.maximum(c + 1.0, 0.0))
-    w = v * (3.0 - 2.35 * v) - np.sqrt(9.0 * v * v + 2.0)
-    for _ in range(3):
-        u = 1.0 + v * w
-        w = w - ((v * v * w * w - 2.0) * w * w + 4.0 * u ** 3) / (
-            4.0 * (v * v * w * w - 1.0) * w + 12.0 * v * u * u)
-    r1 = 1.0 + v * w
-    S = -4.0 * c - r1 - r3
-    r2 = 0.5 * (S + np.sqrt(S * S + 4.0 / (r1 * r3)))
-    return r1, np.minimum(np.maximum(r2, r1), r3)
-
-
-def _lemniscate_reached(b: np.ndarray, g: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Whether the lemniscate margin is >= 1 at every angle, at each scan
-    beta, from h - 1 = beta b and g = |b| / rho on the grid.
-
-    An angle misses the margin where beta |b| < rho, or, below c*, where
-    beta |b| < r1 or r2 < beta |b| < r3 = rho (``_window_roots``).
-    """
-    size = np.abs(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = b.real / size
-        low = 1.0 / g
-    window = np.flatnonzero(c < _C_STAR)
-    inside = np.zeros(betas.size + 1, dtype=np.intp)   # windows holding each beta
-    if window.size:
-        size = size[window]
-        r3 = size / g[window]
-        r1, r2 = _window_roots(c[window], r3)
-        low[window] = r1 / size
-        # the scan betas strictly inside each window are betas[lo:hi]
-        lo = np.searchsorted(betas, r2 / size, side="right")
-        hi = np.maximum(np.searchsorted(betas, r3 / size, side="left"), lo)
-        inside = np.cumsum(np.bincount(lo, minlength=betas.size + 1)
-                           - np.bincount(hi, minlength=betas.size + 1))
-    return (betas >= np.max(low)) & (inside[:-1] == 0)
-
-
 def _radial_curve(lemma: LemmaId, params: LemmaParams):
     """b = h - 1 at beta = 1 as a function of the angles t (and optionally
     their points z = e^{it}, as for ``h_minus_one_on_circle``): an affine
     rule's h - 1 = beta b, evaluated once."""
     return partial(h_minus_one_on_circle, lemma, params.with_beta(1.0))
+
+
+def _convective_curve(lemma: LemmaId, params: LemmaParams):
+    """(a, b) with h - 1 = a + beta b as a function of t (and optionally z,
+    as for ``_radial_curve``): a at beta = 0, b at beta = 1 less a."""
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
+
+    def curve(t: np.ndarray, z: Optional[np.ndarray] = None) -> tuple:
+        a = h_minus_one_on_circle(lemma, at0, t, z)
+        return a, h_minus_one_on_circle(lemma, at1, t, z) - a
+
+    return curve
 
 
 def _radial_size(region):
@@ -1117,131 +861,199 @@ def _radial_size(region):
     return mobius
 
 
+# --- the lemniscate premise along a line: L8's Cassini quartic -----------------
+#
+# On L8 h - 1 = w = a + beta b, a != 0.  With u = b/|b| and s = beta |b|,
+# |w| = |s - p| and |2 + w| = |s - r| for the foci p = -a conj(u) and
+# r = -(2 + a) conj(u): the margin is >= 1 exactly where
+# Q(s) = |s - p|^2 |s - r|^2 >= 1, the lemniscate |h - 1| |h + 1| = 1 being
+# a Cassini oval.  Right of xm = max(Re p, Re r, 0) both factors of Q are
+# positive, increasing and convex, so Q is too: where Q(xm) < 1 its largest
+# root s_t lies right of xm, and Newton steps from a point where Q >= 1
+# fall monotonically onto it.  At xm + 1 each factor is >= 1; at
+# mid + sqrt(half^2 + 1) (mid and half the centre and half-width of Re p
+# and Re r) the product of the real distances is 1.  Where Q(xm) >= 1
+# every root lies at or below xm.
+
+def _cassini_terms(a, b, size) -> tuple:
+    """Re p, (Im p)^2, Re r and (Im r)^2 for size = |b|, by the same
+    operations on arrays and on Python complex numbers."""
+    ur, ui = b.real / size, b.imag / size
+    ar, ai = a.real, a.imag
+    two = 2.0 + ar
+    pi, ri = ar * ui - ai * ur, two * ui - ai * ur
+    return -(ar * ur + ai * ui), pi * pi, -(two * ur + ai * ui), ri * ri
+
+
+def _cassini_value(s, pr, pi2, rr, ri2) -> tuple:
+    """Q(s) - 1 and Q'(s) for the terms of ``_cassini_terms``."""
+    dl, dr = s - pr, s - rr
+    fl, fr = dl * dl + pi2, dr * dr + ri2
+    return fl * fr - 1.0, 2.0 * (dl * fr + dr * fl)
+
+
+def _cassini_sizes(a: np.ndarray, b: np.ndarray) -> tuple:
+    """L8's g = |b| / s_t on the grid, ``_cassini_size``'s steps as one
+    array loop; g = inf where Q(xm) >= 1.  Also the bound |b| / xm <= g
+    there, where xm > 0 (inf elsewhere)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        size = np.abs(b)
+        pr, pi2, rr, ri2 = terms = _cassini_terms(a, b, size)
+        xm = np.maximum(np.maximum(pr, rr), 0.0)
+        left = _cassini_value(xm, *terms)[0] >= 0.0
+        half = 0.5 * np.abs(pr - rr)
+        s = np.minimum(xm + 1.0, 0.5 * (pr + rr) + np.sqrt(half * half + 1.0))
+        s[left] = np.nan
+        for _ in range(_NEWTON_STEPS):
+            q, dq = _cassini_value(s, *terms)
+            nxt = s - q / dq
+            down = (dq > 0.0) & (nxt < s)
+            if not down.any():
+                break
+            s = np.where(down, nxt, s)
+        g = size / s
+        g[left] = np.inf
+        return g, np.where(left & (xm > 0.0), size / xm, np.inf)
+
+
+def _cassini_size(a: complex, b: complex, size: float) -> float:
+    """L8's g = |b| / s_t at one angle on Python floats, size = |b| as
+    ``np.abs`` gives it (Python's abs of a complex can differ by an ulp).
+
+    Newton steps from min(xm + 1, mid + sqrt(half^2 + 1)) stop where a step
+    no longer decreases; where Q(xm) >= 1 the root is ``_left_root``'s.
+    NaN where b = 0, inf where no s > 0 has Q(s) < 1.
+    """
+    if size == 0.0:
+        return math.nan
+    pr, pi2, rr, ri2 = terms = _cassini_terms(a, b, size)
+    xm = max(max(pr, rr), 0.0)
+    if _cassini_value(xm, *terms)[0] >= 0.0:
+        s = _left_root(*terms, xm)
+    else:
+        half = 0.5 * abs(pr - rr)
+        s = min(xm + 1.0, 0.5 * (pr + rr) + math.sqrt(half * half + 1.0))
+        for _ in range(_NEWTON_STEPS):
+            q, dq = _cassini_value(s, *terms)
+            nxt = s - q / dq if dq > 0.0 else s
+            if not nxt < s:
+                break
+            s = nxt
+    return math.inf if s == 0.0 else size / s
+
+
+def _left_root(pr: float, pi2: float, rr: float, ri2: float, xm: float) -> float:
+    """sup {s in [0, xm]: Q(s) < 1}, 0 for none, where Q(xm) >= 1.
+
+    The crossings of each derivative of the quartic Q - 1, from the third
+    down (``_newton_in_bracket``), cut [0, xm] into pieces on which the
+    next is monotone; Q's last crossing is polished by two Newton steps on
+    the factored Q, which keeps the accuracy the coefficients lose.
+    """
+    p0, r0 = pr * pr + pi2, rr * rr + ri2
+    c = [p0 * r0 - 1.0, -2.0 * (pr * r0 + rr * p0), p0 + r0 + 4.0 * pr * rr,
+         -2.0 * (pr + rr), 1.0]
+    cuts = np.array([0.0, xm])
+    for k in (3, 2, 1, 0):
+        left, right = cuts[:-1], cuts[1:]
+        x = _newton_in_bracket([math.perm(j, k) * cj for j, cj in enumerate(c)][k:],
+                               left, right, 0.5 * (left + right))
+        x = x[np.isfinite(x)]
+        cuts = np.concatenate([[0.0], x, [xm]])
+    if not x.size:
+        return 0.0
+    s = float(x[-1])
+    for _ in range(2):
+        q, dq = _cassini_value(s, pr, pi2, rr, ri2)
+        s -= q / dq if dq > 0.0 else 0.0
+    return s
+
+
+# --- the threshold over the circle -----------------------------------------------
+
+def _least_size(g, values: np.ndarray, t: np.ndarray, grid_size: int,
+                sing: tuple) -> float:
+    """min_t g from its grid ``values``, g(x) giving g at any angles x: the
+    least of the grid and its local minima, refined as in
+    ``boundary_margin_profile``, or where g is constant on the grid
+    (``_flat``) the samples' median, not the lowest rounding (so L9 at
+    A = 1, B = 0, D = 1, E = 0, where |e^{it}| reads 1 - 2^-52 at some
+    angles, gives 1)."""
+    if _flat(values, 0.0):
+        return float(np.median(values))
+    _, fb = _refine_minima(g, t[_local_minima(values)], grid_size, sing)
+    return float(np.min(fb, initial=np.min(values)))
+
+
+def _scan_reached(a, b: np.ndarray, betas: np.ndarray, threshold: float,
+                  at: int) -> np.ndarray:
+    """Whether the lemniscate margin is >= 1 at every grid angle, at each
+    scan beta, for h - 1 = a + beta b on the grid (a = 0 on L2-L4).
+
+    Every beta from ``threshold`` on is reached: each grid angle's margin
+    stays >= 1 from its beta_t on.  One below reads the squared margin
+    |w|^2 |2 + w|^2 at the grid's binding angle ``at`` first, and on the
+    whole grid only where it passes there.
+    """
+    def reaches(w: np.ndarray) -> np.ndarray:
+        v = 2.0 + w.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (w.real * w.real + w.imag * w.imag) * (v * v + w.imag * w.imag) >= 1.0
+
+    reached = betas >= threshold
+    below = np.flatnonzero(~reached)
+    for j in below[reaches((a[at] if np.ndim(a) else a) + betas[below] * b[at])]:
+        reached[j] = bool(np.all(reaches(a + betas[j] * b)))
+    return reached
+
+
 def _radial_threshold(lemma: LemmaId, params: LemmaParams, region, sing: tuple,
                       grid_size: int, cap: float,
                       betas: Optional[np.ndarray] = None) -> float:
-    """``numeric_threshold`` for an affine rule: X - Y (Mobius premise) or
-    1 (lemniscate premise) over min_t g.
+    """``numeric_threshold`` for every margin rule: X - Y (Mobius premise)
+    or 1 (lemniscate premise) over min_t g.
 
-    g (``_radial_size``) is taken on the shared grid, and the grid's
-    smallest local minima are refined by parabolic steps as in
-    ``boundary_margin_profile``, unless g is constant on the grid
-    (``_flat``): there the samples differ by rounding alone, and their
-    median, not the lowest, is taken for g (so L9 at A = 1, B = 0, D = 1,
-    E = 0, where |b| = |e^{it}| reads 1 - 2^-52 at some angles, gives 1).
-    On the lemniscate premise the scan ``betas`` are walked first
-    (``_lemniscate_reached``, ``_scan``).  A NaN g (b = 0 or a pole on the
-    grid) or an overflowing quotient claims no threshold.
+    g is taken on the shared grid (``_radial_size`` of an affine rule's b,
+    ``_cassini_sizes`` of L8's a and b; ``_cassini_size`` per angle in the
+    refinement) and refined by ``_least_size``.  L8's grid angles whose
+    roots lie left of xm read inf; any whose bound |b| / xm falls below
+    the least g takes its own root, and the grid is refined again.  On the
+    lemniscate premise the scan ``betas`` are then walked
+    (``_scan_reached``, ``_scan``).  A NaN g (b = 0 or a pole on the grid)
+    or an overflowing quotient claims no threshold.
     """
-    curve, g = _radial_curve(lemma, params), _radial_size(region)
-    t = _punctured_grid(grid_size, sing)
-    b = curve(t, _grid_points(grid_size, sing))
-    values = g(b)
-    if betas is not None:
-        _scan(_lemniscate_reached(b, values, betas), betas)
-    if _flat(values, 0.0):
-        least = float(np.median(values))
+    t, z = _punctured_grid(grid_size, sing), _grid_points(grid_size, sing)
+    if CATALOG[lemma].ode_style == "affine":
+        curve, size = _radial_curve(lemma, params), _radial_size(region)
+        a, b = 0.0, curve(t, z)
+        values, bound = size(b), math.inf
+
+        def g(x: np.ndarray) -> np.ndarray:
+            return size(curve(x))
     else:
-        _, fb = _refine_minima(lambda x: g(curve(x)), t[_local_minima(values)],
-                               grid_size, sing)
-        least = float(np.min(fb, initial=np.min(values)))
+        curve = _convective_curve(lemma, params)
+        a, b = curve(t, z)
+        values, bound = _cassini_sizes(a, b)
+
+        def g(x: np.ndarray) -> np.ndarray:
+            a, b = curve(x)
+            return np.array([_cassini_size(*ab) for ab in
+                             zip(a.tolist(), b.tolist(), np.abs(b).tolist())])
+
+    least = _least_size(g, values, t, grid_size, sing)
+    near = bound < least
+    if np.any(near):
+        values[near] = g(t[near])
+        least = _least_size(g, values, t, grid_size, sing)
     top = region.A - region.B if isinstance(region, Janowski) else 1.0
     value = top / least if least > 0.0 else math.inf
+    if betas is not None:
+        _scan(_scan_reached(a, b, betas, value, int(np.argmin(values))), betas)
     if not (math.isfinite(value) and value <= cap):
         raise NoThresholdInBracket(
             f"threshold {top!r}/min g with min g = {least!r} is infinite or "
             "above 10 beta*")
     return value
-
-
-# --- the threshold from the criterion polynomial F(x; beta) -------------------
-
-def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
-                    x_lo: float, x_hi: float) -> np.ndarray:
-    """x in [x_lo, x_hi] where F = dF/dx = 0, by Newton steps in (x, beta).
-
-    There the curve F = 0 has a horizontal tangent in beta, so the last
-    crossing in beta is stationary over x: the binding angle of the
-    threshold when it lies inside the interval.  A seed that leaves the
-    interval or diverges comes back NaN; the ends are candidates anyway.
-    """
-    # coefficients in x (at least three), each a column of coefficients in beta
-    Fx = F.T[:, :, None]
-    dFx = _derivative(Fx)
-    with np.errstate(all="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            f = _poly_at(Fx, x)
-            fx, fxx = _poly_value(dFx, x)
-            v, vb = _poly_value(f, beta)
-            vx, vxb = _poly_value(fx, beta)
-            vxx = _poly_at(fxx, beta)
-            det = vx * vxb - vb * vxx
-            dx = (vb * vx - v * vxb) / det
-            x, beta = x + dx, beta + (v * vxx - vx * vx) / det
-            x = np.where((x >= x_lo) & (x <= x_hi) & np.isfinite(beta), x, np.nan)
-            if not np.any(np.abs(dx[np.isfinite(x)]) > _TANGENT_XTOL):
-                break
-    return x
-
-
-def _exact_threshold(polynomial, F: np.ndarray, t: np.ndarray, sing: tuple,
-                     betas: np.ndarray) -> float:
-    """``numeric_threshold`` from the criterion polynomial F(x; beta).
-
-    At each scan beta the least F over the x interval sits at an end or
-    where dF/dx rises through 0; the scan minimum is the least squared
-    margin at those angles.  The largest crossing in the bracket is
-    taken over the ends, the grid angles and the scan's least angle at
-    the bracket's lower end; the best interior peaks among them seed
-    ``_tangent_points``, whose crossings are taken too.  Every candidate
-    is an angle of the punctured circle, so none overshoots the
-    threshold.
-
-    F only places the candidates.  Their values come from the per-angle
-    quartics in beta (``_margin_polynomials``), the squared margin; each
-    angle's F_t is its quartic less 1.  They keep their relative
-    accuracy where F is small against its coefficients in x: near t = 0
-    or pi, and near poles and zeros of h on the circle.
-    """
-    ends = _end_angles(sing)
-    x_hi, x_lo = np.cos(ends)
-    slope = _derivative(_poly_at(F[:, :, None], betas))
-    crit = _crossings(slope, x_lo, x_hi)
-    crit = np.where(_poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
-    angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
-                             np.arccos(crit)])
-    m2 = _poly_at(polynomial(angles.ravel()),
-                  np.tile(betas, angles.shape[0])).reshape(angles.shape)
-    lo, hi, up = _scan(m2.min(axis=0) >= 1.0, betas)
-    # the scan's least angle at the bracket's lower end, if it has one
-    below = angles[np.argmin(m2, axis=0), np.arange(betas.size)][max(up - 1, 0):up]
-
-    def last_crossing(at: np.ndarray) -> np.ndarray:
-        F_t = polynomial(at)
-        F_t[0] -= 1.0
-        return _last_crossing(F_t, lo, hi)
-
-    # F is even in t: the ends and the grid's angles between them, in order
-    cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
-    n = cand.size
-    cand = np.append(cand, below)
-    last = last_crossing(cand)
-    best = max(lo, float(np.max(last)))
-    # seeds: the peaks of the last crossing over t and the scan's least
-    # angle, inside the interval and best first
-    mid = last[1:n - 1]
-    seeds = np.concatenate([np.flatnonzero((mid >= last[:n - 2]) & (mid >= last[2:n])) + 1,
-                            np.arange(n, cand.size)])
-    seeds = seeds[np.isfinite(last[seeds]) & (cand[seeds] > ends[0])
-                  & (cand[seeds] < ends[1])]
-    if not seeds.size:
-        return best
-    seeds = seeds[np.argsort(-last[seeds])[:_REFINE_SEEDS]]
-    x = _tangent_points(F, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
-    x = x[np.isfinite(x)]
-    if x.size:
-        best = max(best, float(np.max(last_crossing(np.arccos(x)))))
-    return best
 
 
 # --- subordination of concrete series ---------------------------------------

@@ -15,9 +15,9 @@ local minima by parabolic steps instead.
 ``derivative_cross_check`` is the oracle for the closed-form admissibility
 quantities: a central difference of Q or h along the circle.
 
-``last_crossing`` is the oracle for ``verify._last_crossing``: the
+``last_crossing`` is the oracle for ``_last_crossing``: the
 largest of all crossings that the full derivative-root recursion
-``verify._crossings`` finds, which is what the threshold solve reduced
+``_crossings`` finds, which is what the threshold solve reduced
 before Bernstein signs decided most columns.
 
 ``full_window_mul_mid`` is the oracle for ``series.mul_mid``'s middle
@@ -25,24 +25,23 @@ products: every direct product cut from the full ``np.convolve``, as
 before the "valid" convolution formed only the window.  They must agree
 bit for bit.
 
-``scan_threshold`` is the oracle for ``verify.numeric_threshold`` on the
-affine rules (L1-L4, L9-L11): the solve they took before the radial
-route, a 64-beta scan walked by ``scan`` and the largest crossing of the
-per-angle criterion polynomials in its bracket, on the exact path in
-x = cos t where h - 1 is rational (L1 at k = 1, 3, L2-L4 and L9-L11,
-``exact_threshold``) and on the grid otherwise (``grid_threshold``,
-early-stopped by Descartes' rule, ``one_positive_root``).  With
-``exact=False`` it sends any rule down the grid path.  On the lemniscate
-premises it gives the bits ``numeric_threshold`` gave before the radial
-route wherever 10 beta* is finite, and L8's still.  ``margin_ratio`` and
-``margin_polynomials`` give either premise's squared margin as a ratio
-of polynomials in beta, (P, R) in beta and x = cos t or (num, den) per
-angle, with the scales of ``beta_scales``; ``criterion_polynomial``
-forms their F = P - R or num - den.  ``verify``'s exact path serves only
-L8's quartics over 1, so ``scan``, ``exact_threshold``,
-``criterion_polynomial`` and ``lemniscate_margin_ratio`` keep the solve
-over a general ratio that it reduced: the stream scan that the grid path
-stopped early, and F padded to the larger of P's and R's shapes.
+``scan_threshold`` is the oracle for ``verify.numeric_threshold``: the
+solve every margin rule took before the radial route, a 64-beta scan
+walked by ``scan`` and the largest crossing of the per-angle criterion
+polynomials in its bracket, on the exact path in x = cos t where h - 1 is
+rational (L1 at k = 1, 3, L2-L4, L8 and L9-L11, ``exact_threshold``) and
+on the grid otherwise (``grid_threshold``, early-stopped by Descartes'
+rule, ``one_positive_root``).  With ``exact=False`` it sends any rule
+down the grid path.  On the lemniscate premise it gives the bits
+``numeric_threshold`` gave before the radial route wherever 10 beta* is
+finite, on L8 too.  ``margin_ratio`` and ``margin_polynomials`` give
+either premise's squared margin as a ratio of polynomials in beta, (P, R)
+in beta and x = cos t or (num, den) per angle, with the scales of
+``beta_scales``; ``criterion_polynomial`` forms their F = P - R or
+num - den.  The exact path's helpers that ``src/`` no longer has
+(``rational_h_minus_one``, ``_last_crossing``, ``_crossings``,
+``_tangent_points``, ``_margin_polynomials`` and what they call) are
+frozen here verbatim.
 
 ``fifty_digit_threshold`` is the reference for the radial route:
 max_t beta_t on a Mobius premise or on the lemniscate premise of an
@@ -51,21 +50,23 @@ minimised by golden section at 50 digits.  ``lemniscate_eigenvalues``,
 ``lemniscate_root`` and ``fifty_digit_lemniscate_roots`` give the roots
 of the lemniscate premise's ray quartic, from companion eigenvalues in
 doubles and from ``mpmath.polyroots``: the references for
-``verify._lemniscate_root`` and ``verify._window_roots``.
+``verify._lemniscate_root``.  ``fifty_digit_cassini_root`` is L8's
+largest root of |s - p|^2 |s - r|^2 = 1 at one angle, the reference for
+``verify._cassini_size``; ``fifty_digit_threshold`` covers L8 with it.
 
 ``analyze_scan`` is the oracle for ``verify._scan`` (and ``scan``): the
 scan's verdict read off all of its minima at once, as the threshold solve
 did before it walked the scan.
 
-``fresh_grid``, ``argsort_margin_profile``,
-``two_evaluation_margin_polynomials`` and ``two_evaluation_radial_curve``
-are the oracles for the shared grid tables (``verify._punctured_grid``,
-``verify._grid_points``), the profile's splice of its refined minima and
-the affine rules' single curve evaluation.  They rebuild the grid and
-e^{it} on every call, sort the concatenated samples, and evaluate h at
-beta = 0 for every rule, as ``boundary_margin_profile`` and the threshold
-solve did before the tables.  The profile must agree bit for bit; so must
-the quartics and the radial curve b.
+``fresh_grid``, ``argsort_margin_profile``, ``fresh_convective_curve``
+and ``two_evaluation_radial_curve`` are the oracles for the shared grid
+tables (``verify._punctured_grid``, ``verify._grid_points``), the
+profile's splice of its refined minima and the affine rules' single curve
+evaluation.  They rebuild the grid and e^{it} on every call, sort the
+concatenated samples, and evaluate h at beta = 0 for every rule, as
+``boundary_margin_profile`` and the threshold solve did before the
+tables.  The profile must agree bit for bit; so must L8's a and b and the
+radial curve b.
 
 ``numpy_parabolic_refine`` and ``numpy_polish_zeros`` are the oracles for
 ``verify._parabolic_refine`` and ``verify._polish_zeros``: the same steps
@@ -74,21 +75,21 @@ Python floats.  They must agree bit for bit, in every call to f too.
 """
 
 import math
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
-from lemnisub import DEFAULTS, AdmissibilityQuantity, LemmaId, series, verify
+from lemnisub import DEFAULTS, AdmissibilityQuantity, LemmaId, LemmaParams, series, verify
 from lemnisub.catalog import (
     ADMISSIBILITY_EVALUATORS,
     ThresholdStatus,
+    _curve,
     closed_form_threshold,
     h_minus_one_at,
     h_minus_one_on_circle,
-    h_minus_one_scale,
     margin_on_circle,
-    poly_mul,
     premise_region,
-    rational_h_minus_one,
     singular_angles,
     singular_points,
 )
@@ -100,7 +101,8 @@ from lemnisub.errors import (
     NonMonotoneMargin,
 )
 from lemnisub.regions import Janowski
-from lemnisub.verify import _local_minima, _poly_at, _refine_minima
+from lemnisub.verify import (_NEWTON_STEPS, _local_minima, _newton_in_bracket, _poly_at,
+                             _poly_value, _refine_minima)
 
 from support import dominant_Q_on_circle
 
@@ -241,7 +243,7 @@ def stationary_minima(P, R, beta, ends, t):
     toward it.
     """
     p, r = at_beta(P, beta), at_beta(R, beta)
-    s = poly_mul(verify._derivative(p), r) - poly_mul(p, verify._derivative(r))
+    s = poly_mul(_derivative(p), r) - poly_mul(p, _derivative(r))
     x = np.cos(np.concatenate([ends[1:], t[(t < ends[1]) & (t > ends[0])][::-1],
                                ends[:1]]))                 # ascending
     v = verify._poly_at(s, x)
@@ -252,11 +254,259 @@ def stationary_minima(P, R, beta, ends, t):
     return np.concatenate([tp[tp < math.pi], -tp[tp > 0.0]])
 
 
+# --- the exact path in x = cos t, frozen -----------------------------------------
+#
+# The helpers below are verbatim copies of those that ``scan_threshold``
+# read from ``verify`` and ``catalog`` until the last rule on the exact path,
+# L8, took the radial route and they were deleted from ``src/``.
+
+_BERNSTEIN_SLACK = 64.0 * np.finfo(float).eps   # Bernstein signs trusted above, relative
+_TANGENT_XTOL = 1e-12           # tangent-point steps stop below this in x
+_SCALE_BITS = 200               # beta is rescaled by powers of 2^200 only
+
+
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative along the first axis."""
+    k = np.arange(1.0, c.shape[0])
+    return c[1:] * k.reshape((-1,) + (1,) * (c.ndim - 1))
+
+
+def _crossings(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Points of [lo, hi] where each column's F changes between < 0 and >= 0.
+
+    Returns shape (deg, n), ascending per column and NaN-padded.  The
+    crossings of F' cut [lo, hi] into pieces on which F is monotone, so
+    a piece whose ends differ in sign holds exactly one crossing.  This
+    finds every crossing; ``_last_crossing``, which wants the largest
+    only, runs it on the columns that Bernstein signs leave undecided.
+    """
+    deg, n = c.shape[0] - 1, c.shape[1]
+    if deg == 0:
+        return np.empty((0, n))
+    crit = _crossings(_derivative(c), lo, hi)
+    cuts = np.concatenate([np.full((1, n), lo),
+                           np.where(np.isnan(crit), hi, crit),
+                           np.full((1, n), hi)])
+    left, right = cuts[:-1], cuts[1:]
+    return np.sort(_newton_in_bracket(c, left, right, 0.5 * (left + right)),
+                   axis=0)
+
+
+def _bernstein_weights(deg: int, lo: float, width: float) -> list:
+    """w[i][k], the weight of c_k in the i-th Bernstein coefficient on
+    [lo, lo + width] of sum_k c_k x^k.
+
+    With x = lo + width u, sum_k c_k x^k = sum_j a_j u^j where
+    a_j = width^j sum_k C(k, j) lo^(k-j) c_k, and the Bernstein
+    coefficients on u in [0, 1] are b_i = sum_{j<=i} C(i, j)/C(deg, j) a_j.
+    """
+    return [[sum(math.comb(i, j) / math.comb(deg, j) * math.comb(k, j)
+                 * lo ** (k - j) * width ** j for j in range(min(i, k) + 1))
+             for k in range(deg + 1)] for i in range(deg + 1)]
+
+
+def _last_crossing(c: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The largest crossing of each column's F in [lo, hi], -inf where none.
+
+    On [lo, hi] F = sum_i b_i B_i is a weighted mean of its Bernstein
+    coefficients b_i, and it has at most as many roots inside as the b_i
+    have sign changes, of the same parity (Descartes' rule in the
+    Bernstein basis; Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, ch. 10).  Each b_i is a sum of terms of at most
+    sum_k |c_k| r^k, r = |lo| + hi - lo, in size, and so is the Horner
+    value of F anywhere in [lo, hi]; a coefficient is trusted when it
+    clears ``_BERNSTEIN_SLACK`` times that size, far above both rounding
+    errors.  A column whose b_i all clear it with one sign has no
+    crossing, and one whose signs change once has exactly one simple
+    root, reached by ``_newton_in_bracket`` from the midpoint.  Every
+    other column (a coefficient within the slack, a NaN or inf, or more
+    than one sign change) takes the full ``_crossings``.  The weights
+    are scalars, so no step calls BLAS.
+    """
+    deg, n = c.shape[0] - 1, c.shape[1]
+    weights = _bernstein_weights(deg, lo, hi - lo)
+    r = abs(lo) + (hi - lo)
+    with np.errstate(invalid="ignore", over="ignore"):   # such columns fall back
+        b = np.array([sum(w * ck for w, ck in zip(row, c)) for row in weights])
+        slack = _BERNSTEIN_SLACK * sum(np.abs(ck) * r ** k for k, ck in enumerate(c))
+    pos, neg = b > slack, b < -slack
+    clear = np.all(pos | neg, axis=0)          # NaN and inf never clear
+    changes = np.count_nonzero(pos[1:] != pos[:-1], axis=0)
+    out = np.full(n, -np.inf)
+    one = np.flatnonzero(clear & (changes == 1))
+    if one.size:
+        out[one] = _newton_in_bracket(c[:, one], lo, hi,
+                                      np.full(one.size, 0.5 * (lo + hi)))
+    rest = np.flatnonzero(~clear | (changes > 1))
+    if rest.size:
+        out[rest] = np.fmax.reduce(_crossings(c[:, rest], lo, hi), axis=0,
+                                   initial=-np.inf)
+    return out
+
+
+def _circle_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re(p(z) conj q(z)) on |z| = 1, as ascending coefficients in x = cos t.
+
+    For real p and q it is sum_{j,k} p_j q_k cos((j - k) t): a Chebyshev
+    series whose coefficient of T_d(x) = cos(d t) sums the
+    cross-correlations of p and q at lags d and -d.
+    """
+    corr = np.correlate(p, q, "full")          # lags j - k from 1 - q.size
+    zero = q.size - 1
+    cheb = np.zeros(max(p.size, q.size))
+    cheb[:p.size] = corr[zero:]
+    cheb[1:q.size] += corr[zero - 1::-1]
+    return np.sum(cheb[:, None] * _chebyshev_powers(cheb.size), axis=0)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_powers(n: int) -> np.ndarray:
+    """Row d holds T_d(x) in ascending powers of x, for d < n."""
+    table = np.zeros((n, n))
+    table[0, 0] = 1.0
+    for d in range(1, n):             # T_1 = x, T_d = 2x T_{d-1} - T_{d-2}
+        table[d, 1:] = (2.0 if d > 1 else 1.0) * table[d - 1, :-1]
+        if d > 1:
+            table[d] -= table[d - 2]
+    table.flags.writeable = False     # shared by every caller
+    return table
+
+
+def _affine_abs2(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """|p0 + beta p1|^2 on |z| = 1, rows in ascending powers of beta."""
+    return np.array([_circle_product(p0, p0), 2.0 * _circle_product(p0, p1),
+                     _circle_product(p1, p1)])
+
+
+def _abs2_coeffs(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Coefficients of |p + beta*q|^2 in ascending powers of beta."""
+    return np.array([p.real * p.real + p.imag * p.imag,
+                     2.0 * (p.real * q.real + p.imag * q.imag),
+                     q.real * q.real + q.imag * q.imag])
+
+
+def _margin_polynomials(lemma: LemmaId, params: LemmaParams, V: float):
+    """The squared margin at each angle as a quartic in beta V, for a
+    lemniscate premise and the scale V of ``_beta_scale``.
+
+    Returns a function of the angles t giving an array of shape
+    (5, t.size), ascending powers of beta V down the rows.  With
+    w = h - 1 = a + beta*b, the lemniscate inverse gives
+    margin^2 = |w|^2 |2 + w|^2.  h is evaluated at beta = 0 and at
+    beta = 1/V; the exact path serves only the convective L8, whose a is
+    not 0.
+    """
+    # b / V is h - 1 at beta = 1/V less a
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
+
+    def quartic(t: np.ndarray) -> np.ndarray:
+        a = h_minus_one_on_circle(lemma, at0, t)
+        b = h_minus_one_on_circle(lemma, at1, t) - a
+        w2 = _abs2_coeffs(a, b)
+        num = np.zeros((5, t.size))
+        for i, factor in enumerate(_abs2_coeffs(2.0 + a, b)):
+            num[i:i + 3] += factor * w2
+        return num
+
+    return quartic
+
+
+def _tangent_points(F: np.ndarray, x: np.ndarray, beta: np.ndarray,
+                    x_lo: float, x_hi: float) -> np.ndarray:
+    """x in [x_lo, x_hi] where F = dF/dx = 0, by Newton steps in (x, beta).
+
+    There the curve F = 0 has a horizontal tangent in beta, so the last
+    crossing in beta is stationary over x: the binding angle of the
+    threshold when it lies inside the interval.  A seed that leaves the
+    interval or diverges comes back NaN; the ends are candidates anyway.
+    """
+    # coefficients in x (at least three), each a column of coefficients in beta
+    Fx = F.T[:, :, None]
+    dFx = _derivative(Fx)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            f = _poly_at(Fx, x)
+            fx, fxx = _poly_value(dFx, x)
+            v, vb = _poly_value(f, beta)
+            vx, vxb = _poly_value(fx, beta)
+            vxx = _poly_at(fxx, beta)
+            det = vx * vxb - vb * vxx
+            dx = (vb * vx - v * vxb) / det
+            x, beta = x + dx, beta + (v * vxx - vx * vx) / det
+            x = np.where((x >= x_lo) & (x <= x_hi) & np.isfinite(beta), x, np.nan)
+            if not np.any(np.abs(dx[np.isfinite(x)]) > _TANGENT_XTOL):
+                break
+    return x
+
+
+def h_minus_one_scale(lemma: LemmaId, params: LemmaParams) -> float:
+    """Size of b = Q/beta in h - 1 = a + beta b, up to the factors
+    (1 + c z)^e: the curve's scale."""
+    return abs(_curve(lemma, params).scale)
+
+
+def poly_mul(a, b) -> np.ndarray:
+    """Product of two polynomials given by ascending coefficient arrays,
+    1-D or 2-D (one axis per variable)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    # the rows, each padded to the product's width and laid end to end,
+    # multiply as one polynomial whose power i * width + j stands for y^i x^j
+    rows, width = a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1
+    flat = [np.zeros((m.shape[0], width)) for m in (a, b)]
+    for f, m in zip(flat, (a, b)):
+        f[:, :m.shape[1]] = m
+    out = np.convolve(flat[0].ravel(), flat[1].ravel())
+    return out[:rows * width].reshape(rows, width)
+
+
+def rational_h_minus_one(lemma: LemmaId, params: LemmaParams) -> Optional[tuple]:
+    """Real polynomials (N0, N1, D) in z with h - 1 = (N0 + beta N1)/D.
+
+    The arrays hold ascending coefficients and have one length.  D is the
+    least common multiple of the denominators of Q and, when h = q + Q,
+    of q; then N1 = scale z prod (1 + c z)^e D and N0 = (q - 1) D.  None
+    when an exponent is not an integer: L1 at non-integer kappa, which is
+    every k but 1 and 3.
+    """
+    curve = _curve(lemma, params)
+    parts = []
+    for part in (curve.factors, curve.q if curve.convective else None):
+        if part is None:
+            continue
+        merged = {}
+        for c, e in part:
+            if c != 0.0 and e != 0.0:
+                merged[c] = merged.get(c, 0.0) + e
+        if not all(e.is_integer() for e in merged.values()):
+            return None
+        parts.append(merged)
+    den = {}
+    for merged in parts:
+        for c, e in merged.items():
+            den[c] = max(den.get(c, 0), int(-e))
+
+    def times_den(merged: dict) -> np.ndarray:
+        out = np.ones(1)
+        for c, n in den.items():
+            for _ in range(n + int(merged.get(c, 0.0))):
+                out = poly_mul(out, (1.0, c))
+        return out
+
+    D = times_den({})
+    N1 = curve.scale * poly_mul((0.0, 1.0), times_den(parts[0]))
+    qD = times_den(parts[1]) if curve.convective else D
+    size = max(D.size, N1.size, qD.size)
+    D, N1, qD = (np.concatenate([p, np.zeros(size - p.size)]) for p in (D, N1, qD))
+    return qD - D, N1, D
+
+
 # --- the largest crossing of each column, from every crossing ----------------
 
 def last_crossing(F, lo, hi):
     """The largest crossing of each column of F in [lo, hi], -inf where none."""
-    return np.fmax.reduce(verify._crossings(F, lo, hi), axis=0, initial=-np.inf)
+    return np.fmax.reduce(_crossings(F, lo, hi), axis=0, initial=-np.inf)
 
 
 # --- direct products cut from the full convolution ----------------------------
@@ -282,7 +532,7 @@ def full_window_mul_mid(a, b, lo, hi):
 def _nearest_scale(size):
     if size == 0.0:
         return 1.0
-    return 2.0 ** (verify._SCALE_BITS * round(math.log2(size) / verify._SCALE_BITS))
+    return 2.0 ** (_SCALE_BITS * round(math.log2(size) / _SCALE_BITS))
 
 
 def beta_scales(lemma, params):
@@ -299,9 +549,9 @@ def lemniscate_margin_ratio(lemma, params, V):
     """(P, R) with margin^2 = P/R on the unit circle for a lemniscate
     premise, as polynomials in beta V for the scale V of ``_beta_scale``."""
     N0, N1, D = rational_h_minus_one(lemma, params)
-    d2 = verify._circle_product(D, D)[None, :]
-    return (poly_mul(verify._affine_abs2(N0, N1 / V),
-                     verify._affine_abs2(2.0 * D + N0, N1 / V)),
+    d2 = _circle_product(D, D)[None, :]
+    return (poly_mul(_affine_abs2(N0, N1 / V),
+                     _affine_abs2(2.0 * D + N0, N1 / V)),
             poly_mul(d2, d2))
 
 
@@ -326,20 +576,20 @@ def margin_ratio(lemma, params, scales=(1.0, 1.0)):
         return lemniscate_margin_ratio(lemma, params, V)
     N0, N1, D = form
     X, Y = region.A, region.B
-    return (verify._affine_abs2(N0 / U, N1 / V),
-            verify._affine_abs2(((X - Y) * D - Y * N0) / U, -Y * N1 / V))
+    return (_affine_abs2(N0 / U, N1 / V),
+            _affine_abs2(((X - Y) * D - Y * N0) / U, -Y * N1 / V))
 
 
 def margin_polynomials(lemma, params, scales):
     """Per-angle (num, den) in beta / (U / V) with margin^2 = num/den: for
     a Mobius premise num = |w|^2 and den = |(X-Y) - Y w|^2 with
     w = beta b, h evaluated once at beta = 1/V; for the lemniscate premise
-    num is ``verify._margin_polynomials``' quartic and den = 1.  A z
+    num is ``_margin_polynomials``' quartic and den = 1.  A z
     passed in is not read."""
     U, V = scales
     region = premise_region(lemma, params)
     if not isinstance(region, Janowski):
-        quartic = verify._margin_polynomials(lemma, params, V)
+        quartic = _margin_polynomials(lemma, params, V)
         return lambda t, z=None: (quartic(t), np.ones((1, t.size)))
     X, Y = region.A, region.B
     at1 = params.with_beta(1.0 / V)
@@ -347,8 +597,8 @@ def margin_polynomials(lemma, params, scales):
     def coefficients(t, z=None):
         b = h_minus_one_on_circle(lemma, at1, t, z)
         a = np.zeros_like(b)
-        return (verify._abs2_coeffs(a, b),
-                verify._abs2_coeffs((X - Y) / U - Y * a, -Y * b))
+        return (_abs2_coeffs(a, b),
+                _abs2_coeffs((X - Y) / U - Y * a, -Y * b))
 
     return coefficients
 
@@ -423,14 +673,14 @@ def exact_threshold(polynomial, F, t, sing, betas):
     margin at those angles.  The largest crossing in the bracket is
     taken over the ends, the grid angles and the scan's least angle at
     the bracket's lower end; the best interior peaks among them seed
-    ``verify._tangent_points``, whose crossings are taken too.  Each
+    ``_tangent_points``, whose crossings are taken too.  Each
     candidate's value comes from the per-angle (num, den) of
     ``polynomial``.
     """
     ends = verify._end_angles(sing)
     x_hi, x_lo = np.cos(ends)
-    slope = verify._derivative(_poly_at(F[:, :, None], betas))
-    crit = verify._crossings(slope, x_lo, x_hi)
+    slope = _derivative(_poly_at(F[:, :, None], betas))
+    crit = _crossings(slope, x_lo, x_hi)
     crit = np.where(verify._poly_value(slope, crit)[1] > 0.0, crit, x_hi)   # minima only
     angles = np.concatenate([np.repeat(ends[:, None], betas.size, axis=1),
                              np.arccos(crit)])
@@ -445,7 +695,7 @@ def exact_threshold(polynomial, F, t, sing, betas):
     cand = np.concatenate([ends[:1], t[(t > ends[0]) & (t < ends[1])], ends[1:]])
     n = cand.size
     cand = np.append(cand, below)
-    last = verify._last_crossing(criterion_polynomial(*polynomial(cand)), lo, hi)
+    last = _last_crossing(criterion_polynomial(*polynomial(cand)), lo, hi)
     best = max(lo, float(np.max(last)))
     # seeds: the peaks of the last crossing over t and the scan's least
     # angle, inside the interval and best first
@@ -457,10 +707,10 @@ def exact_threshold(polynomial, F, t, sing, betas):
     seeds = seeds[np.argsort(-last[seeds])[:verify._REFINE_SEEDS]]
     # padded to three powers of x, so that d2F/dx2 stays an array
     F3 = np.pad(F, ((0, 0), (0, max(0, 3 - F.shape[1]))))
-    x = verify._tangent_points(F3, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
+    x = _tangent_points(F3, np.cos(cand[seeds]), last[seeds], x_lo, x_hi)
     x = x[np.isfinite(x)]
     if x.size:
-        last = verify._last_crossing(criterion_polynomial(*polynomial(np.arccos(x))),
+        last = _last_crossing(criterion_polynomial(*polynomial(np.arccos(x))),
                                      lo, hi)
         best = max(best, float(np.max(last)))
     return best
@@ -479,7 +729,7 @@ def grid_threshold(polynomial, sing, betas, grid_size):
     t = np.concatenate([t, probes])
     coeffs = np.concatenate([criterion_polynomial(num, den),
                              criterion_polynomial(*polynomial(probes))], axis=1)
-    last = verify._last_crossing(coeffs, lo, hi)
+    last = _last_crossing(coeffs, lo, hi)
     best = max(lo, float(np.max(last)))
     peaks = np.concatenate([_local_minima(-last[:n]), np.arange(n, t.size)])
     peaks = peaks[np.isfinite(last[peaks])]
@@ -570,21 +820,16 @@ def argsort_margin_profile(lemma, params, grid_size):
     return cand_t, cand_m, min_margin, argmin_t, bool(xb.size)
 
 
-def two_evaluation_margin_polynomials(lemma, params, V):
-    """``verify._margin_polynomials`` (lemniscate premise) with h evaluated
-    at beta = 0 and at beta = 1/V for every rule."""
-    at0, at1 = params.with_beta(0.0), params.with_beta(1.0 / V)
+def fresh_convective_curve(lemma, params):
+    """``verify._convective_curve`` with e^{it} computed from t (a z passed
+    in is not read)."""
+    at0, at1 = params.with_beta(0.0), params.with_beta(1.0)
 
-    def quartic(t):
+    def curve(t, z=None):
         a = h_minus_one_on_circle(lemma, at0, t)
-        b = h_minus_one_on_circle(lemma, at1, t) - a
-        w2 = verify._abs2_coeffs(a, b)
-        num = np.zeros((5, t.size))
-        for i, factor in enumerate(verify._abs2_coeffs(2.0 + a, b)):
-            num[i:i + 3] += factor * w2
-        return num
+        return a, h_minus_one_on_circle(lemma, at1, t) - a
 
-    return quartic
+    return curve
 
 
 def two_evaluation_radial_curve(lemma, params):
@@ -643,11 +888,13 @@ def derivative_cross_check(lemma, params, quantity, radius):
 
 # --- the affine thresholds max_t beta_t to fifty digits -----------------------
 
-# h - 1 = beta (A - B) z / den(z) for the affine rules with a polynomial den
+# h - 1 = beta (A - B) z / den(z) for the affine rules with a polynomial den,
+# and b of L8's h - 1 = a + beta b
 _DENOMINATORS = {
     LemmaId.L2: lambda A, B, z: (1 + B * z) ** 2,
     LemmaId.L3: lambda A, B, z: (1 + A * z) * (1 + B * z),
     LemmaId.L4: lambda A, B, z: (1 + A * z) ** 2,
+    LemmaId.L8: lambda A, B, z: (1 + A * z) * (1 + B * z),
     LemmaId.L9: lambda A, B, z: (1 + B * z) ** 2,
     LemmaId.L10: lambda A, B, z: (1 + A * z) * (1 + B * z),
     LemmaId.L11: lambda A, B, z: (1 + A * z) ** 2,
@@ -711,6 +958,56 @@ def _fifty_digit_rho(u, mp):
     return s
 
 
+def cassini_coefficients(p, r):
+    """[c0, c1, c2, c3] with |s - p|^2 |s - r|^2 - 1 =
+    s^4 + c3 s^3 + c2 s^2 + c1 s + c0, for numpy or mpmath foci."""
+    pp, rr = p.real * p.real + p.imag * p.imag, r.real * r.real + r.imag * r.imag
+    return [pp * rr - 1, -2 * (p.real * rr + r.real * pp),
+            pp + rr + 4 * p.real * r.real, -2 * (p.real + r.real)]
+
+
+def cassini_root(a, b):
+    """L8's root at each angle in doubles: the largest positive real root
+    of |s - p|^2 |s - r|^2 = 1, p = -a conj(u), r = -(2 + a) conj(u),
+    u = b/|b|, from companion eigenvalues (test code only); 0 where none."""
+    u = np.conj(b / np.abs(b))
+    c = cassini_coefficients(-a * u, -(2.0 + a) * u)
+    companion = np.zeros(np.shape(b) + (4, 4))
+    companion[..., 1:, :3] = np.eye(3)
+    companion[..., :, 3] = -np.stack(c, axis=-1)
+    roots = np.linalg.eigvals(companion)
+    real = np.where((np.abs(roots.imag) <= 1e-6) & (roots.real > 0.0), roots.real, 0.0)
+    return np.max(real, axis=-1)
+
+
+def fifty_digit_cassini_root(a, b, mp):
+    """``cassini_root`` at one angle for the doubles a, b taken exactly, by
+    ``mp.polyroots`` at the working precision."""
+    a, b = mp.mpc(a), mp.mpc(b)
+    u = mp.conj(b / abs(b))
+    c0, c1, c2, c3 = cassini_coefficients(-a * u, -(2 + a) * u)
+    roots = mp.polyroots([1, c3, c2, c1, c0], maxsteps=200, extraprec=4 * mp.mp.prec)
+    tiny = mp.mpf(2) ** (-mp.mp.prec // 3)
+    real = [mp.re(x) for x in roots if abs(mp.im(x)) <= tiny and mp.re(x) > 0]
+    return max(real, default=mp.mpf(0))
+
+
+def _fifty_digit_cassini(a, b, start, mp):
+    """``cassini_root`` in mpmath: Newton steps from the double ``start``."""
+    u = mp.conj(b / abs(b))
+    c = cassini_coefficients(-a * u, -(2 + a) * u) + [1]
+    s = mp.mpf(start)
+    for _ in range(100 if s else 0):
+        f, d = c[-1], 0
+        for ck in c[-2::-1]:
+            f, d = f * s + ck, d * s + f
+        step = f / d
+        s -= step
+        if abs(step) <= mp.eps * s:
+            break
+    return s
+
+
 def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
     """max_t beta_t = top / min_t g over the punctured circle, in mpmath at
     the working precision (the caller sets 50 digits).
@@ -719,7 +1016,10 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
     g = |b| (Y u + sqrt(Y^2 u^2 + (1 - Y)(1 + Y))), u = Re b/|b|.
     Lemniscate premise (L2-L4): top = 1 and g = |b| / rho(u), rho the
     largest positive root of s^4 + 4 u s^3 + 4 s^2 - 1
-    (``_fifty_digit_rho``).  b is written out per rule (L1
+    (``_fifty_digit_rho``).  L8: top = 1 and g = |b| / s_t, s_t the
+    largest root of |s - p|^2 |s - r|^2 = 1 (``_fifty_digit_cassini``),
+    h - 1 = a + beta b with a = (A - B) z / (1 + B z) and
+    b = a / (1 + A z).  b is written out per rule (L1
     through the half-angle form of 1 + z).  The 4 least local minima of g
     in double precision on a ``grid_size`` grid are bracketed by a grid
     step each and refined by golden section in mpmath to 1e-13 in t, where
@@ -727,7 +1027,8 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
     Parameters are the floats as exact rationals.
     """
     lemniscate = lemma in LEMNISCATE_AFFINE
-    if lemniscate:
+    convective = lemma is LemmaId.L8
+    if lemniscate or convective:
         top = mp.mpf(1)
     else:
         X, Y = (params.A, params.B) if lemma is LemmaId.L1 else (params.D, params.E)
@@ -743,6 +1044,10 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
 
     def g_mp(t):
         b = b_mp(t)
+        if convective:
+            a = b * (1 + mp.mpf(params.A) * mp.expj(t))
+            s = _fifty_digit_cassini(a, b, cassini_root(complex(a), complex(b)), mp)
+            return abs(b) / s if s else mp.inf
         u = mp.re(b) / abs(b)
         if lemniscate:
             return abs(b) / _fifty_digit_rho(u, mp)
@@ -751,7 +1056,10 @@ def fifty_digit_threshold(lemma, params, mp, grid_size=4096):
     t = fresh_grid(grid_size, singular_angles(lemma, params))
     b = _radial_curve_numpy(lemma, params, t)
     u = b.real / np.abs(b)
-    if lemniscate:
+    if convective:
+        with np.errstate(divide="ignore"):      # inf where no s > 0 misses the margin
+            g = np.abs(b) / cassini_root(b * (1.0 + params.A * np.exp(1j * t)), b)
+    elif lemniscate:
         g = np.abs(b) / lemniscate_root(u)
     else:
         g = np.abs(b) * (Y * u + np.sqrt(Y * Y * u * u + (1.0 - Y) * (1.0 + Y)))

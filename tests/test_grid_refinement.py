@@ -22,10 +22,10 @@ import pytest
 
 from lemnisub import (DEFAULTS, LemmaId, boundary_margin_profile,
                       closed_form_threshold, numeric_threshold, verify)
-from lemnisub.catalog import rational_h_minus_one
 from lemnisub.errors import LemnisubError
 
 from conftest import draw_valid_params, feasible_draws
+from oracles import rational_h_minus_one
 
 ORACLE_XTOL = 1e-13      # the oracle's golden-section angular resolution
 AGREE_RTOL = 1e-12       # refined and oracle values agree to this, relative

@@ -4,9 +4,10 @@
 grid and its points e^{it} once per (grid size, punctures);
 ``boundary_margin_profile`` splices its sorted refined minima into the
 sorted grid; ``verify._radial_curve`` evaluates an affine rule's curve
-once, at beta = 1.  The oracles in ``tests/oracles.py`` rebuild the grid on every
-call, sort the concatenated samples and evaluate every curve at beta = 0
-too.  Every cached table in ``src/`` is read-only and shared, and every
+once, at beta = 1, and ``verify._convective_curve`` L8's from the grid's
+points.  The oracles in ``tests/oracles.py`` rebuild the grid and e^{it}
+on every call, sort the concatenated samples and evaluate every affine
+curve at beta = 0 too.  Every cached table in ``src/`` is read-only and shared, and every
 sample of a margin profile is ``margin_on_circle`` at its stored angle.
 """
 
@@ -66,7 +67,6 @@ def _points(lemma, count=3):
 TABLES = {
     "series._circle_scale": ((0.999, 513), True),
     "series._circle_fold": ((2049, 2048), True),
-    "verify._chebyshev_powers": ((5,), False),
     "verify._punctured_grid": ((999, (math.pi,)), True),
     "verify._grid_points": ((999, (0.0, math.pi)), True),
     "verify._root_table": ((), False),
@@ -192,8 +192,9 @@ def _mobius(lemma, params):
 @pytest.mark.parametrize("lemma", MARGIN_LEMMAS)
 def test_margin_polynomials_match_two_evaluations(lemma, grid_size):
     # the per-angle terms of the threshold solve: an affine rule's radial
-    # size g of its curve b, a lemniscate premise's polynomials in beta (b
-    # may differ in the sign of a zero, g may not)
+    # size g of its curve b (b may differ in the sign of a zero, g may
+    # not), and L8's a and b from the grid's points and from t alone, and
+    # its g from both
     draws = _points(lemma) + [p.with_beta(None) for p in _extreme(lemma)]
     for params in draws:
         sing = singular_angles(lemma, params)
@@ -205,12 +206,12 @@ def test_margin_polynomials_match_two_evaluations(lemma, grid_size):
             b = verify._radial_curve(lemma, params)
             for new in (g(b(t)), g(b(t, z))):
                 assert new.tobytes() == old.tobytes(), params
-        if _mobius(lemma, params):
             continue
-        V = verify._beta_scale(lemma, params)
-        old = oracles.two_evaluation_margin_polynomials(lemma, params, V)(t)
-        new = verify._margin_polynomials(lemma, params, V)(t)
-        assert new.tobytes() == old.tobytes(), params
+        curve = verify._convective_curve(lemma, params)
+        old, new = curve(t), curve(t, z)
+        assert all(o.tobytes() == n.tobytes() for o, n in zip(old, new)), params
+        for g_old, g_new in zip(verify._cassini_sizes(*old), verify._cassini_sizes(*new)):
+            assert g_old.tobytes() == g_new.tobytes(), params
 
 
 def _extreme(lemma):
@@ -237,8 +238,7 @@ def test_thresholds_match_two_evaluations(monkeypatch, lemma, grid_size):
     draws = feasible_draws(lemma, seed, 3) + [p for l, p in PUNCTURED if l is lemma]
     draws += [p.with_beta(None) for p in _extreme(lemma)]
     fast = [_outcome(lemma, p, grid_size) for p in draws]
-    monkeypatch.setattr(verify, "_margin_polynomials",
-                        oracles.two_evaluation_margin_polynomials)
+    monkeypatch.setattr(verify, "_convective_curve", oracles.fresh_convective_curve)
     monkeypatch.setattr(verify, "_radial_curve", oracles.two_evaluation_radial_curve)
     monkeypatch.setattr(verify, "_punctured_grid", oracles.fresh_grid)
     monkeypatch.setattr(verify, "_grid_points",

@@ -1,18 +1,20 @@
-"""``verify._last_crossing`` against every crossing of the full recursion.
+"""The exact path's ``_last_crossing`` against every crossing of the full
+recursion.
 
-The fast path decides most columns from the signs of their Bernstein
-coefficients on the bracket and takes one Newton solve where the signs
-change once; ``oracles.last_crossing`` runs ``verify._crossings`` on
-every column and keeps the largest crossing.  The two must agree within
-a few units in the last place: both end in Newton steps on the same
-polynomial, from different starting points.
+``oracles.scan_threshold``, the reference of every threshold test,
+keeps the exact path frozen (``oracles._last_crossing``): it decides
+most columns from the signs of their Bernstein coefficients on the
+bracket and takes one Newton solve where the signs change once;
+``oracles.last_crossing`` runs ``oracles._crossings`` on every column
+and keeps the largest crossing.  The two must agree within a few units
+in the last place: both end in Newton steps on the same polynomial, from
+different starting points.  The columns are those the reference solve
+hands it on every margin rule: quartics on the lemniscate premise
+(L2-L4, L8) and quadratics on the Mobius premise (L1, L9-L11), which add
+the degree drop at |Y| = 1 and L1's grid-path columns.
 
-``numeric_threshold`` hands ``_last_crossing`` the convective L8's
-columns.  The affine rules' columns, quartics on the lemniscate premise
-(L2-L4) and quadratics on the Mobius premise (L1, L9-L11), come from the
-scan solve they took before the radial route, ``oracles.scan_threshold``,
-which still runs the same kernel; the quadratics add the degree drop at
-|Y| = 1 and L1's grid-path columns.
+``verify._newton_in_bracket``, which both end in and which
+``verify._root_table`` still uses, settles on a two-step cycle.
 """
 
 import math
@@ -31,7 +33,7 @@ MARGIN_LEMMAS = [l for l in LemmaId if CATALOG[l].margin_criterion]
 
 
 def assert_same_crossings(F, lo, hi):
-    fast = verify._last_crossing(F, lo, hi)
+    fast = oracles._last_crossing(F, lo, hi)
     slow = oracles.last_crossing(F, lo, hi)
     assert fast.shape == slow.shape == (F.shape[1],)
     finite = np.isfinite(slow)
@@ -42,21 +44,18 @@ def assert_same_crossings(F, lo, hi):
 
 
 def _solve_calls(monkeypatch, lemma, params):
-    """Every (F, lo, hi) that the threshold solve hands ``_last_crossing``:
-    ``numeric_threshold``'s on L8, the scan oracle's on an affine rule."""
+    """Every (F, lo, hi) that the scan solve hands ``_last_crossing``."""
     calls = []
-    fast = verify._last_crossing
+    fast = oracles._last_crossing
 
     def spy(F, lo, hi):
         calls.append((F.copy(), lo, hi))
         return fast(F, lo, hi)
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_last_crossing", spy)
+        patch.setattr(oracles, "_last_crossing", spy)
         try:
-            solve = oracles.scan_threshold if CATALOG[lemma].ode_style == "affine" \
-                else verify.numeric_threshold
-            solve(lemma, params, grid_size=512)
+            oracles.scan_threshold(lemma, params, grid_size=512)
         except LemnisubError:
             pass
     return calls
@@ -159,7 +158,7 @@ def test_bernstein_weights_reproduce_the_polynomial():
     rng = np.random.default_rng(5)
     c = rng.normal(size=5)
     lo, hi = 0.7, 1.9
-    w = verify._bernstein_weights(4, lo, hi - lo)
+    w = oracles._bernstein_weights(4, lo, hi - lo)
     b = [sum(wik * ck for wik, ck in zip(row, c)) for row in w]
     for u in (0.0, 0.3, 0.5, 0.9, 1.0):
         bern = sum(bi * math.comb(4, i) * u ** i * (1.0 - u) ** (4 - i)
@@ -168,27 +167,27 @@ def test_bernstein_weights_reproduce_the_polynomial():
 
 
 def test_newton_settles_on_a_two_step_cycle(monkeypatch):
-    # at this L8 point one column's bracket closes to some 60 ulps near
-    # x = -0.998, where the Newton step from each end lands exactly on the
-    # other end; stepping back to where it stood two steps before settles
-    # the column, which used to hold its call to all _NEWTON_STEPS steps
-    steps, calls = [], [0]
-    value, solve = verify._poly_value, verify._newton_in_bracket
+    # a bracket some 110 ulps wide around a root of this cubic near
+    # x = -0.998, planted as the exact path once reached it: the Newton
+    # step from each end lands exactly on the other end, and stepping
+    # back to where it stood two steps before settles the column, which
+    # used to hold the call to all _NEWTON_STEPS steps
+    c = np.array([float.fromhex(h) for h in (
+        "0x1.e903d4ed29fc1p+5", "0x1.b3f7b15d211b8p+6", "0x1.16ee71b82705cp+5",
+        "-0x1.9fed0576dac94p+3")])
+    left = float.fromhex("-0x1.fee7ed89c598ap-1")
+    right = float.fromhex("-0x1.fee7ed89c591cp-1")
+    for x, other in ((left, right), (right, left)):
+        f, d = verify._poly_value(c, x)
+        assert x - f / d == other
+    calls, value = [0], verify._poly_value
 
     def counted(*args):
         calls[0] += 1
         return value(*args)
 
-    def spy(*args):
-        before = calls[0]
-        roots = solve(*args)
-        steps.append(calls[0] - before)
-        return roots
-
     monkeypatch.setattr(verify, "_poly_value", counted)
-    monkeypatch.setattr(verify, "_newton_in_bracket", spy)
-    params = LemmaParams(A=0.8984957164773808, B=-0.501564715659746)
-    threshold = verify.numeric_threshold(LemmaId.L8, params)
-    assert threshold.hex() == "0x1.4a5f8cfd6885ep-3"    # as with 100 steps
-    assert max(steps) < verify._NEWTON_STEPS
-    assert calls[0] == 61                                # 147 with 100 steps
+    root = verify._newton_in_bracket(c, np.array([left]), np.array([right]),
+                                     np.array([right]))
+    assert root[0] in (left, right)
+    assert calls[0] == 2

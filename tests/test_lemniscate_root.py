@@ -4,8 +4,8 @@ On the ray h - 1 = s e^{i theta}, c = cos theta, the lemniscate margin is
 >= 1 exactly where P_c(s) = s^4 + 4 c s^3 + 4 s^2 - 1 >= 0.
 ``verify._lemniscate_root`` gives its largest positive root rho(c), from
 a table above c* = -5 sqrt(3)/9 and as a simple root in w = (s -
-sqrt 3)/sqrt(c* - c) below it, and ``verify._window_roots`` the two
-smaller ones r1 <= r2 that exist below c* (r3 = rho there).  References:
+sqrt 3)/sqrt(c* - c) below it, where two smaller roots r1 <= r2 exist
+(rho = r3 there).  References:
 
 * ``mpmath.polyroots`` at 50 digits, at the named points (c = -1, c*,
   c* +- 1e-12, -sqrt(8/9), 0, 1) and at 300 seeded values of c;
@@ -15,8 +15,8 @@ smaller ones r1 <= r2 that exist below c* (r3 = rho there).  References:
 
 The bound: P_c evaluated in doubles is off by about eps times the sum of
 its terms, E, which moves a root by E over the slope of P_c there, and
-near the double roots at c = -1 and c* by sqrt(2 E / |P_c''|).  Each root
-is held to ``ULPS`` units in the last place plus that sensitivity.
+near the double root at c* by sqrt(2 E / |P_c''|).  rho is held to
+``ULPS`` units in the last place plus that sensitivity.
 """
 
 import math
@@ -46,27 +46,12 @@ def _bound(c, r):
     return ULPS * np.spacing(r) + sensitivity
 
 
-def _kernel(c):
-    """(r1, r2, rho) from verify, r1 and r2 NaN where c >= c*."""
-    c = np.asarray(c, dtype=float)
-    rho = verify._lemniscate_root(c)
-    r1, r2 = np.full(c.shape, np.nan), np.full(c.shape, np.nan)
-    window = c < verify._C_STAR
-    r1[window], r2[window] = verify._window_roots(c[window], rho[window])
-    return r1, r2, rho
-
-
 def _assert_roots(c, roots):
     """``roots``: each c's positive roots, ascending (three below c*)."""
-    r1, r2, rho = _kernel(c)
+    rho = verify._lemniscate_root(np.asarray(c, dtype=float))
     for k, ref in enumerate(roots):
         assert abs(rho[k] - ref[-1]) <= _bound(c[k], ref[-1]), (c[k], rho[k], ref)
-        if len(ref) == 3:
-            assert abs(r1[k] - ref[0]) <= _bound(c[k], ref[0]), (c[k], r1[k], ref)
-            assert abs(r2[k] - ref[1]) <= _bound(c[k], ref[1]), (c[k], r2[k], ref)
-            assert r1[k] <= r2[k] <= rho[k], c[k]
-        else:
-            assert len(ref) == 1 and np.isnan(r1[k]), (c[k], ref)
+        assert len(ref) == (3 if c[k] < verify._C_STAR else 1), (c[k], ref)
 
 
 def test_c_star_is_the_least_double_above_the_double_root():
@@ -93,14 +78,13 @@ def test_named_points_against_fifty_digits():
 
 
 def test_ends_read_one_plus_and_minus_root_two():
-    # rho(-1) = 1 + sqrt 2 (r1 = r2 = 1 is double) and rho(1) = sqrt 2 - 1,
+    # rho(-1) = 1 + sqrt 2 (where r1 = r2 = 1 is double) and rho(1) = sqrt 2 - 1,
     # to the nearest double or one ulp off it
     mp = pytest.importorskip("mpmath")
-    r1, r2, rho = _kernel(np.array([-1.0, 1.0]))
+    rho = verify._lemniscate_root(np.array([-1.0, 1.0]))
     with mp.workdps(50):
         for value, exact in ((rho[0], 1 + mp.sqrt(2)), (rho[1], mp.sqrt(2) - 1)):
             assert abs(mp.mpf(value) - exact) <= math.ulp(float(exact)), value
-    assert r1[0] == 1.0 and abs(r2[0] - 1.0) <= 4 * EPS
 
 
 def test_seeded_values_against_fifty_digits():

@@ -1,7 +1,7 @@
 """No module of ``lemnisub`` calls BLAS or LAPACK.
 
-Their first use grows the process (README, exact margin layer), which
-the benchmark's ``peak_rss_mb`` would count.  Every module is parsed and
+Their first use grows the process (README, Numerical notes), which the
+benchmark's ``peak_rss_mb`` would count.  Every module is parsed and
 checked for the matrix-product operator and for the numpy calls that
 reach BLAS or LAPACK; sums with scalar weights do neither.
 """

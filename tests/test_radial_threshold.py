@@ -1,11 +1,14 @@
-"""The radial threshold of the affine rules against its references.
+"""The radial threshold of every margin rule against its references.
 
-Every affine rule has h - 1 = beta b, and each angle's criterion is met
-from beta_t = top / g(t) on (``verify._radial_size``): on a Mobius
-premise (L1 for every k, L9-L11) top = X - Y and g = |b| G(u), the one
-positive root; on the lemniscate premise (L2-L4) top = 1 and
-g = |b| / rho(u), rho the largest root of s^4 + 4 u s^3 + 4 s^2 - 1.
-``numeric_threshold`` returns top / min_t g.  Three references:
+Every margin rule has h - 1 = a + beta b, and each angle's criterion is
+met from beta_t = top / g(t) on: on a Mobius premise (L1 for every k,
+L9-L11) a = 0, top = X - Y and g = |b| G(u), the one positive root; on
+the lemniscate premise's affine rules (L2-L4) a = 0, top = 1 and
+g = |b| / rho(u), rho the largest root of s^4 + 4 u s^3 + 4 s^2 - 1
+(``verify._radial_size``); on L8 top = 1 and g = |b| / s_t, s_t the
+largest root of the Cassini quartic |s - p|^2 |s - r|^2 = 1
+(``verify._cassini_sizes``).  ``numeric_threshold`` returns
+top / min_t g.  Three references:
 
 * ``oracles.fifty_digit_threshold``: max_t beta_t in mpmath, on every
   golden row of these rules (``tests/data/threshold_golden.json``), for
@@ -48,6 +51,10 @@ ORACLE_ULPS = 64
 # 1-10, each within 7 ulps of the fifty-digit value before and 3 after, and
 # up to 7 on 1,800 uniform draws of L2-L4)
 LEMNISCATE_ORACLE_ULPS = 8
+# L8 against the frozen exact path: up to 7 ulps (7.8e-16 relative) on the
+# 258 feasible L8 draws of threshold-sweep seeds 1-30, where the Cassini
+# root rounds differently from the exact path's per-angle quartic in beta
+CASSINI_ORACLE_ULPS = 8
 
 
 def _ulps(value, reference):
@@ -66,7 +73,8 @@ def _assert_matches_oracle(lemma, params, grid_size=2048, values=True):
     oracle_status, oracle = _outcome(oracles.scan_threshold, lemma, params, grid_size)
     assert status == oracle_status, params
     if values and value is not None:
-        ulps = LEMNISCATE_ORACLE_ULPS if lemma in LEMNISCATE else ORACLE_ULPS
+        ulps = (CASSINI_ORACLE_ULPS if lemma is LemmaId.L8 else
+                LEMNISCATE_ORACLE_ULPS if lemma in LEMNISCATE else ORACLE_ULPS)
         assert _ulps(value, oracle) <= ulps, (params, value.hex(), oracle.hex())
     return status
 
@@ -142,16 +150,46 @@ def test_lemniscate_route_matches_the_scan_solve(lemma, grid_size):
     assert "Feasible" in statuses
 
 
-def test_lemniscate_affine_rules_skip_the_exact_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("exact path reached")
+@pytest.mark.parametrize("grid_size", [512, 999, 2048])
+def test_cassini_route_matches_the_exact_path(grid_size):
+    statuses = {_assert_matches_oracle(LemmaId.L8, p, grid_size) for p in _draws(LemmaId.L8)}
+    assert "Feasible" in statuses
 
-    for name in ("_exact_threshold", "_criterion_polynomial", "_tangent_points",
-                 "_margin_polynomials", "_last_crossing"):
-        monkeypatch.setattr(verify, name, refuse)
-    for lemma in LEMNISCATE:
-        for params in _draws(lemma)[:3]:
-            _outcome(numeric_threshold, lemma, params)
+
+# L8 at its domain's edges: B = -1 (punctured at t = 0), A - B = 0.003,
+# A - B near the underflow (10 beta* overflows at A = 1e-308), and A = 1
+# (punctured at t = pi), where every angle's roots lie left of xm and none
+# is positive, so no beta > 0 misses the margin: the threshold is 0,
+# where the scan solve returns the lower end of its bracket, 1e-12
+L8_EDGES = [LemmaParams(A=0.0, B=-1.0), LemmaParams(A=0.1, B=-1.0),
+            LemmaParams(A=0.3, B=0.297), LemmaParams(A=1e-300, B=0.0),
+            LemmaParams(A=0.0, B=-1e-280), LemmaParams(A=1e-308, B=0.0),
+            LemmaParams(A=1.0, B=0.3)]
+
+
+@pytest.mark.parametrize("params", L8_EDGES)
+def test_l8_edge_points_match_the_exact_path(params):
+    if not math.isfinite(10.0 * closed_form_threshold(LemmaId.L8, params).beta_star):
+        assert _outcome(numeric_threshold, LemmaId.L8, params)[0] == "NoThresholdInBracket"
+    elif params.A == 1.0:
+        assert numeric_threshold(LemmaId.L8, params) == 0.0
+        assert oracles.scan_threshold(LemmaId.L8, params) == 1e-12
+        for beta in (1e-9, 1e-3, 1.0):
+            assert verify.boundary_margin_profile(LemmaId.L8, params.with_beta(beta)).min_margin >= 1.0
+    else:
+        assert _assert_matches_oracle(LemmaId.L8, params) == "Feasible"
+
+
+L8_GOLDEN_ROWS = _golden_rows([LemmaId.L8])
+
+
+@pytest.mark.parametrize("params,grid", [(p, g) for _, p, g, _ in L8_GOLDEN_ROWS])
+def test_l8_golden_rows_against_fifty_digits(params, grid):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        reference = float(oracles.fifty_digit_threshold(LemmaId.L8, params, mp))
+    value = numeric_threshold(LemmaId.L8, params, grid_size=grid)
+    assert _ulps(value, reference) <= REFERENCE_ULPS, (value.hex(), reference.hex())
 
 
 # B = -1 puts a pole of h on the circle (punctured at t = 0); A - B near

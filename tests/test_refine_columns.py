@@ -7,7 +7,10 @@ column's step on Python floats and batch only the evaluations of f.
 the same steps on numpy arrays, as they were before.  Every call to f is
 recorded on both: the points and the columns it gets, in order, and what
 it returns.  The two records and the results must agree bit for bit
-(``float.hex``), dtypes included.
+(``float.hex``), dtypes included, except that the numpy polish calls f
+on an empty array where it takes no vertex: that call reads nothing and
+returns nothing, so it is left out of the comparison, and the polish
+must make no such call.
 """
 
 import math
@@ -62,11 +65,22 @@ def same_refine(f, a, x, b, xtol=XTOL):
     return ours, len(logs[0])
 
 
+def _empty(call) -> bool:
+    """A recorded call of f on no points."""
+    return not call[0][1]
+
+
+def non_empty(log: list) -> list:
+    """The calls of ``log`` that hand f some points."""
+    return [call for call in log if not _empty(call)]
+
+
 def same_polish(f, x, fx, sing):
     logs = [], []
     ours = verify._polish_zeros(recorded(f, logs[0]), x, fx, sing)
     theirs = oracles.numpy_polish_zeros(recorded(f, logs[1]), x, fx, sing)
-    assert logs[0] == logs[1]
+    assert not any(map(_empty, logs[0]))
+    assert logs[0] == non_empty(logs[1])
     assert [_hex(r) for r in ours] == [_hex(r) for r in theirs]
     return ours
 
@@ -216,7 +230,9 @@ def test_margin_profiles(monkeypatch, lemma):
                 (_hex(p.t_samples), _hex(p.margins), p.argmin_t.hex())
                 for p in (boundary_margin_profile(lemma, params, 512)
                           for params in _draws(lemma, 15))]
-    assert profiles["ours"] == profiles["numpy"]
+    ours, theirs = profiles["ours"], profiles["numpy"]
+    assert not any(map(_empty, ours[0]))
+    assert ours == (non_empty(theirs[0]), theirs[1])
 
 
 # --- the polish at V-shaped zeros ---------------------------------------------

@@ -98,9 +98,10 @@ def test_exact_solve_hits_anchors(lemma, params, exact):
 # r = cos 0.1, since arg(1 + r e^{i theta}) <= arcsin r.  Its margin has
 # passed 1 at every angle by s ~ 0.85, falls back below 1 around s = 1.3
 # where b points 0.2 rad off the negative axis, and recovers by s ~ 2.2.
-# Through L2 it takes the radial route; through L8 at A = 0.5, B = 0
-# (beta* = 2.74, scan bracket up to 27.4), where h - 1 = beta b as well
-# once the curve is put in place, the exact path and its scan.
+# Through L2 it takes the radial route with P_c's roots; through L8 at
+# A = 0.5, B = 0 (beta* = 2.74, scan bracket up to 27.4), where h - 1 =
+# beta b as well once the curve is put in place, the Cassini form with
+# the foci 0 and -2 conj(u).
 _L9 = (LemmaId.L9, LemmaParams(A=1.0, B=0.0, D=1.0, E=0.0))
 _L2 = (LemmaId.L2, LemmaParams(A=1.0, B=0.0))
 _L8 = (LemmaId.L8, LemmaParams(A=0.5, B=0.0))
@@ -128,20 +129,21 @@ _SYNTHETIC = {
         _L9, lambda t: 0.25 * (2.0 - np.cos(t - math.pi / 64)) * np.exp(1j * t), None, 4.0),
     # the margin is already >= 1 at the first scan beta, 1e-6
     "reached at the scan start": (_L9, lambda t: 1e7 * np.exp(1j * t), None, 1e-7),
-    "reached, then lost on the exact path": (_L8, *_near_negative_axis(0.3, _R), None),
+    "reached, then lost through L8": (_L8, *_near_negative_axis(0.3, _R), None),
 }
 
 
 def _use_curve(monkeypatch, b, form):
     """Put h - 1 = beta*b(t) in place of the rule's curve, with ``form`` as
-    its rational form (None: no rational form).  The curve takes the
-    grid's points z as the catalog's does, and reads t."""
+    its rational form for the scan oracle (None: no rational form).  The
+    curve takes the grid's points z as the catalog's does, and reads t."""
     def curve(lemma, params, t, z=None):
         return params.beta * b(np.asarray(t, dtype=float))
 
     monkeypatch.setattr(catalog, "h_minus_one_on_circle", curve)
     monkeypatch.setattr(verify, "h_minus_one_on_circle", curve)
-    monkeypatch.setattr(verify, "rational_h_minus_one", lambda lemma, params: form)
+    monkeypatch.setattr(oracles, "h_minus_one_on_circle", curve)
+    monkeypatch.setattr(oracles, "rational_h_minus_one", lambda lemma, params: form)
 
 
 @pytest.mark.parametrize("grid_size", [64, 512])
@@ -157,7 +159,8 @@ def test_scan_outcomes_agree_with_oracle_on_synthetic_curves(monkeypatch, name,
 
 # Two of the outcomes again through L2, whose exact path read the curve's
 # rational form: h - 1 = beta*c*z has N0 = 0, N1 = c z, D = 1.  The radial
-# route reads the curve alone.
+# route reads the curve alone; the scan oracle, like the exact path, the
+# form.
 _RATIONAL = {
     "never reaches 1": (0.01, "NoThresholdInBracket", None),
     "reached at the scan start": (1e7, "Feasible", _ROOT / 1e7),
@@ -194,21 +197,52 @@ def _assert_outcomes_agree(lemma, params, grid_size, exact):
 # a modulus that puts the window r2/m < beta < r3/m between the 21st and
 # 22nd scan betas.  The scan does not see it.  The radial route returns
 # its upper end, from which the margin stays >= 1; the scan solve it
-# replaced returned the upcrossing inside its scan bracket, r1/m.
-def test_window_between_scan_betas_reads_its_upper_end(monkeypatch):
+# replaced returned the upcrossing inside its scan bracket, r1/m.  L8,
+# whose a = 0 with this curve, reads it on the Cassini form the same way.
+def _assert_window_reads_its_upper_end(monkeypatch, point):
     mp = pytest.importorskip("mpmath")
     c_min = verify._C_STAR - 1e-4
     r = math.sqrt((1.0 - c_min) / 2.0)       # cos arg b >= 1 - 2 r^2 = c_min
     with mp.workdps(50):
         r1, r2, r3 = (float(x) for x in oracles.fifty_digit_lemniscate_roots(
             1 - 2 * mp.mpf(r) ** 2, mp))
-    star = closed_form_threshold(*_L2).beta_star
+    star = closed_form_threshold(*point).beta_star
     betas = np.linspace(1e-6, 10.0 * star, DEFAULTS.scan_points)
     m = (r2 + r3) / (betas[20] + betas[21])
     assert betas[20] < r2 / m < r3 / m < betas[21]
     assert r1 / m < betas[19]
-    b, form = _near_negative_axis(m, r)
-    _use_curve(monkeypatch, b, form)
-    monkeypatch.setattr(oracles, "rational_h_minus_one", lambda lemma, params: form)
-    assert numeric_threshold(*_L2) == pytest.approx(r3 / m, rel=1e-12)
-    assert oracles.scan_threshold(*_L2) == pytest.approx(r1 / m, rel=1e-9)
+    _use_curve(monkeypatch, *_near_negative_axis(m, r))
+    assert numeric_threshold(*point) == pytest.approx(r3 / m, rel=1e-12)
+    assert oracles.scan_threshold(*point) == pytest.approx(r1 / m, rel=1e-9)
+
+
+def test_window_between_scan_betas_reads_its_upper_end(monkeypatch):
+    _assert_window_reads_its_upper_end(monkeypatch, _L2)
+
+
+def test_window_between_scan_betas_reads_its_upper_end_on_l8(monkeypatch):
+    _assert_window_reads_its_upper_end(monkeypatch, _L8)
+
+
+def test_scan_reader_reads_the_whole_grid_past_the_binding_angle():
+    # two grid angles with a = 0: the binding one points along
+    # cos arg b = -0.99, where the margin is >= 1 on [r1, r2] =
+    # [0.88, 1.18] and from r3 = 2.31 on (g = 1/2.31); the other along the
+    # positive axis with |b| = 0.3 (g = 0.72), which misses the margin
+    # below beta = 0.414/0.3 = 1.38.  At beta = 1 the binding angle passes
+    # and the other does not; at 1.5 the binding angle's window misses
+    b = np.array([np.exp(1j * math.acos(-0.99)), 0.3])
+    threshold = 1.0 / float(np.min(verify._radial_size(catalog.SqrtLemniscate())(b)))
+    assert threshold == pytest.approx(2.3086636569880663)
+    reached = verify._scan_reached(0.0, b, np.array([1.0, 1.5, 2.5]), threshold, 0)
+    assert reached.tolist() == [False, False, True]
+    # with a != 0, below the threshold every beta reads the whole grid
+    t = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+    a, b = 0.4 * np.exp(1j * t), (0.8 + 0.3 * np.cos(t)) * np.exp(0.5j * np.sin(t))
+    betas = np.linspace(0.05, 3.0, 40)
+    want = [bool(np.all(np.abs(a + beta * b) * np.abs(2.0 + a + beta * b) >= 1.0))
+            for beta in betas]
+    for at in (0, 17):
+        reached = verify._scan_reached(a, b, betas, 2.0, at)
+        assert reached.tolist() == [w or beta >= 2.0 for w, beta in zip(want, betas)]
+    assert any(want) and not all(want)
